@@ -28,9 +28,9 @@
 #include "p4lru/core/simd/scan_kernels.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/pipeline/p4lru3_program.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/sketch/countmin.hpp"
 #include "p4lru/sketch/towersketch.hpp"
 #include "p4lru/trace/trace_io.hpp"
@@ -191,6 +191,16 @@ const char* active_kernel_name() {
     return core::simd::kernel_name(core::simd::active_kernel());
 }
 
+/// Set once any series' statistics diverge from their reference; main()
+/// then exits nonzero, so a correctness regression fails the run.
+bool diverged = false;
+
+/// "IDENTICAL", or "DIVERGED (BUG)" with the run marked failed.
+const char* verdict(bool identical) {
+    if (!identical) diverged = true;
+    return identical ? "IDENTICAL" : "DIVERGED (BUG)";
+}
+
 /// Sequential (per-op and batched) + sharded{1,2,4,8} series for one cache
 /// layout.  Each series runs kReps times on a fresh cache; best wall time
 /// is reported (standard throughput practice — the floor is the signal).
@@ -261,8 +271,8 @@ double run_layout_series(ReplaySpan span, std::size_t units,
                         batched_stats.ops, batched_stats.hits,
                         batched_stats.misses, batched_stats.evictions});
         if (!(batched_stats == seq_stats)) {
-            std::fprintf(stderr,
-                         "layout %s: batched stats DIVERGED (BUG)\n", layout);
+            std::fprintf(stderr, "layout %s: batched stats %s\n", layout,
+                         verdict(false));
         }
     }
 
@@ -301,8 +311,8 @@ double run_layout_series(ReplaySpan span, std::size_t units,
     }
 
     if (!all_identical) {
-        std::fprintf(stderr, "layout %s: sharded stats DIVERGED (BUG)\n",
-                     layout);
+        std::fprintf(stderr, "layout %s: sharded stats %s\n", layout,
+                     verdict(false));
     }
     *stats_out = seq_stats;
     return seq_seconds;
@@ -358,7 +368,7 @@ void run_kernel_series(ReplaySpan span, std::size_t units,
     core::simd::clear_kernel_override();
     std::printf("kernel series (%s layout): scalar vs %s stats %s\n", layout,
                 core::simd::kernel_name(core::simd::dispatched_kernel()),
-                identical ? "IDENTICAL" : "DIVERGED (BUG)");
+                verdict(identical));
 }
 
 /// Worker-pinning head-to-head: forced-threaded sharded replay with
@@ -464,8 +474,7 @@ void run_scrubber_series(ReplaySpan span, std::size_t units,
                 (on_seconds / off_seconds - 1.0) * 100.0,
                 static_cast<unsigned long long>(on_result.scrub.scanned),
                 static_cast<unsigned long long>(on_result.scrub.corrupt),
-                on_result.stats == off_stats ? "IDENTICAL"
-                                             : "DIVERGED (BUG)");
+                verdict(on_result.stats == off_stats));
 }
 
 /// Checkpoint-quiesce overhead: threaded sharded replay with checkpointing
@@ -501,12 +510,16 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
         Cache cache(units, 0xE1);
         emitted = 0;
         bench::StopWatch w;
-        on_rep = replay::replay_sharded_checkpointed(
-            cache, span, cfg, kEveryBatches,
-            [&](replay::ShardedCheckpoint&& cp) {
-                ++emitted;
-                benchmark::DoNotOptimize(cp.base.planes.data());
-            });
+        replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t> target(
+            cache);
+        replay::SpanOpSource source{span};
+        on_rep = replay::replay_target_checkpointed_stream(
+                     target, source, cfg, kEveryBatches,
+                     [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                         ++emitted;
+                         benchmark::DoNotOptimize(cp.state.data());
+                     })
+                     .value();
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
@@ -531,8 +544,7 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
                 static_cast<unsigned long long>(kEveryBatches), layout,
                 cfg.shards, emitted,
                 (on_seconds / off_seconds - 1.0) * 100.0,
-                on_rep.stats == off_rep.stats ? "IDENTICAL"
-                                              : "DIVERGED (BUG)");
+                verdict(on_rep.stats == off_rep.stats));
 }
 
 /// Observability overhead: the same sharded replay with no Registry (the
@@ -594,8 +606,7 @@ void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
                 layout, cfg.shards,
                 (on_seconds / off_seconds - 1.0) * 100.0,
                 static_cast<unsigned long long>(batches ? *batches : 0),
-                on_rep.stats == off_rep.stats ? "IDENTICAL"
-                                              : "DIVERGED (BUG)");
+                verdict(on_rep.stats == off_rep.stats));
 }
 
 /// Trace-source axis: the same replay pulled through each TraceSource — the
@@ -695,7 +706,7 @@ void run_source_series(const std::vector<PacketRecord>& trace,
     }
     std::printf("trace sources (%s layout): vector vs mmap vs chunked stats "
                 "%s\n",
-                layout, identical ? "IDENTICAL" : "DIVERGED (BUG)");
+                layout, verdict(identical));
 }
 
 void run_replay_throughput() {
@@ -749,7 +760,7 @@ void run_replay_throughput() {
                 std::to_string(units) + " units)");
     const bool layouts_identical = aos_stats == soa_stats;
     std::printf("aggregate hit/miss/eviction counts %s across layouts\n",
-                layouts_identical ? "IDENTICAL" : "DIVERGED (BUG)");
+                verdict(layouts_identical));
     std::printf("single-thread soa/aos replay speedup: %.2fx\n",
                 aos_seconds / soa_seconds);
 
@@ -774,5 +785,5 @@ int main(int argc, char** argv) {
     }
     benchmark::Shutdown();
     run_replay_throughput();
-    return 0;
+    return diverged ? 1 : 0;
 }

@@ -9,16 +9,37 @@
 //
 // Scalars are written little-endian byte-by-byte (portable); raw `bytes`
 // regions are memory images whose layout is guarded by the surrounding size
-// fields, the same contract as the storage plane images in checkpoint_io.
+// fields, the same contract as the stats records of a checkpoint image
+// (replay/checkpoint_io.hpp), which is framed with these helpers too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace p4lru::io {
+
+/// Little-endian scalar at `p` (the caller has bounds-checked the bytes).
+[[nodiscard]] inline std::uint32_t load_u32(const std::byte* p) noexcept {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
+             << (8 * i);
+    }
+    return v;
+}
+
+[[nodiscard]] inline std::uint64_t load_u64(const std::byte* p) noexcept {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]))
+             << (8 * i);
+    }
+    return v;
+}
 
 class ByteWriter {
   public:
@@ -38,11 +59,11 @@ class ByteWriter {
         }
     }
 
-    /// Raw memory image of `n` bytes (trivially-copyable payloads only).
+    /// Raw memory image of `n` bytes (trivially-copyable payloads only),
+    /// appended in one pass (no zero-fill ahead of the copy).
     void bytes(const void* p, std::size_t n) {
-        const std::size_t off = out_->size();
-        out_->resize(off + n);
-        if (n != 0) std::memcpy(out_->data() + off, p, n);
+        const auto* b = static_cast<const std::byte*>(p);
+        out_->insert(out_->end(), b, b + n);
     }
 
     template <typename T>
@@ -69,24 +90,14 @@ class ByteReader {
 
     [[nodiscard]] bool u32(std::uint32_t& v) {
         if (pos_ + 4 > in_.size()) return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(
-                     std::to_integer<std::uint8_t>(in_[pos_ + i]))
-                 << (8 * i);
-        }
+        v = load_u32(in_.data() + pos_);
         pos_ += 4;
         return true;
     }
 
     [[nodiscard]] bool u64(std::uint64_t& v) {
         if (pos_ + 8 > in_.size()) return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     std::to_integer<std::uint8_t>(in_[pos_ + i]))
-                 << (8 * i);
-        }
+        v = load_u64(in_.data() + pos_);
         pos_ += 8;
         return true;
     }

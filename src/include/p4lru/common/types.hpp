@@ -24,7 +24,7 @@ struct FlowKey {
     /// unit image); compiler-copied implicit padding carries unspecified
     /// stack bytes, which would make two behaviourally identical replays
     /// produce plane images that differ in dead bytes — breaking the
-    /// bit-identical checkpoint round-trip guarantee (checkpoint.hpp).
+    /// bit-identical checkpoint round-trip guarantee (target_checkpoint.hpp).
     std::uint8_t pad_[3] = {0, 0, 0};
 
     friend auto operator<=>(const FlowKey&, const FlowKey&) = default;

@@ -376,7 +376,8 @@ class SoaSlab {
     /// Snapshot the three planes (keys, values, meta, concatenated in that
     /// order) as raw bytes.  With the op cursor this is a complete resume
     /// point: restoring and replaying the remaining ops is bit-identical to
-    /// an uninterrupted run (replay/checkpoint.hpp).
+    /// an uninterrupted run (replay/target_checkpoint.hpp, via
+    /// CacheReplayTarget's snapshot plane).
     void save_planes(std::vector<std::byte>& out) const {
         const std::size_t kb = units_ * kKeyStride * sizeof(Key);
         const std::size_t vb = units_ * N * sizeof(Value);

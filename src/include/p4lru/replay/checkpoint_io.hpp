@@ -1,99 +1,139 @@
-// On-disk persistence for replay checkpoints: the durable half of the
-// degradation ladder (DESIGN.md §10, §12).  An in-memory ShardedCheckpoint
-// only survives the process; writing it through this layer makes a replay
-// restartable across a crash or a kill -9 (the chaos smoke exercises
-// exactly that).
+// The P4LRUTGC checkpoint image: the one on-disk form of every replay
+// checkpoint (DESIGN.md §10, §12), whatever the ReplayTarget — the bare
+// P4LRU array (CacheReplayTarget: state = the storage plane image) and the
+// three paper systems alike.  This module owns the byte format and nothing
+// else: one sealing writer, one frame parser, and the verify probe built
+// on it.  target_checkpoint.hpp layers the typed TargetCheckpoint<Stats>
+// on top; durable_store.hpp moves the sealed images to and from disk.
 //
-// Format v2 (little-endian), offsets in bytes:
+// Format version 2 (little-endian), offsets in bytes:
 //
 //   off  size  field
-//     0     8  magic "P4LRUCKP"
+//     0     8  magic "P4LRUTGC"
 //     8     4  version (u32, = 2)
-//    12     4  storage layout id (core::kAos/kSoaLayoutId)
-//    16     8  storage plane-geometry fingerprint
+//    12     4  target state id (Target::state_id())
+//    16     8  target state fingerprint
 //    24     8  unit count
 //    32     8  op cursor
-//    40    32  merged ReplayStats (ops, hits, misses, evictions; u64 each)
-//    72     8  delivered batches
-//    80     8  backpressure waits
-//    88     8  park wait (us)
-//    96     8  shards drained inline
-//   104     8  workers abandoned
-//   112    24  ScrubReport (scanned, corrupt, repaired; u64 each)
-//   136     8  shard count S
-//   144     8  plane image size P
-//   152  32*S  per-shard ReplayStats slices
-//   152+32*S P raw storage plane bytes
+//    40     8  delivered batches
+//    48     8  backpressure waits
+//    56     8  park wait (us)
+//    64     8  shards drained inline
+//    72     8  workers abandoned
+//    80    24  ScrubReport (scanned, corrupt, repaired; u64 each)
+//   104     4  stats record size R (u32, = sizeof(Stats))
+//   108     4  shard count S (u32)
+//   112     8  state image size P
+//   120     R  merged Stats record
+//   120+R  R*S per-shard Stats slices
+//   ...    P   raw target state bytes
 //   ...then the 16-byte seal footer:
-//   +0      4  crc_header  (CRC32 over bytes [0, 152))
-//   +4      4  crc_slices  (CRC32 over the 32*S shard-slice bytes)
-//   +8      4  crc_planes  (CRC32 over the P plane bytes)
-//   +12     4  crc_footer  (CRC32 over the 12 preceding footer bytes)
+//   +0      4  crc_header (CRC32 over bytes [0, 120))
+//   +4      4  crc_stats  (CRC32 over the (1+S)*R stats-record bytes)
+//   +8      4  crc_state  (CRC32 over the P state bytes)
+//   +12     4  crc_footer (CRC32 over the 12 preceding footer bytes)
 //
-// Version 1 is the same layout without the seal footer; the reader still
-// accepts it (files written before the durability PR), it just gets no CRC
-// protection beyond the structural size cross-checks.  Every byte of a v2
-// file is covered by exactly one check: magic/version by comparison, the
-// count fields by the size cross-check AND crc_header, everything else by
-// one of the four CRCs — so any single-bit flip anywhere is detected (the
-// fuzz sweep in durable_store_test proves it).
+// Stats records are raw memory images of a trivially copyable type; the
+// record size field plus the state id / fingerprint reject an image written
+// by a different Stats layout or target configuration.  Version 1 (the
+// same layout without the seal) is no longer read.
 //
-// Reading is hardened exactly like trace_io: read_checkpoint_checked
-// returns a typed Status (kIoError / kCorrupt / kTruncated) carrying the
-// byte offset where the file stopped making sense, and cross-checks both
-// the shard count and the plane size against the actual file size *before*
-// allocating, so a flipped bit in a count field cannot drive a huge
-// allocation.  Every strict prefix of a valid file is rejected (the
-// truncation sweep in checkpoint_io_test proves it).  IO-level failures
-// carry the offending path and the OS error (strerror/errno).
-//
-// write_checkpoint itself is NOT atomic (a crash mid-write leaves a torn
-// file — which the CRCs will reject on read); for crash-safe installs go
-// through durable_store.hpp, which writes via temp-file + fsync + atomic
-// rename into a generational store directory.
+// The frame parser is the only code that reads this framing.  It checks
+// every count against the image size before anything is trusted —
+// subtracting from the body size, never adding up the promises, so no
+// header value can wrap the arithmetic — and only then CRCs the four
+// sections.  Every strict prefix of a valid image is rejected, and any
+// single-bit flip trips exactly one of the magic/version compare, the size
+// cross-check or one of the four CRCs (durable_store_test sweeps both).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "p4lru/core/unit_storage.hpp"
 #include "p4lru/fault/status.hpp"
-#include "p4lru/replay/checkpoint.hpp"
-#include "p4lru/replay/serialized_image.hpp"
 
 namespace p4lru::replay {
 
-/// Render `cp` to its sealed v2 on-disk image in memory.
-[[nodiscard]] SerializedCheckpoint serialize_checkpoint(
-    const ShardedCheckpoint& cp);
+/// A checkpoint rendered to its sealed byte image, plus the offsets at which
+/// each section ends — header, stats records, state bytes, seal footer.  The
+/// section ends are what the deterministic crash injector (fault::CrashPoint)
+/// cuts at: "a crash between section writes" is a prefix of `bytes` ending
+/// at one of them.
+struct SerializedCheckpoint {
+    std::vector<std::byte> bytes;
+    std::vector<std::uint64_t> section_ends;  ///< ascending; back()==size
+};
 
-/// Serialize `cp` to `path` (overwriting, sealed v2 format).  Returns
-/// kIoError (with path + errno detail) on any open/write failure; the file
-/// is not guaranteed to be intact after a failed write.  For atomic
-/// installs use durable_store.hpp.
-[[nodiscard]] Status write_checkpoint(const std::string& path,
-                                      const ShardedCheckpoint& cp);
+/// The target-independent header fields of a checkpoint: where the cut is,
+/// which target shape may restore it, and the degradation telemetry the run
+/// had accumulated by then.
+struct CheckpointHeader {
+    std::uint64_t cursor = 0;      ///< ops applied before the snapshot
+    std::uint64_t unit_count = 0;  ///< shape guard for resume
+    std::uint32_t state_id = 0;    ///< Target::state_id() shape guard
+    std::uint64_t state_fingerprint = 0;  ///< Target::state_fingerprint()
+    std::uint64_t delivered_batches = 0;
+    std::uint64_t backpressure_waits = 0;
+    std::uint64_t park_wait_us = 0;
+    std::uint64_t drained_inline = 0;
+    std::uint64_t abandoned_workers = 0;
+    core::ScrubReport scrub{};
+};
 
-/// Convenience overload for a sequential checkpoint: persisted as a
-/// ShardedCheckpoint with zero shard slices and zero telemetry, so one
-/// reader handles both kinds (resume_sequential takes `.base`).
-[[nodiscard]] Status write_checkpoint(const std::string& path,
-                                      const ReplayCheckpoint& cp);
+/// One sealed section: its byte range [begin, end) and its CRC as stored in
+/// the footer and as recomputed over the bytes.
+struct SectionCheck {
+    const char* name = "";
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::uint32_t stored = 0;
+    std::uint32_t computed = 0;
 
-/// Parse a checkpoint from `path`; the typed-error path.  Accepts sealed v2
-/// files (CRC-verified per section) and legacy v1 files (structural checks
-/// only).  On failure the Status names the cause and the byte offset at
-/// which the file stopped making sense.  Structural validation only —
-/// whether the checkpoint fits a particular cache (layout tag, fingerprint,
-/// unit count) is decided by resume_sequential / resume_sharded.
-[[nodiscard]] Expected<ShardedCheckpoint> read_checkpoint_checked(
-    const std::string& path);
+    [[nodiscard]] bool ok() const noexcept { return stored == computed; }
+};
 
-/// Parse a checkpoint from an in-memory image (the reader behind
-/// read_checkpoint_checked; durable_store's recovery scan and the
-/// p4lru_ckpt tool share it).  `origin` names the image in error messages.
-[[nodiscard]] Expected<ShardedCheckpoint> parse_checkpoint(
-    const std::vector<std::byte>& image, const std::string& origin);
+/// A structurally sound image: the header fields and views of the record
+/// and state sections (nothing is copied — the views alias the image), plus
+/// the CRC verdict of every section.
+struct CheckpointFrame {
+    CheckpointHeader header;
+    std::uint32_t record_bytes = 0;  ///< R: bytes per stats record
+    std::uint32_t shard_count = 0;   ///< S: per-shard slices
+    std::span<const std::byte> records;  ///< merged record, then S slices
+    std::span<const std::byte> state;    ///< P raw target state bytes
+    /// header, stats records, state image, seal footer — in file order.
+    std::array<SectionCheck, 4> sections{};
+    /// First CRC mismatch (the footer's own CRC is judged first, since a
+    /// damaged footer makes the stored section CRCs meaningless); ok when
+    /// every section verifies.
+    Status seal;
+};
+
+/// Render a checkpoint to its sealed image: the header, `merged_record`,
+/// `shard_records` (S records of merged_record.size() bytes each), the
+/// state bytes, then the seal footer.  Each input byte is copied once.
+[[nodiscard]] SerializedCheckpoint seal_checkpoint_image(
+    const CheckpointHeader& header, std::span<const std::byte> merged_record,
+    std::span<const std::byte> shard_records,
+    std::span<const std::byte> state);
+
+/// Frame an image: magic, version and every size cross-check (kCorrupt /
+/// kTruncated carrying the byte offset where the image stopped making
+/// sense), then the four section CRCs into `sections` / `seal`.  A failed
+/// seal is reported in the frame, not as an error, so an inspector can
+/// still show the header of a damaged image.  `origin` names the image in
+/// messages.
+[[nodiscard]] Expected<CheckpointFrame> parse_checkpoint_frame(
+    std::span<const std::byte> image, const std::string& origin);
+
+/// Structural + CRC verdict of an image, needing no Stats type: ok iff a
+/// typed reader with the right record size would accept its framing.
+[[nodiscard]] Status verify_checkpoint_image(
+    std::span<const std::byte> image, const std::string& origin);
 
 }  // namespace p4lru::replay

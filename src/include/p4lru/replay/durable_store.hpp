@@ -1,8 +1,8 @@
 // Generational durable checkpoint store (DESIGN.md §12).
 //
-// checkpoint_io / target_checkpoint render a checkpoint to a sealed byte
-// image; this layer owns getting that image onto disk so that a crash at
-// ANY instant leaves the store recoverable:
+// target_checkpoint renders a checkpoint to a sealed P4LRUTGC image
+// (checkpoint_io); this layer owns getting that image onto disk so that a
+// crash at ANY instant leaves the store recoverable:
 //
 //   * atomic install — the image is written to `<final>.tmp`, fsync'd,
 //     renamed over the final name, and the directory entry is fsync'd.  A
@@ -26,10 +26,10 @@
 //     start, reported as found=false, never as an error.
 //
 // The store is format-agnostic: it moves SerializedCheckpoint images and
-// raw bytes.  For inspection without knowing the Stats type (the p4lru_ckpt
-// CLI, pruning's validity probe), verify_checkpoint_image /
-// describe_checkpoint_image sniff the magic and check both formats
-// (P4LRUCKP and P4LRUTGC) from their headers alone.
+// raw bytes.  Its one format question — does a generation verify, for
+// pruning's immunity rule? — goes to verify_checkpoint_image
+// (checkpoint_io.hpp), which judges an image without knowing its Stats
+// type; the p4lru_ckpt CLI uses the same probe.
 //
 // Crash injection: install_with_crash executes the install protocol up to
 // a fault::CrashPoint and then stops, leaving exactly the on-disk state a
@@ -49,7 +49,7 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
 #include "p4lru/obs/metrics.hpp"
-#include "p4lru/replay/serialized_image.hpp"
+#include "p4lru/replay/checkpoint_io.hpp"
 
 namespace p4lru::replay {
 
@@ -86,35 +86,8 @@ struct InstallOutcome {
     GenerationInfo gen;      ///< valid when installed
 };
 
-/// Per-section CRC verdict of a sealed image (describe output).
-struct SectionCheck {
-    std::string name;
-    std::uint64_t begin = 0;  ///< byte range [begin, end) of the section
-    std::uint64_t end = 0;
-    std::uint32_t stored = 0;
-    std::uint32_t computed = 0;
-    bool ok = false;
-};
-
-/// Header-level summary of a checkpoint image, either format; the
-/// p4lru_ckpt CLI's `describe` output.
-struct ImageInfo {
-    std::string format;  ///< "P4LRUCKP" (cache) or "P4LRUTGC" (target)
-    std::uint32_t version = 0;
-    bool sealed = false;  ///< version carries the CRC seal footer
-    std::uint32_t id = 0;  ///< storage layout id / target state id
-    std::uint64_t fingerprint = 0;  ///< plane-geometry / state fingerprint
-    std::uint64_t unit_count = 0;
-    std::uint64_t cursor = 0;
-    std::uint64_t shard_count = 0;
-    std::uint64_t record_bytes = 0;   ///< bytes per stats record
-    std::uint64_t payload_bytes = 0;  ///< plane / state image size
-    std::uint64_t file_bytes = 0;
-    std::vector<SectionCheck> sections;  ///< sealed images only
-    Status verdict;  ///< overall structural + CRC verdict
-};
-
-/// Slurp a whole file; kIoError (path + errno) on any failure.
+/// Slurp a whole regular file; kIoError (path + errno) on any failure,
+/// including a path that cannot be sized (a directory, a pipe).
 [[nodiscard]] Expected<std::vector<std::byte>> read_file_bytes(
     const std::string& path);
 
@@ -126,19 +99,6 @@ struct ImageInfo {
                                        const std::vector<std::byte>& bytes,
                                        bool sync = true,
                                        obs::Registry* metrics = nullptr);
-
-/// Structural + CRC verification of a checkpoint image in either on-disk
-/// format, from the header alone (no Stats type needed).  Ok iff a typed
-/// reader of the right Stats type would accept the image's framing.
-[[nodiscard]] Status verify_checkpoint_image(
-    const std::vector<std::byte>& image, const std::string& origin);
-
-/// Header-level description of a checkpoint image in either format,
-/// including per-section CRC verdicts for sealed images.  Fails only when
-/// the image is too short to carry a header or the magic is unknown;
-/// deeper damage is reported through ImageInfo::verdict / sections.
-[[nodiscard]] Expected<ImageInfo> describe_checkpoint_image(
-    const std::vector<std::byte>& image, const std::string& origin);
 
 class DurableStore {
   public:

@@ -39,12 +39,12 @@
 // `Faults` template hook (fault_plan.hpp), counted in blocks; the default
 // NoFaults instantiation folds every hook to nothing.
 //
-// Checkpointing (checkpoint.hpp): a cut stops publishing and waits, with
-// the same ladder, until every shard's cursor reaches the last published
-// block.  Workers store their stats before bumping the cursor, so the
-// applied set is exactly the op prefix [0, cursor) and the stats are
-// readable; no thread writes the target until the next publish, which makes
-// the sink's plane reads safe.
+// Checkpointing (target_checkpoint.hpp): a cut stops publishing and waits,
+// with the same ladder, until every shard's cursor reaches the last
+// published block.  Workers store their stats before bumping the cursor,
+// so the applied set is exactly the op prefix [0, cursor) and the stats
+// are readable; no thread writes the target until the next publish, which
+// makes the sink's state reads safe.
 //
 // Cooperative-park assumption: the watchdog relies on workers reaching a
 // block boundary.  A worker wedged inside apply_batch (e.g. on a poisoned
@@ -549,8 +549,9 @@ namespace detail {
 
 /// Disabled checkpoint hook: the default instantiation folds the trigger
 /// check and the quiesce machinery away entirely (if constexpr on
-/// kEnabled), so a plain replay_sharded pays nothing.  checkpoint.hpp's
-/// DispatchCheckpointer is the enabled counterpart.
+/// kEnabled), so a plain replay_sharded pays nothing.
+/// target_checkpoint.hpp's TargetDispatchCheckpointer is the enabled
+/// counterpart.
 struct NoCheckpoint {
     static constexpr bool kEnabled = false;
     [[nodiscard]] bool due(std::uint64_t /*delivered*/) const noexcept {
@@ -563,8 +564,8 @@ struct NoCheckpoint {
     }
 };
 
-/// Shared engine behind every sharded entry point — replay_sharded,
-/// replay_sharded_checkpointed (checkpoint.hpp), the system adapters
+/// Shared engine behind every sharded entry point — replay_sharded, the
+/// checkpointed target replays (target_checkpoint.hpp), the system adapters
 /// (systems/*/..._target.hpp) and the streaming variants.  `Target` is any
 /// model of the ReplayTarget concept (replay_target.hpp) — the engine only
 /// routes, batches, prefetches and applies; what an op *means* belongs to
@@ -579,7 +580,7 @@ struct NoCheckpoint {
 /// The run covers the ops [source.tell(), source.size()) at entry, and all
 /// indices — fault ordinals, checkpoint cursors — are relative to the entry
 /// position, exactly as the legacy span engine treated a suffix subspan:
-/// seek-based resume (checkpoint.hpp, target_checkpoint.hpp) positions the
+/// seek-based resume (target_checkpoint.hpp) positions the
 /// source at the checkpoint cursor instead of re-reading the prefix.
 ///
 /// A source failure (rot discovered mid-stream, a file that shrank under
@@ -1134,8 +1135,9 @@ BasicShardedReport<typename Target::Stats> replay_sharded_impl(
 /// hook set: fault::NoFaults (default) compiles every hook away;
 /// fault::InjectedFaults applies a FaultPlan (worker stalls/delays in
 /// threaded mode; plane/op corruption in inline mode, where a single thread
-/// owns the cache).  For mid-run checkpoint emission use
-/// replay_sharded_checkpointed (checkpoint.hpp), which shares this engine.
+/// owns the cache).  For mid-run checkpoint emission wrap the cache in a
+/// CacheReplayTarget and use replay_target_checkpointed
+/// (target_checkpoint.hpp), which shares this engine.
 template <typename Cache, typename Key, typename Value,
           typename Faults = fault::NoFaults>
 ShardedReport replay_sharded(Cache& cache,

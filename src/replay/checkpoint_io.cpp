@@ -1,286 +1,181 @@
 #include "p4lru/replay/checkpoint_io.hpp"
 
-#include <array>
-#include <cerrno>
-#include <cstddef>
-#include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <vector>
 
+#include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/hash.hpp"
 
 namespace p4lru::replay {
 namespace {
 
-constexpr std::array<char, 8> kMagic = {'P', '4', 'L', 'R', 'U',
-                                        'C', 'K', 'P'};
-constexpr std::uint32_t kVersionLegacy = 1;  // no seal footer
-constexpr std::uint32_t kVersionSealed = 2;  // per-section CRC32 footer
-constexpr std::uint64_t kStatsBytes = 4 * 8;   // ops/hits/misses/evictions
-constexpr std::uint64_t kHeaderBytes = 152;
-constexpr std::uint64_t kShardSliceBytes = kStatsBytes;
+constexpr char kMagic[8] = {'P', '4', 'L', 'R', 'U', 'T', 'G', 'C'};
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint64_t kHeaderBytes = 120;
 constexpr std::uint64_t kSealBytes = 16;  // 4 x CRC32
 
-// Field offsets (documented in the header comment of checkpoint_io.hpp);
-// named so error offsets stay in sync with the layout.
+// Field offsets of the header table in checkpoint_io.hpp; named where an
+// error message points at them.
 constexpr std::uint64_t kOffVersion = 8;
-constexpr std::uint64_t kOffShardCount = 136;
+constexpr std::uint64_t kOffRecordBytes = 104;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
-}
-
-void put_stats(std::vector<std::byte>& out, const ReplayStats& s) {
-    put_u64(out, s.ops);
-    put_u64(out, s.hits);
-    put_u64(out, s.misses);
-    put_u64(out, s.evictions);
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-ReplayStats get_stats(const std::byte* p) {
-    ReplayStats s;
-    s.ops = get_u64(p);
-    s.hits = get_u64(p + 8);
-    s.misses = get_u64(p + 16);
-    s.evictions = get_u64(p + 24);
-    return s;
-}
-
-std::uint32_t crc_over(const std::byte* p, std::uint64_t n) {
+std::uint32_t crc_of(std::span<const std::byte> bytes) {
     return hash::crc32(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(p),
-        static_cast<std::size_t>(n)));
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
 }
 
 }  // namespace
 
-SerializedCheckpoint serialize_checkpoint(const ShardedCheckpoint& cp) {
+SerializedCheckpoint seal_checkpoint_image(
+    const CheckpointHeader& h, std::span<const std::byte> merged_record,
+    std::span<const std::byte> shard_records,
+    std::span<const std::byte> state) {
     SerializedCheckpoint out;
     auto& buf = out.bytes;
-    const std::uint64_t slices = cp.shard_stats.size() * kShardSliceBytes;
-    buf.reserve(static_cast<std::size_t>(kHeaderBytes + slices +
-                                         cp.base.planes.size() + kSealBytes));
-    for (char c : kMagic) buf.push_back(static_cast<std::byte>(c));
-    put_u32(buf, kVersionSealed);
-    put_u32(buf, cp.base.layout_id);
-    put_u64(buf, cp.base.plane_fingerprint);
-    put_u64(buf, cp.base.unit_count);
-    put_u64(buf, cp.base.cursor);
-    put_stats(buf, cp.base.stats);
-    put_u64(buf, cp.delivered_batches);
-    put_u64(buf, cp.backpressure_waits);
-    put_u64(buf, cp.park_wait_us);
-    put_u64(buf, cp.drained_inline);
-    put_u64(buf, cp.abandoned_workers);
-    put_u64(buf, cp.scrub.scanned);
-    put_u64(buf, cp.scrub.corrupt);
-    put_u64(buf, cp.scrub.repaired);
-    put_u64(buf, cp.shard_stats.size());
-    put_u64(buf, cp.base.planes.size());
+    const std::uint64_t records = merged_record.size() + shard_records.size();
+    buf.reserve(kHeaderBytes + records + state.size() + kSealBytes);
+    io::ByteWriter w(buf);
+    for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
+    w.u32(kVersion);
+    w.u32(h.state_id);
+    w.u64(h.state_fingerprint);
+    w.u64(h.unit_count);
+    w.u64(h.cursor);
+    w.u64(h.delivered_batches);
+    w.u64(h.backpressure_waits);
+    w.u64(h.park_wait_us);
+    w.u64(h.drained_inline);
+    w.u64(h.abandoned_workers);
+    w.u64(h.scrub.scanned);
+    w.u64(h.scrub.corrupt);
+    w.u64(h.scrub.repaired);
+    w.u32(static_cast<std::uint32_t>(merged_record.size()));
+    w.u32(static_cast<std::uint32_t>(shard_records.size() /
+                                     merged_record.size()));
+    w.u64(state.size());
     out.section_ends.push_back(buf.size());  // header
-    for (const auto& s : cp.shard_stats) put_stats(buf, s);
-    out.section_ends.push_back(buf.size());  // shard slices
-    buf.insert(buf.end(), cp.base.planes.begin(), cp.base.planes.end());
-    out.section_ends.push_back(buf.size());  // plane image
+    w.bytes(merged_record.data(), merged_record.size());
+    w.bytes(shard_records.data(), shard_records.size());
+    out.section_ends.push_back(buf.size());  // stats records
+    w.bytes(state.data(), state.size());
+    out.section_ends.push_back(buf.size());  // state image
 
-    // Seal footer: one CRC per section, then a CRC over the three CRCs so a
-    // flipped bit inside the footer itself is also caught.
-    const std::uint32_t crc_header = crc_over(buf.data(), kHeaderBytes);
-    const std::uint32_t crc_slices =
-        crc_over(buf.data() + kHeaderBytes, slices);
-    const std::uint32_t crc_planes = crc_over(
-        buf.data() + kHeaderBytes + slices, cp.base.planes.size());
-    const std::size_t seal_off = buf.size();
-    put_u32(buf, crc_header);
-    put_u32(buf, crc_slices);
-    put_u32(buf, crc_planes);
-    put_u32(buf, crc_over(buf.data() + seal_off, 12));
+    // Seal footer: one CRC per section, then a CRC over those three so a
+    // flipped bit inside the footer itself is caught too.
+    const std::span<const std::byte> image(buf);
+    const std::uint32_t crc_header = crc_of(image.first(kHeaderBytes));
+    const std::uint32_t crc_records =
+        crc_of(image.subspan(kHeaderBytes, records));
+    const std::uint32_t crc_state =
+        crc_of(image.subspan(kHeaderBytes + records, state.size()));
+    w.u32(crc_header);
+    w.u32(crc_records);
+    w.u32(crc_state);
+    w.u32(crc_of(std::span<const std::byte>(buf).last(12)));
     out.section_ends.push_back(buf.size());  // footer == total
     return out;
 }
 
-Status write_checkpoint(const std::string& path,
-                        const ShardedCheckpoint& cp) {
-    const SerializedCheckpoint image = serialize_checkpoint(cp);
-    errno = 0;
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        return io_error_errno("write_checkpoint: cannot open", path);
-    }
-    os.write(reinterpret_cast<const char*>(image.bytes.data()),
-             static_cast<std::streamsize>(image.bytes.size()));
-    os.flush();
-    if (!os) {
-        return io_error_errno("write_checkpoint: write failed to", path);
-    }
-    return Status::ok();
-}
-
-Status write_checkpoint(const std::string& path, const ReplayCheckpoint& cp) {
-    ShardedCheckpoint wrapped;
-    wrapped.base = cp;
-    return write_checkpoint(path, wrapped);
-}
-
-Expected<ShardedCheckpoint> parse_checkpoint(
-    const std::vector<std::byte>& image, const std::string& origin) {
-    const std::uint64_t file_size = image.size();
-    if (file_size < kHeaderBytes) {
-        return truncated("checkpoint image of " + std::to_string(file_size) +
+Expected<CheckpointFrame> parse_checkpoint_frame(
+    std::span<const std::byte> image, const std::string& origin) {
+    const std::uint64_t size = image.size();
+    if (size < kHeaderBytes) {
+        return truncated("checkpoint image of " + std::to_string(size) +
                              " bytes from '" + origin +
-                             "' is shorter than the checkpoint header",
-                         file_size);
+                             "' is shorter than the 120-byte header",
+                         size);
     }
-    const std::byte* head = image.data();
-    if (std::memcmp(head, kMagic.data(), kMagic.size()) != 0) {
-        return corrupt("bad magic in " + origin, 0);
+    const std::byte* p = image.data();
+    if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
+        return corrupt("bad checkpoint magic in " + origin, 0);
     }
-    const std::uint32_t version = get_u32(head + kOffVersion);
-    if (version != kVersionLegacy && version != kVersionSealed) {
+    const std::uint32_t version = io::load_u32(p + kOffVersion);
+    if (version != kVersion) {
         return corrupt("unsupported checkpoint version " +
-                           std::to_string(version) + " in " + origin,
+                           std::to_string(version) + " in " + origin +
+                           " (only sealed version 2 is read)",
                        kOffVersion);
     }
-    const bool sealed = version == kVersionSealed;
-    const std::uint64_t seal = sealed ? kSealBytes : 0;
-
-    ShardedCheckpoint cp;
-    cp.base.layout_id = get_u32(head + 12);
-    cp.base.plane_fingerprint = get_u64(head + 16);
-    cp.base.unit_count = static_cast<std::size_t>(get_u64(head + 24));
-    cp.base.cursor = get_u64(head + 32);
-    cp.base.stats = get_stats(head + 40);
-    cp.delivered_batches = get_u64(head + 72);
-    cp.backpressure_waits = get_u64(head + 80);
-    cp.park_wait_us = get_u64(head + 88);
-    cp.drained_inline = get_u64(head + 96);
-    cp.abandoned_workers = get_u64(head + 104);
-    cp.scrub.scanned = get_u64(head + 112);
-    cp.scrub.corrupt = get_u64(head + 120);
-    cp.scrub.repaired = get_u64(head + 128);
-    const std::uint64_t shard_count = get_u64(head + kOffShardCount);
-    const std::uint64_t plane_bytes = get_u64(head + 144);
-
-    // Cross-check both count fields against the actual image size before any
-    // allocation: a flipped bit must not drive a huge reserve or read loop.
-    if (file_size < kHeaderBytes + seal) {
-        return truncated("file of " + std::to_string(file_size) +
-                             " bytes is shorter than header + seal footer",
-                         file_size);
+    if (size < kHeaderBytes + kSealBytes) {
+        return truncated("checkpoint image of " + std::to_string(size) +
+                             " bytes from '" + origin +
+                             "' is shorter than header + seal footer",
+                         size);
     }
-    const std::uint64_t body = file_size - kHeaderBytes - seal;
-    if (shard_count > body / kShardSliceBytes) {
-        return corrupt("shard count " + std::to_string(shard_count) +
-                           " exceeds file body of " + std::to_string(body) +
-                           " bytes",
-                       kOffShardCount);
-    }
-    const std::uint64_t slices = shard_count * kShardSliceBytes;
-    if (plane_bytes > body - slices) {
-        return truncated("plane image of " + std::to_string(plane_bytes) +
-                             " bytes promised; only " +
-                             std::to_string(body - slices) +
-                             " bytes follow the shard slices",
-                         file_size);
-    }
-    const std::uint64_t expected =
-        kHeaderBytes + slices + plane_bytes + seal;
-    if (file_size > expected) {
-        return corrupt(std::to_string(file_size - expected) +
-                           " trailing bytes after the " +
-                           (sealed ? "seal footer" : "plane image"),
-                       expected);
+    CheckpointFrame f;
+    CheckpointHeader& h = f.header;
+    h.state_id = io::load_u32(p + 12);
+    h.state_fingerprint = io::load_u64(p + 16);
+    h.unit_count = io::load_u64(p + 24);
+    h.cursor = io::load_u64(p + 32);
+    h.delivered_batches = io::load_u64(p + 40);
+    h.backpressure_waits = io::load_u64(p + 48);
+    h.park_wait_us = io::load_u64(p + 56);
+    h.drained_inline = io::load_u64(p + 64);
+    h.abandoned_workers = io::load_u64(p + 72);
+    h.scrub.scanned = io::load_u64(p + 80);
+    h.scrub.corrupt = io::load_u64(p + 88);
+    h.scrub.repaired = io::load_u64(p + 96);
+    f.record_bytes = io::load_u32(p + kOffRecordBytes);
+    f.shard_count = io::load_u32(p + 108);
+    const std::uint64_t state_bytes = io::load_u64(p + 112);
+    if (f.record_bytes == 0) {
+        return corrupt("zero stats record size in " + origin,
+                       kOffRecordBytes);
     }
 
-    if (sealed) {
-        // Verify every section's CRC before trusting any byte beyond the
-        // structural checks; the reported offset points at the start of the
-        // rotten section.
-        const std::byte* p = image.data();
-        const std::byte* footer = p + kHeaderBytes + slices + plane_bytes;
-        const auto check = [&](std::uint64_t off, std::uint64_t len,
-                               int which, const char* name) -> Status {
-            const std::uint32_t stored = get_u32(footer + 4 * which);
-            const std::uint32_t computed = crc_over(p + off, len);
-            if (stored != computed) {
-                return corrupt(std::string(name) + " CRC mismatch in " +
-                                   origin + ": stored " +
-                                   std::to_string(stored) + ", computed " +
-                                   std::to_string(computed),
-                               off);
-            }
-            return Status::ok();
-        };
-        if (Status st = check(kHeaderBytes + slices + plane_bytes, 12, 3,
-                              "seal footer");
-            !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(0, kHeaderBytes, 0, "header"); !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(kHeaderBytes, slices, 1, "shard slice");
-            !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(kHeaderBytes + slices, plane_bytes, 2,
-                              "plane image");
-            !st.is_ok()) {
-            return st;
-        }
+    // Size cross-checks before anything is trusted.  R * (1 + S) cannot
+    // overflow for 32-bit R and S; the state size is a full u64, so it is
+    // only ever compared against what is left of the body, never added.
+    const std::uint64_t body = size - kHeaderBytes - kSealBytes;
+    const std::uint64_t records = std::uint64_t{f.record_bytes} *
+                                  (std::uint64_t{f.shard_count} + 1);
+    if (records > body || state_bytes > body - records) {
+        return truncated("stats records of " + std::to_string(records) +
+                             " bytes + state image of " +
+                             std::to_string(state_bytes) +
+                             " bytes promised; the body of " + origin +
+                             " holds " + std::to_string(body) + " bytes",
+                         size);
     }
+    const std::uint64_t footer = kHeaderBytes + records + state_bytes;
+    if (state_bytes < body - records) {
+        return corrupt(std::to_string(size - footer - kSealBytes) +
+                           " trailing bytes past the seal footer in " +
+                           origin,
+                       footer + kSealBytes);
+    }
+    f.records = image.subspan(kHeaderBytes, records);
+    f.state = image.subspan(kHeaderBytes + records, state_bytes);
 
-    cp.shard_stats.reserve(static_cast<std::size_t>(shard_count));
-    for (std::uint64_t i = 0; i < shard_count; ++i) {
-        cp.shard_stats.push_back(
-            get_stats(image.data() + kHeaderBytes + i * kShardSliceBytes));
+    const auto section = [&](const char* name, std::uint64_t begin,
+                             std::uint64_t len, int slot) {
+        return SectionCheck{name, begin, begin + len,
+                            io::load_u32(p + footer + 4 * slot),
+                            crc_of(image.subspan(begin, len))};
+    };
+    f.sections = {section("header", 0, kHeaderBytes, 0),
+                  section("stats records", kHeaderBytes, records, 1),
+                  section("state image", kHeaderBytes + records, state_bytes,
+                          2),
+                  section("seal footer", footer, 12, 3)};
+    for (const std::size_t i : {3, 0, 1, 2}) {
+        const SectionCheck& s = f.sections[i];
+        if (!s.ok()) {
+            f.seal = corrupt(std::string(s.name) + " CRC mismatch in " +
+                                 origin + ": stored " +
+                                 std::to_string(s.stored) + ", computed " +
+                                 std::to_string(s.computed),
+                             s.begin);
+            break;
+        }
     }
-    cp.base.planes.assign(
-        image.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + slices),
-        image.begin() +
-            static_cast<std::ptrdiff_t>(kHeaderBytes + slices + plane_bytes));
-    return cp;
+    return f;
 }
 
-Expected<ShardedCheckpoint> read_checkpoint_checked(const std::string& path) {
-    errno = 0;
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is) {
-        return io_error_errno("read_checkpoint: cannot open", path);
-    }
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
-    is.seekg(0);
-    std::vector<std::byte> image(static_cast<std::size_t>(file_size));
-    if (file_size != 0) {
-        errno = 0;
-        is.read(reinterpret_cast<char*>(image.data()),
-                static_cast<std::streamsize>(image.size()));
-        if (is.gcount() != static_cast<std::streamsize>(image.size())) {
-            return io_error_errno("read_checkpoint: read failed on", path);
-        }
-    }
-    return parse_checkpoint(image, path);
+Status verify_checkpoint_image(std::span<const std::byte> image,
+                               const std::string& origin) {
+    Expected<CheckpointFrame> frame = parse_checkpoint_frame(image, origin);
+    return frame.is_ok() ? frame.value().seal : frame.status();
 }
 
 }  // namespace p4lru::replay

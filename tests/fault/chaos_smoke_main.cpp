@@ -45,11 +45,11 @@
 #include "p4lru/obs/exposition.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/obs/sampler.hpp"
-#include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/durable_store.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/supervisor.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
@@ -84,6 +84,8 @@ int main() {
     using namespace p4lru;
     using Cache = core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>,
                                       FlowKey, std::uint32_t>;
+    using Target = replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
+    using Checkpoint = replay::TargetCheckpoint<replay::ReplayStats>;
 
     trace::TraceConfig tcfg;
     tcfg.seed = 13;
@@ -154,14 +156,16 @@ int main() {
         // checkpoint emission.  Kill at a seed-chosen checkpoint, push it
         // through the disk format, resume on a fresh cache, and demand the
         // sequential statistics and plane bytes again.
-        std::vector<replay::ShardedCheckpoint> cps;
+        std::vector<Checkpoint> cps;
         Cache ck_cache(1024, 0x7A);
-        const auto ck_rep = replay::replay_sharded_checkpointed(
-            ck_cache, span, cfg, /*every_batches=*/64 + seed % 96,
-            [&](replay::ShardedCheckpoint&& cp) {
-                cps.push_back(std::move(cp));
-            },
-            faults);
+        Target ck_target(ck_cache);
+        replay::SpanOpSource ck_source{span};
+        const auto ck_rep =
+            replay::replay_target_checkpointed_stream(
+                ck_target, ck_source, cfg, /*every_batches=*/64 + seed % 96,
+                [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); },
+                faults)
+                .value();
         if (!(ck_rep.stats == seq) || cps.empty()) {
             std::fprintf(stderr,
                          "\nchaos seed %llu: checkpointed run diverged "
@@ -176,30 +180,36 @@ int main() {
         const auto& cp = cps[seed % cps.size()];
         const auto path = scratch.file("p4lru_chaos_ckpt_" +
                                        std::to_string(seed) + ".bin");
-        if (const auto st = replay::write_checkpoint(path, cp); !st.is_ok()) {
-            std::fprintf(stderr, "\nchaos seed %llu: write_checkpoint: %s\n",
+        if (const auto st = replay::write_target_checkpoint(path, cp);
+            !st.is_ok()) {
+            std::fprintf(stderr,
+                         "\nchaos seed %llu: write_target_checkpoint: %s\n",
                          static_cast<unsigned long long>(seed),
                          st.to_string().c_str());
             return 1;
         }
-        auto rd = replay::read_checkpoint_checked(path);
+        auto rd = replay::read_target_checkpoint_checked<replay::ReplayStats>(
+            path);
         if (!rd.is_ok()) {
-            std::fprintf(stderr,
-                         "\nchaos seed %llu: read_checkpoint_checked: %s\n",
-                         static_cast<unsigned long long>(seed),
-                         rd.status().to_string().c_str());
+            std::fprintf(
+                stderr,
+                "\nchaos seed %llu: read_target_checkpoint_checked: %s\n",
+                static_cast<unsigned long long>(seed),
+                rd.status().to_string().c_str());
             return 1;
         }
         Cache resumed(1024, 0x7A);
-        const auto res =
-            replay::resume_sharded(resumed, span, rd.value(), cfg, faults);
+        Target resumed_target(resumed);
+        replay::SpanOpSource resume_source{span};
+        const auto res = replay::resume_target_sharded_stream(
+            resumed_target, resume_source, rd.value(), cfg, faults);
         if (!res.is_ok() || !(res.value().stats == seq)) {
             std::fprintf(
                 stderr,
                 "\nchaos seed %llu: resume from disk checkpoint at cursor "
                 "%llu diverged (%s); re-run with P4LRU_CHAOS_SEEDS=%llu\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(cp.base.cursor),
+                static_cast<unsigned long long>(cp.cursor),
                 res.is_ok() ? "stats mismatch"
                             : res.status().to_string().c_str(),
                 static_cast<unsigned long long>(seed));
@@ -259,8 +269,7 @@ int main() {
         std::deque<Cache> lives;  // one cache per supervisor attempt
         auto factory = [&lives] {
             lives.emplace_back(1024, 0x7A);
-            return replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t>(
-                lives.back());
+            return Target(lives.back());
         };
         replay::SupervisorConfig sup;
         sup.every_batches = 16 + seed % 17;
@@ -450,7 +459,7 @@ int main() {
             rep.drained_inline, rep.abandoned_workers,
             static_cast<unsigned long long>(rep.backpressure_waits),
             static_cast<std::size_t>(seed % cps.size()) + 1, cps.size(),
-            static_cast<unsigned long long>(cp.base.cursor),
+            static_cast<unsigned long long>(cp.cursor),
             sv.value().attempts, sv.value().crashes,
             static_cast<unsigned long long>(sv.value().installs),
             static_cast<unsigned long long>(sv.value().resumed_from_gen));

@@ -1,10 +1,12 @@
-// On-disk checkpoint format hardening (mirrors trace_io_test): round-trip
-// fidelity for both checkpoint kinds, an exhaustive all-prefix truncation
-// sweep, count-field corruption that must not drive allocations, and the
-// cross-layout rejection the new layout tag exists for — a checkpoint
-// written from one storage layout must refuse to resume into the other
-// even when it reaches the cache through a byte-faithful disk round-trip.
-#include "p4lru/replay/checkpoint_io.hpp"
+// On-disk checkpoint format hardening for the bare P4LRU array (mirrors
+// trace_io_test): the array checkpoints as a CacheReplayTarget into the one
+// P4LRUTGC format, and this suite pins round-trip fidelity for sharded and
+// sequential checkpoints, an exhaustive all-prefix truncation sweep,
+// count-field corruption that must not drive allocations, and the
+// cross-layout rejection the state id exists for — a checkpoint written
+// from one storage layout must refuse to resume into the other even when
+// it reaches the cache through a byte-faithful disk round-trip.
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,8 @@
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 namespace p4lru::replay {
@@ -30,7 +32,12 @@ using FlowCache =
 using AosFlowCache =
     core::AosParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                            std::uint32_t>;
+template <typename Cache>
+using FlowTarget = CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
 using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
+using Checkpoint = TargetCheckpoint<ReplayStats>;
+using testutil::resume_sequential;
+using testutil::sequential_checkpoint;
 
 std::vector<ReplayOp<FlowKey, std::uint32_t>> small_ops() {
     trace::TraceConfig cfg;
@@ -39,23 +46,29 @@ std::vector<ReplayOp<FlowKey, std::uint32_t>> small_ops() {
     return ops_from_packets(trace::generate_trace(cfg));
 }
 
+Expected<Checkpoint> read_back(const std::string& path) {
+    return read_target_checkpoint_checked<ReplayStats>(path);
+}
+
 class CheckpointIoTest : public ::testing::Test {
   protected:
     void SetUp() override { path_ = dir_.file("ckpt.bin"); }
 
-    /// A mid-run sharded checkpoint with non-trivial telemetry and several
-    /// shard slices, over a small cache so the sweep stays fast.
-    ShardedCheckpoint sample_checkpoint() {
+    /// A mid-run sharded checkpoint with several shard slices, over a small
+    /// cache so the sweep stays fast.
+    Checkpoint sample_checkpoint() {
         const auto ops = small_ops();
         FlowCache cache(64, 0x9D);
+        FlowTarget<FlowCache> target(cache);
         ShardedConfig cfg;
         cfg.shards = 3;
         cfg.batch_ops = 128;
         cfg.mode = Mode::kThreaded;
-        std::vector<ShardedCheckpoint> cps;
-        (void)replay_sharded_checkpointed(
-            cache, Ops(ops), cfg, /*every_batches=*/24,
-            [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+        std::vector<Checkpoint> cps;
+        SpanOpSource source{Ops(ops)};
+        (void)replay_target_checkpointed_stream(
+            target, source, cfg, /*every_batches=*/24,
+            [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
         EXPECT_FALSE(cps.empty());
         return cps.front();
     }
@@ -64,13 +77,13 @@ class CheckpointIoTest : public ::testing::Test {
     std::string path_;
 };
 
-void expect_equal(const ShardedCheckpoint& a, const ShardedCheckpoint& b) {
-    EXPECT_EQ(a.base.cursor, b.base.cursor);
-    EXPECT_EQ(a.base.stats, b.base.stats);
-    EXPECT_EQ(a.base.unit_count, b.base.unit_count);
-    EXPECT_EQ(a.base.layout_id, b.base.layout_id);
-    EXPECT_EQ(a.base.plane_fingerprint, b.base.plane_fingerprint);
-    EXPECT_EQ(a.base.planes, b.base.planes);
+void expect_equal(const Checkpoint& a, const Checkpoint& b) {
+    EXPECT_EQ(a.cursor, b.cursor);
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.unit_count, b.unit_count);
+    EXPECT_EQ(a.state_id, b.state_id);
+    EXPECT_EQ(a.state_fingerprint, b.state_fingerprint);
+    EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.shard_stats, b.shard_stats);
     EXPECT_EQ(a.delivered_batches, b.delivered_batches);
     EXPECT_EQ(a.backpressure_waits, b.backpressure_waits);
@@ -82,8 +95,9 @@ void expect_equal(const ShardedCheckpoint& a, const ShardedCheckpoint& b) {
 
 TEST_F(CheckpointIoTest, ShardedRoundTripPreservesEveryField) {
     const auto cp = sample_checkpoint();
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    EXPECT_EQ(cp.shard_stats.size(), 3u);
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+    const auto rd = read_back(path_);
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
     expect_equal(cp, rd.value());
 }
@@ -92,26 +106,29 @@ TEST_F(CheckpointIoTest, SequentialCheckpointRoundTripsThroughSameReader) {
     const auto ops = small_ops();
     FlowCache cache(64, 0x9D);
     ReplayStats s = replay_sequential(cache, Ops(ops).first(10'000));
-    const auto cp = take_checkpoint(cache, 10'000, s);
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    const auto cp =
+        sequential_checkpoint(FlowTarget<FlowCache>(cache), 10'000, s);
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+    const auto rd = read_back(path_);
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
-    EXPECT_TRUE(rd.value().shard_stats.empty());
-    EXPECT_EQ(rd.value().base.planes, cp.planes);
+    ASSERT_EQ(rd.value().shard_stats.size(), 1u);
+    EXPECT_EQ(rd.value().shard_stats[0], s);
+    EXPECT_EQ(rd.value().state, cp.state);
 
     FlowCache resumed(64, 0x9D);
-    const auto res = resume_sequential(resumed, Ops(ops), rd.value().base);
+    FlowTarget<FlowCache> target(resumed);
+    const auto res = resume_sequential(target, Ops(ops), rd.value());
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     FlowCache ref(64, 0x9D);
     EXPECT_EQ(res.value(), replay_sequential(ref, Ops(ops)));
 }
 
 TEST_F(CheckpointIoTest, MissingFileIsIoErrorWithPathAndErrno) {
-    const auto rd = read_checkpoint_checked("/nonexistent/dir/x.ckpt");
+    const auto rd = read_back("/nonexistent/dir/x.ckpt");
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kIoError);
-    // The errno satellite: the message must carry the offending path and
-    // the OS-level cause, not just "cannot open".
+    // The message must carry the offending path and the OS-level cause,
+    // not just "cannot open".
     EXPECT_NE(rd.status().message().find("/nonexistent/dir/x.ckpt"),
               std::string::npos)
         << rd.status().to_string();
@@ -123,57 +140,59 @@ TEST_F(CheckpointIoTest, BadMagicRejectedAtOffsetZero) {
     std::ofstream os(path_, std::ios::binary);
     os << std::string(200, 'x');
     os.close();
-    const auto rd = read_checkpoint_checked(path_);
+    const auto rd = read_back(path_);
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), 0u);
 }
 
+/// Patch `bytes` over a written checkpoint file at `offset`.
+void patch_file(const std::string& path, std::uint64_t offset,
+                const void* bytes, std::size_t n) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+}
+
 TEST_F(CheckpointIoTest, WrongVersionRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(8);
+    ASSERT_TRUE(write_target_checkpoint(path_, sample_checkpoint()).is_ok());
     const std::uint32_t bad = 99;
-    f.write(reinterpret_cast<const char*>(&bad), 4);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    patch_file(path_, 8, &bad, 4);
+    const auto rd = read_back(path_);
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), 8u);
 }
 
+/// A shard count no file could hold (the u32 field's maximum): the size
+/// cross-check must refuse it before any per-shard record is allocated.
 TEST_F(CheckpointIoTest, InsaneShardCountRejectedBeforeAllocating) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(136);  // shard count field
-    const std::uint64_t bad = ~std::uint64_t{0} / 2;
-    f.write(reinterpret_cast<const char*>(&bad), 8);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    ASSERT_TRUE(write_target_checkpoint(path_, sample_checkpoint()).is_ok());
+    const auto full = std::filesystem::file_size(path_);
+    const std::uint32_t bad = ~std::uint32_t{0};
+    patch_file(path_, 108, &bad, 4);  // shard count field
+    const auto rd = read_back(path_);
     ASSERT_FALSE(rd.is_ok());
-    EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
-    EXPECT_EQ(rd.status().offset(), 136u);
+    EXPECT_EQ(rd.status().code(), ErrorCode::kTruncated);
+    EXPECT_EQ(rd.status().offset(), full);
 }
 
 TEST_F(CheckpointIoTest, OversizedPlanePromiseRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(144);  // plane size field
+    ASSERT_TRUE(write_target_checkpoint(path_, sample_checkpoint()).is_ok());
     const std::uint64_t bad = ~std::uint64_t{0} - 64;
-    f.write(reinterpret_cast<const char*>(&bad), 8);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    patch_file(path_, 112, &bad, 8);  // state (plane image) size field
+    const auto rd = read_back(path_);
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kTruncated);
 }
 
 TEST_F(CheckpointIoTest, TrailingGarbageRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
+    ASSERT_TRUE(write_target_checkpoint(path_, sample_checkpoint()).is_ok());
     const auto full = std::filesystem::file_size(path_);
     std::ofstream os(path_, std::ios::binary | std::ios::app);
     os << "junk";
     os.close();
-    const auto rd = read_checkpoint_checked(path_);
+    const auto rd = read_back(path_);
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), full);
@@ -182,17 +201,17 @@ TEST_F(CheckpointIoTest, TrailingGarbageRejected) {
 /// Mirror of trace_io_test's sweep: every strict prefix of a valid
 /// checkpoint file must be rejected with a typed error whose offset (when
 /// present) points inside the truncated file.  The sample cache is small
-/// (64 units) so the sweep covers header, shard slices and plane bytes in
+/// (64 units) so the sweep covers header, stats records and plane bytes in
 /// a few thousand iterations.
 TEST_F(CheckpointIoTest, EveryTruncationPrefixIsRejectedWithOffset) {
     const auto cp = sample_checkpoint();
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
     const auto full = std::filesystem::file_size(path_);
 
     for (std::uintmax_t cut = 0; cut < full; ++cut) {
-        ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());  // restore
+        ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());  // restore
         std::filesystem::resize_file(path_, cut);
-        const auto r = read_checkpoint_checked(path_);
+        const auto r = read_back(path_);
         ASSERT_FALSE(r.is_ok()) << "prefix of " << cut << " bytes parsed";
         const auto code = r.status().code();
         EXPECT_TRUE(code == ErrorCode::kCorrupt ||
@@ -205,39 +224,46 @@ TEST_F(CheckpointIoTest, EveryTruncationPrefixIsRejectedWithOffset) {
     }
 }
 
-/// The layout-tag satellite, end to end through disk: a checkpoint taken
-/// from the AoS layout must be rejected by a SoA cache (and vice versa)
-/// with kInvalidState — before any plane byte is interpreted — even though
-/// the file itself is perfectly well-formed.
+/// The layout guard, end to end through disk: a checkpoint taken from the
+/// AoS layout must be rejected by a SoA cache with kInvalidState — before
+/// any plane byte is interpreted — even though the file itself is
+/// perfectly well-formed.
 TEST_F(CheckpointIoTest, CrossLayoutResumeRejectedAfterDiskRoundTrip) {
     const auto ops = small_ops();
     AosFlowCache aos(64, 0x9D);
     ReplayStats s = replay_sequential(aos, Ops(ops).first(5'000));
-    ASSERT_TRUE(
-        write_checkpoint(path_, take_checkpoint(aos, 5'000, s)).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    ASSERT_TRUE(write_target_checkpoint(
+                    path_, sequential_checkpoint(
+                               FlowTarget<AosFlowCache>(aos), 5'000, s))
+                    .is_ok());
+    const auto rd = read_back(path_);
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
 
     FlowCache soa(64, 0x9D);
-    const auto res = resume_sequential(soa, Ops(ops), rd.value().base);
+    FlowTarget<FlowCache> soa_target(soa);
+    const auto res = resume_sequential(soa_target, Ops(ops), rd.value());
     ASSERT_FALSE(res.is_ok()) << "SoA cache accepted an AoS checkpoint";
     EXPECT_EQ(res.status().code(), ErrorCode::kInvalidState);
 
-    const auto sharded = resume_sharded(soa, Ops(ops), rd.value());
+    SpanOpSource source{Ops(ops)};
+    const auto sharded =
+        resume_target_sharded_stream(soa_target, source, rd.value());
     ASSERT_FALSE(sharded.is_ok());
     EXPECT_EQ(sharded.status().code(), ErrorCode::kInvalidState);
 
     // Same-layout restore of the identical file stays accepted.
     AosFlowCache back(64, 0x9D);
-    const auto ok = resume_sequential(back, Ops(ops), rd.value().base);
+    FlowTarget<AosFlowCache> back_target(back);
+    const auto ok = resume_sequential(back_target, Ops(ops), rd.value());
     EXPECT_TRUE(ok.is_ok()) << ok.status().to_string();
 }
 
-/// Backward compatibility: a v1 file (same layout, no seal footer) — what
-/// every pre-durability PR wrote — must still parse, field for field.
-TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
-    const auto cp = sample_checkpoint();
-    const SerializedCheckpoint image = serialize_checkpoint(cp);
+/// Unsealed version-1 files (the same layout without the seal footer) are
+/// no longer read: writers have emitted only sealed images for a long
+/// time, and an unsealed image gets no CRC protection at all.
+TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealRejected) {
+    const SerializedCheckpoint image =
+        serialize_target_checkpoint(sample_checkpoint());
     std::vector<std::byte> v1(image.bytes.begin(), image.bytes.end() - 16);
     const std::uint32_t version1 = 1;
     std::memcpy(v1.data() + 8, &version1, 4);
@@ -245,9 +271,10 @@ TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
     os.write(reinterpret_cast<const char*>(v1.data()),
              static_cast<std::streamsize>(v1.size()));
     os.close();
-    const auto rd = read_checkpoint_checked(path_);
-    ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
-    expect_equal(cp, rd.value());
+    const auto rd = read_back(path_);
+    ASSERT_FALSE(rd.is_ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
+    EXPECT_EQ(rd.status().offset(), 8u);
 }
 
 /// The seal at work: one flipped byte in each section must be caught by
@@ -255,10 +282,10 @@ TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
 /// (The exhaustive every-bit sweep lives in durable_store_test; this is
 /// the targeted per-section smoke.)
 TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
-    const auto cp = sample_checkpoint();
-    const SerializedCheckpoint image = serialize_checkpoint(cp);
+    const SerializedCheckpoint image =
+        serialize_target_checkpoint(sample_checkpoint());
     ASSERT_EQ(image.section_ends.size(), 4u);
-    const std::uint64_t slices_begin = image.section_ends[0];   // 152
+    const std::uint64_t records_begin = image.section_ends[0];  // 120
     const std::uint64_t planes_begin = image.section_ends[1];
     const std::uint64_t footer_begin = image.section_ends[2];
     struct Case {
@@ -266,15 +293,15 @@ TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
         std::uint64_t expect_offset;
     };
     const Case cases[] = {
-        {slices_begin + 3, slices_begin},  // shard-slice byte
-        {planes_begin + 7, planes_begin},  // plane byte
-        {footer_begin + 1, footer_begin},  // a stored CRC itself
+        {records_begin + 3, records_begin},  // stats-record byte
+        {planes_begin + 7, planes_begin},    // plane byte
+        {footer_begin + 1, footer_begin},    // a stored CRC itself
     };
     for (const auto& c : cases) {
         std::vector<std::byte> bad = image.bytes;
         bad[static_cast<std::size_t>(c.flip_at)] ^= std::byte{0x10};
-        const auto rd = parse_checkpoint(bad, "flip@" +
-                                                  std::to_string(c.flip_at));
+        const auto rd = parse_target_checkpoint<ReplayStats>(
+            bad, "flip@" + std::to_string(c.flip_at));
         ASSERT_FALSE(rd.is_ok()) << "flip at " << c.flip_at << " accepted";
         EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
         EXPECT_EQ(rd.status().offset(), c.expect_offset)
@@ -282,20 +309,22 @@ TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
     }
 }
 
-/// Forged-but-plausible cross-layout image: even when an attacker-ish file
-/// carries plane bytes of exactly the size the target layout expects, the
-/// fingerprint check refuses it.
+/// Forged-but-plausible image: even when a file carries plane bytes of
+/// exactly the size the target layout expects and the right layout id,
+/// the fingerprint check refuses it.
 TEST_F(CheckpointIoTest, MatchingSizeButWrongFingerprintRejected) {
     FlowCache soa(64, 0x9D);
     soa.materialize();
-    ReplayCheckpoint cp = take_checkpoint(soa, 0, {});
-    cp.plane_fingerprint ^= 1;  // geometry lie; layout id and size intact
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    Checkpoint cp =
+        sequential_checkpoint(FlowTarget<FlowCache>(soa), 0, ReplayStats{});
+    cp.state_fingerprint ^= 1;  // geometry lie; state id and size intact
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+    const auto rd = read_back(path_);
     ASSERT_TRUE(rd.is_ok());
     const auto ops = small_ops();
-    FlowCache target(64, 0x9D);
-    const auto res = resume_sequential(target, Ops(ops), rd.value().base);
+    FlowCache target_cache(64, 0x9D);
+    FlowTarget<FlowCache> target(target_cache);
+    const auto res = resume_sequential(target, Ops(ops), rd.value());
     ASSERT_FALSE(res.is_ok());
     EXPECT_EQ(res.status().code(), ErrorCode::kInvalidState);
 }

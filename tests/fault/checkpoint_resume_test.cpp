@@ -1,8 +1,9 @@
 // Checkpoint/resume: killing a replay at an arbitrary cursor and resuming
 // from the snapshot — on a fresh cache object — must reproduce the exact
-// final statistics and cache contents of the uninterrupted run (ISSUE
-// acceptance: kill-and-resume at 3 random cursors, bit-identical stats).
-#include "p4lru/replay/checkpoint.hpp"
+// final statistics and cache contents of the uninterrupted run
+// (kill-and-resume at 3 random cursors, bit-identical stats).  The array
+// checkpoints as a CacheReplayTarget, like every other replay target.
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "p4lru/common/random.hpp"
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -24,6 +26,10 @@ using FlowCache =
 using AosFlowCache =
     core::AosParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                            std::uint32_t>;
+template <typename Cache>
+using FlowTarget = CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
+using testutil::resume_sequential;
+using testutil::sequential_checkpoint;
 
 template <typename CacheA, typename CacheB>
 void expect_same_contents(const CacheA& a, const CacheB& b) {
@@ -60,10 +66,12 @@ void kill_and_resume_at(const std::vector<ReplayOp<FlowKey, std::uint32_t>>&
 
     Cache first(1024, 0x17);
     const auto head = replay_sequential(first, Ops(ops).subspan(0, cursor));
-    const auto cp = take_checkpoint(first, cursor, head);
+    const auto cp =
+        sequential_checkpoint(FlowTarget<Cache>(first), cursor, head);
 
     Cache resumed(1024, 0x17);  // fresh object: nothing carried over
-    const auto r = resume_sequential(resumed, Ops(ops), cp);
+    FlowTarget<Cache> target(resumed);
+    const auto r = resume_sequential(target, Ops(ops), cp);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     EXPECT_EQ(r.value(), ref) << "cursor " << cursor;
     expect_same_contents(full, resumed);
@@ -100,17 +108,27 @@ TEST(CheckpointResume, CheckpointedRunEmitsSnapshotsAndMatches) {
     FlowCache plain(512, 0x31);
     const auto ref = replay_sequential(plain, Ops(ops));
 
+    // A sequential cadence of 10'000 ops: one inline shard, 2'500-op
+    // blocks, a checkpoint every 4 blocks.
     FlowCache cache(512, 0x31);
-    std::vector<ReplayCheckpoint> cps;
-    const auto stats = replay_sequential_checkpointed(
-        cache, Ops(ops), /*every=*/10'000,
-        [&](ReplayCheckpoint&& cp) { cps.push_back(std::move(cp)); });
-    EXPECT_EQ(stats, ref);
+    FlowTarget<FlowCache> target(cache);
+    std::vector<TargetCheckpoint<ReplayStats>> cps;
+    SpanOpSource source{Ops(ops)};
+    const auto rep = replay_target_checkpointed_stream(
+        target, source, testutil::sequential_config(2'500),
+        /*every_batches=*/4,
+        [&](TargetCheckpoint<ReplayStats>&& cp) {
+            cps.push_back(std::move(cp));
+        });
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_EQ(rep.value().stats, ref);
     ASSERT_EQ(cps.size(), (ops.size() - 1) / 10'000);
     // Every emitted checkpoint is a valid resume point.
     for (const auto& cp : cps) {
+        EXPECT_EQ(cp.cursor % 10'000, 0u);
         FlowCache resumed(512, 0x31);
-        const auto r = resume_sequential(resumed, Ops(ops), cp);
+        FlowTarget<FlowCache> resumed_target(resumed);
+        const auto r = resume_sequential(resumed_target, Ops(ops), cp);
         ASSERT_TRUE(r.is_ok());
         EXPECT_EQ(r.value(), ref) << "cursor " << cp.cursor;
         expect_same_contents(plain, resumed);
@@ -120,10 +138,12 @@ TEST(CheckpointResume, CheckpointedRunEmitsSnapshotsAndMatches) {
 TEST(CheckpointResume, RejectsShapeMismatchWithTypedError) {
     const auto ops = zipf_ops();
     FlowCache small(256, 0x17);
-    const auto cp = take_checkpoint(small, 0, ReplayStats{});
+    const auto cp =
+        sequential_checkpoint(FlowTarget<FlowCache>(small), 0, ReplayStats{});
 
     FlowCache big(1024, 0x17);
-    const auto r = resume_sequential(big, Ops(ops), cp);
+    FlowTarget<FlowCache> target(big);
+    const auto r = resume_sequential(target, Ops(ops), cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }
@@ -131,9 +151,10 @@ TEST(CheckpointResume, RejectsShapeMismatchWithTypedError) {
 TEST(CheckpointResume, RejectsCursorBeyondStream) {
     const auto ops = zipf_ops();
     FlowCache cache(256, 0x17);
-    auto cp = take_checkpoint(cache, 0, ReplayStats{});
+    FlowTarget<FlowCache> target(cache);
+    auto cp = sequential_checkpoint(target, 0, ReplayStats{});
     cp.cursor = ops.size() + 1;
-    const auto r = resume_sequential(cache, Ops(ops), cp);
+    const auto r = resume_sequential(target, Ops(ops), cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }
@@ -142,35 +163,40 @@ TEST(CheckpointResume, RejectsForgedEqualSizeCrossLayoutImage) {
     // The pre-tag guards were unit count + plane byte size only: an AoS
     // checkpoint whose plane image happens (or is forged) to match the SoA
     // plane size sailed through both and was silently reinterpreted.  The
-    // layout id + geometry fingerprint must refuse it before any plane
-    // byte is looked at.
+    // state id (the storage layout id) + geometry fingerprint must refuse
+    // it before any plane byte is looked at.
     const auto ops = zipf_ops();
     AosFlowCache aos(1024, 0x17);
-    auto cp = take_checkpoint(aos, 0, ReplayStats{});
+    auto cp =
+        sequential_checkpoint(FlowTarget<AosFlowCache>(aos), 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
     soa.materialize();
     std::vector<std::byte> soa_planes;
     soa.storage().save_planes(soa_planes);
-    cp.planes.resize(soa_planes.size());  // defeat the size guard
+    cp.state.resize(soa_planes.size());  // defeat the size guard
 
-    const auto r = resume_sequential(soa, Ops(ops), cp);
+    FlowTarget<FlowCache> target(soa);
+    const auto r = resume_sequential(target, Ops(ops), cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
-    EXPECT_NE(r.status().message().find("layout"), std::string::npos)
-        << "rejection must name the layout mismatch, got: "
+    EXPECT_NE(r.status().message().find("state id"), std::string::npos)
+        << "rejection must name the layout (state id) mismatch, got: "
         << r.status().to_string();
 }
 
 TEST(CheckpointResume, RejectsCrossLayoutPlaneImage) {
-    // An AoS plane image has a different size than the slab's planes for
-    // the same geometry; load_planes must refuse rather than reinterpret.
+    // An AoS plane image restored into the slab layout must be refused
+    // (by the state id guard, with load_planes' size check behind it)
+    // rather than reinterpreted.
     const auto ops = zipf_ops();
     AosFlowCache aos(1024, 0x17);
-    const auto cp = take_checkpoint(aos, 0, ReplayStats{});
+    const auto cp =
+        sequential_checkpoint(FlowTarget<AosFlowCache>(aos), 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
-    const auto r = resume_sequential(soa, Ops(ops), cp);
+    FlowTarget<FlowCache> target(soa);
+    const auto r = resume_sequential(target, Ops(ops), cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }

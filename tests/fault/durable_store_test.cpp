@@ -1,14 +1,17 @@
 // Fuzz campaign + protocol tests for the durable checkpoint store
-// (DESIGN.md §12, ISSUE 8 acceptance).
+// (DESIGN.md §12).
 //
-// Format hardening, over BOTH on-disk layouts (P4LRUCKP cache checkpoints
-// and P4LRUTGC target checkpoints):
+// Format hardening of the one on-disk format (P4LRUTGC), over a real
+// mid-run image of the P4LRU array (CacheReplayTarget) and a synthetic
+// image with every header field non-trivial:
 //   * exhaustive truncation sweep — every strict byte prefix of a sealed
-//     image is rejected by the typed parser AND the format-agnostic
+//     image is rejected by the typed parser AND the Stats-agnostic
 //     verifier, never accepted, never a crash;
 //   * single-bit-flip sweep — flips in every section (header, stats
 //     records, state payload, seal footer) are rejected; CRC-attributable
-//     flips name the damaged section's start offset.
+//     flips name the damaged section's start offset;
+//   * a crafted image whose size fields wrap 64-bit arithmetic, with valid
+//     header and footer CRCs, is rejected without reading past the image.
 //
 // Store protocol: atomic install / generation numbering / retention /
 // newest-valid pruning immunity, the exact on-disk remains of every
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -27,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "p4lru/common/hash.hpp"
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/target_checkpoint.hpp"
@@ -43,35 +47,40 @@ namespace fs = std::filesystem;
 using FlowCache =
     core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                         std::uint32_t>;
+using FlowTarget = CacheReplayTarget<FlowCache, FlowKey, std::uint32_t>;
 using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
 
 // ---------------------------------------------------------------------------
-// Sample images: one real mid-run cache checkpoint (small cache so the
-// byte-exhaustive sweeps stay fast) and one hand-built target checkpoint
-// with every field non-trivial.
+// Sample images: one real mid-run checkpoint of the array (small cache so
+// the byte-exhaustive sweeps stay fast) and one hand-built checkpoint with
+// every field non-trivial.
 
-const SerializedCheckpoint& ckp_image() {
+const SerializedCheckpoint& cache_image() {
     static const SerializedCheckpoint img = [] {
         trace::TraceConfig tcfg;
         tcfg.seed = 77;
         tcfg.total_packets = 4'000;
         const auto ops = ops_from_packets(trace::generate_trace(tcfg));
         FlowCache cache(16, 0x5C);
+        FlowTarget target(cache);
         ShardedConfig cfg;
         cfg.shards = 3;
         cfg.batch_ops = 64;
         cfg.mode = Mode::kThreaded;
-        std::vector<ShardedCheckpoint> cps;
-        (void)replay_sharded_checkpointed(
-            cache, Ops(ops), cfg, /*every_batches=*/8,
-            [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+        std::vector<TargetCheckpoint<ReplayStats>> cps;
+        SpanOpSource source{Ops(ops)};
+        (void)replay_target_checkpointed_stream(
+            target, source, cfg, /*every_batches=*/8,
+            [&](TargetCheckpoint<ReplayStats>&& cp) {
+                cps.push_back(std::move(cp));
+            });
         EXPECT_FALSE(cps.empty());
-        return serialize_checkpoint(cps.front());
+        return serialize_target_checkpoint(cps.front());
     }();
     return img;
 }
 
-TargetCheckpoint<ReplayStats> sample_tgc() {
+TargetCheckpoint<ReplayStats> sample_checkpoint() {
     TargetCheckpoint<ReplayStats> cp;
     cp.cursor = 4'096;
     cp.stats = {4'096, 2'000, 2'096, 37};
@@ -94,49 +103,41 @@ TargetCheckpoint<ReplayStats> sample_tgc() {
     return cp;
 }
 
-const SerializedCheckpoint& tgc_image() {
+const SerializedCheckpoint& synthetic_image() {
     static const SerializedCheckpoint img =
-        serialize_target_checkpoint(sample_tgc());
+        serialize_target_checkpoint(sample_checkpoint());
     return img;
 }
 
-/// Parse outcome of either typed reader on raw bytes.
-enum class Format { kCkp, kTgc };
-
-Status typed_parse(Format f, const std::vector<std::byte>& bytes) {
-    if (f == Format::kCkp) {
-        const auto r = parse_checkpoint(bytes, "fuzz");
-        return r.is_ok() ? Status::ok() : r.status();
-    }
+/// Outcome of the typed reader on raw bytes.
+Status typed_parse(const std::vector<std::byte>& bytes) {
     const auto r = parse_target_checkpoint<ReplayStats>(bytes, "fuzz");
     return r.is_ok() ? Status::ok() : r.status();
 }
 
-struct FormatCase {
-    Format format;
+struct ImageCase {
     const SerializedCheckpoint* image;
     const char* name;
 };
 
-std::vector<FormatCase> format_cases() {
-    return {{Format::kCkp, &ckp_image(), "P4LRUCKP"},
-            {Format::kTgc, &tgc_image(), "P4LRUTGC"}};
+std::vector<ImageCase> image_cases() {
+    return {{&cache_image(), "cache"}, {&synthetic_image(), "synthetic"}};
 }
 
 // ---------------------------------------------------------------------------
 // Fuzz campaign, leg 1: every strict prefix is rejected.
 
-TEST(DurableFuzz, EveryTruncationPrefixRejectedBothFormats) {
-    for (const auto& fc : format_cases()) {
+TEST(DurableFuzz, EveryTruncationPrefixRejectedCacheAndSyntheticImages) {
+    for (const auto& fc : image_cases()) {
         const auto& img = *fc.image;
         ASSERT_GE(img.bytes.size(), 100u) << fc.name;
         // Full image parses and verifies; every strict prefix must not.
-        ASSERT_TRUE(typed_parse(fc.format, img.bytes).is_ok()) << fc.name;
+        ASSERT_TRUE(typed_parse(img.bytes).is_ok()) << fc.name;
         ASSERT_TRUE(verify_checkpoint_image(img.bytes, fc.name).is_ok());
         for (std::size_t cut = 0; cut < img.bytes.size(); ++cut) {
             const std::vector<std::byte> prefix(img.bytes.begin(),
                                                 img.bytes.begin() + cut);
-            const Status st = typed_parse(fc.format, prefix);
+            const Status st = typed_parse(prefix);
             ASSERT_FALSE(st.is_ok())
                 << fc.name << ": prefix of " << cut << " bytes parsed";
             ASSERT_TRUE(st.code() == ErrorCode::kCorrupt ||
@@ -155,9 +156,10 @@ TEST(DurableFuzz, EveryTruncationPrefixRejectedBothFormats) {
 // flip survives the structural checks), the reported offset must name the
 // damaged section's start.
 
-TEST(DurableFuzz, SingleBitFlipInEverySectionRejectedBothFormats) {
+TEST(DurableFuzz,
+     SingleBitFlipInEverySectionRejectedCacheAndSyntheticImages) {
     std::mt19937_64 rng(0xF1A9u);
-    for (const auto& fc : format_cases()) {
+    for (const auto& fc : image_cases()) {
         const auto& img = *fc.image;
         ASSERT_EQ(img.section_ends.size(), 4u) << fc.name;
         std::uint64_t begin = 0;
@@ -182,7 +184,7 @@ TEST(DurableFuzz, SingleBitFlipInEverySectionRejectedBothFormats) {
             for (const auto& [pos, bit] : flips) {
                 std::vector<std::byte> dam = img.bytes;
                 dam[pos] ^= static_cast<std::byte>(1u << bit);
-                const Status st = typed_parse(fc.format, dam);
+                const Status st = typed_parse(dam);
                 ASSERT_FALSE(st.is_ok())
                     << fc.name << ": flip of bit " << bit << " at byte "
                     << pos << " (section " << sec << ") accepted";
@@ -207,6 +209,50 @@ TEST(DurableFuzz, SingleBitFlipInEverySectionRejectedBothFormats) {
 }
 
 // ---------------------------------------------------------------------------
+// Fuzz campaign, leg 3: size fields that wrap 64-bit arithmetic.  The
+// shard count is 2^30 and the state size is chosen so that header + records
+// + state + seal adds up, modulo 2^64, to exactly the image size; the
+// header CRC and the footer's own CRC are recomputed, so a reader that sums
+// the promises (instead of checking them against what is left of the body)
+// finds a "consistent" image and then CRCs 2^35 bytes of stats records
+// past its end.  Both readers must reject it as truncated or corrupt.
+
+TEST(DurableFuzz, WrappingSizeFieldsRejectedWithoutReadingPastImage) {
+    std::vector<std::byte> img = synthetic_image().bytes;
+    const std::uint64_t size = img.size();
+    const std::uint64_t record = sizeof(ReplayStats);
+    const std::uint32_t shards = 1u << 30;
+    const std::uint64_t records = record * (std::uint64_t{shards} + 1);
+    const std::uint64_t state = size - 120 - 16 - records;  // wraps
+    ASSERT_EQ(120 + records + state + 16, size) << "sum must wrap to size";
+    const auto put = [&](std::uint64_t off, std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i) {
+            img[off + i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+        }
+    };
+    const auto crc = [&](std::uint64_t off, std::uint64_t len) {
+        return hash::crc32(std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(img.data()) + off, len));
+    };
+    put(108, shards, 4);
+    put(112, state, 8);
+    const std::uint64_t footer = size - 16;  // where the wrapped sum lands
+    put(footer, crc(0, 120), 4);
+    put(footer + 12, crc(footer, 12), 4);
+
+    const Status typed = typed_parse(img);
+    ASSERT_FALSE(typed.is_ok());
+    EXPECT_TRUE(typed.code() == ErrorCode::kTruncated ||
+                typed.code() == ErrorCode::kCorrupt)
+        << typed.to_string();
+    const Status verified = verify_checkpoint_image(img, "wrap");
+    ASSERT_FALSE(verified.is_ok());
+    EXPECT_TRUE(verified.code() == ErrorCode::kTruncated ||
+                verified.code() == ErrorCode::kCorrupt)
+        << verified.to_string();
+}
+
+// ---------------------------------------------------------------------------
 // Store protocol.
 
 std::vector<std::uint64_t> seqs(const std::vector<GenerationInfo>& gens) {
@@ -220,7 +266,7 @@ TEST(DurableStoreTest, InstallNumbersGenerationsAndListsAscending) {
     DurableStore store(tmp.file("store"), {.retain = 10, .sync = false});
     EXPECT_TRUE(store.list().empty()) << "missing dir must list empty";
     for (std::uint64_t want = 1; want <= 3; ++want) {
-        const auto gen = store.install(tgc_image());
+        const auto gen = store.install(synthetic_image());
         ASSERT_TRUE(gen.is_ok()) << gen.status().to_string();
         EXPECT_EQ(gen.value().seq, want);
         EXPECT_TRUE(fs::exists(gen.value().path));
@@ -231,7 +277,7 @@ TEST(DurableStoreTest, InstallNumbersGenerationsAndListsAscending) {
 TEST(DurableStoreTest, ListIgnoresTempAndForeignFiles) {
     testutil::ScopedTempDir tmp{"p4lru_store"};
     DurableStore store(tmp.file("store"), {.retain = 10, .sync = false});
-    ASSERT_TRUE(store.install(tgc_image()).is_ok());
+    ASSERT_TRUE(store.install(synthetic_image()).is_ok());
     const auto noise = {"gen-000099.ckpt.tmp", "gen-junk.ckpt", "README",
                         "gen-.ckpt"};
     for (const auto* name : noise) {
@@ -245,7 +291,7 @@ TEST(DurableStoreTest, RetentionKeepsNewestK) {
     testutil::ScopedTempDir tmp{"p4lru_store"};
     DurableStore store(tmp.file("store"), {.retain = 3, .sync = false});
     for (int i = 0; i < 6; ++i) {
-        ASSERT_TRUE(store.install(tgc_image()).is_ok());
+        ASSERT_TRUE(store.install(synthetic_image()).is_ok());
     }
     EXPECT_EQ(seqs(store.list()), (std::vector<std::uint64_t>{4, 5, 6}));
 }
@@ -254,11 +300,11 @@ TEST(DurableStoreTest, PruneNeverDeletesNewestValidGeneration) {
     testutil::ScopedTempDir tmp{"p4lru_store"};
     DurableStore store(tmp.file("store"), {.retain = 1, .sync = false});
     // One valid generation, then a burst of torn installs above it.
-    ASSERT_TRUE(store.install(tgc_image()).is_ok());
+    ASSERT_TRUE(store.install(synthetic_image()).is_ok());
     for (std::uint64_t ord = 0; ord < 3; ++ord) {
         const fault::CrashEvent crash{ord, fault::CrashPoint::kTornInstall,
                                       /*arg=*/ord % 3};
-        const auto out = store.install_with_crash(tgc_image(), &crash);
+        const auto out = store.install_with_crash(synthetic_image(), &crash);
         ASSERT_TRUE(out.is_ok()) << out.status().to_string();
         EXPECT_TRUE(out.value().crashed);
     }
@@ -274,7 +320,7 @@ TEST(DurableStoreTest, PruneNeverDeletesNewestValidGeneration) {
 
 TEST(DurableStoreTest, CrashPointsLeaveExactlyTheExpectedRemains) {
     using fault::CrashPoint;
-    const auto& img = tgc_image();
+    const auto& img = synthetic_image();
 
     const auto run = [&](CrashPoint point, std::uint64_t arg) {
         testutil::ScopedTempDir tmp{"p4lru_store"};
@@ -348,15 +394,15 @@ TEST(DurableStoreTest, CrashPointsLeaveExactlyTheExpectedRemains) {
 TEST(DurableStoreTest, RecoveryLadderSkipsDamageDownToNewestValid) {
     testutil::ScopedTempDir tmp{"p4lru_store"};
     DurableStore store(tmp.file("store"), {.retain = 10, .sync = false});
-    const auto want = sample_tgc();
+    const auto want = sample_checkpoint();
 
     // gens 1..2 valid; gen 3 torn at a section boundary; gen 4 bit-flipped.
-    ASSERT_TRUE(store.install(tgc_image()).is_ok());
-    ASSERT_TRUE(store.install(tgc_image()).is_ok());
+    ASSERT_TRUE(store.install(synthetic_image()).is_ok());
+    ASSERT_TRUE(store.install(synthetic_image()).is_ok());
     const fault::CrashEvent torn{0, fault::CrashPoint::kTornInstall, 2};
-    ASSERT_TRUE(store.install_with_crash(tgc_image(), &torn).is_ok());
+    ASSERT_TRUE(store.install_with_crash(synthetic_image(), &torn).is_ok());
     {
-        SerializedCheckpoint flipped = tgc_image();
+        SerializedCheckpoint flipped = synthetic_image();
         flipped.bytes[flipped.section_ends[1] + 7] ^= std::byte{0x10};
         ASSERT_TRUE(store.install(flipped).is_ok());
     }
@@ -404,48 +450,72 @@ TEST(DurableStoreTest, IoFailuresCarryPathAndErrno) {
     EXPECT_NE(rd.status().message().find("errno"), std::string::npos);
 
     const auto wr = atomic_write_file("/nonexistent/dir/x.ckpt",
-                                      tgc_image().bytes, /*sync=*/false);
+                                      synthetic_image().bytes, /*sync=*/false);
     ASSERT_FALSE(wr.is_ok());
     EXPECT_EQ(wr.code(), ErrorCode::kIoError);
     EXPECT_NE(wr.message().find("errno"), std::string::npos);
 }
 
-TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
+TEST(DurableStoreTest, ReadFileBytesRejectsNonRegularFileWithPath) {
+    testutil::ScopedTempDir tmp{"p4lru_store"};
+    const auto rd = read_file_bytes(tmp.path());  // a directory
+    ASSERT_FALSE(rd.is_ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::kIoError);
+    EXPECT_NE(rd.status().message().find(tmp.path()), std::string::npos)
+        << rd.status().to_string();
+    // The typed file reader goes through the same path.
+    const auto cp = read_target_checkpoint_checked<ReplayStats>(tmp.path());
+    ASSERT_FALSE(cp.is_ok());
+    EXPECT_EQ(cp.status().code(), ErrorCode::kIoError);
+}
+
+TEST(DurableStoreTest, FrameReportsSectionsAndRejectsLegacyFiles) {
     {
-        const auto info =
-            describe_checkpoint_image(ckp_image().bytes, "ckp");
-        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().format, "P4LRUCKP");
-        EXPECT_TRUE(info.value().sealed);
-        EXPECT_TRUE(info.value().verdict.is_ok());
-        ASSERT_EQ(info.value().sections.size(), 4u);
-        for (const auto& s : info.value().sections) EXPECT_TRUE(s.ok);
+        const auto frame =
+            parse_checkpoint_frame(cache_image().bytes, "cache");
+        ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+        EXPECT_TRUE(frame.value().seal.is_ok());
+        EXPECT_EQ(frame.value().record_bytes, sizeof(ReplayStats));
+        for (const auto& s : frame.value().sections) EXPECT_TRUE(s.ok());
     }
     {
-        const auto info =
-            describe_checkpoint_image(tgc_image().bytes, "tgc");
-        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().format, "P4LRUTGC");
-        EXPECT_TRUE(info.value().sealed);
-        EXPECT_EQ(info.value().cursor, sample_tgc().cursor);
-        EXPECT_EQ(info.value().shard_count, 2u);
-        EXPECT_TRUE(info.value().verdict.is_ok());
+        const auto frame =
+            parse_checkpoint_frame(synthetic_image().bytes, "synthetic");
+        ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+        const auto want = sample_checkpoint();
+        EXPECT_EQ(frame.value().header.cursor, want.cursor);
+        EXPECT_EQ(frame.value().header.state_id, want.state_id);
+        EXPECT_EQ(frame.value().header.scrub, want.scrub);
+        EXPECT_EQ(frame.value().shard_count, 2u);
+        EXPECT_EQ(frame.value().state.size(), want.state.size());
+        EXPECT_TRUE(frame.value().seal.is_ok());
+    }
+    {
+        // A damaged state byte: the header still frames (an inspector can
+        // show it), the state section is the one that mismatches, and the
+        // seal verdict names it.
+        std::vector<std::byte> dam = synthetic_image().bytes;
+        const std::uint64_t state_begin = synthetic_image().section_ends[1];
+        dam[state_begin + 5] ^= std::byte{0x01};
+        const auto frame = parse_checkpoint_frame(dam, "damaged");
+        ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+        EXPECT_EQ(frame.value().header.cursor, sample_checkpoint().cursor);
+        EXPECT_FALSE(frame.value().sections[2].ok());
+        EXPECT_TRUE(frame.value().sections[0].ok());
+        ASSERT_FALSE(frame.value().seal.is_ok());
+        EXPECT_EQ(frame.value().seal.offset(), state_begin);
     }
     {
         // A v1 file: same image without the seal, version patched to 1.
-        std::vector<std::byte> legacy = tgc_image().bytes;
+        std::vector<std::byte> legacy = synthetic_image().bytes;
         legacy.resize(legacy.size() - 16);
         legacy[8] = std::byte{1};
-        const auto info = describe_checkpoint_image(legacy, "legacy");
-        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().version, 1u);
-        EXPECT_FALSE(info.value().sealed);
-        EXPECT_TRUE(info.value().sections.empty());
-        EXPECT_TRUE(info.value().verdict.is_ok());
-        // ...and the typed reader still accepts it.
-        const auto cp = parse_target_checkpoint<ReplayStats>(legacy, "v1");
-        ASSERT_TRUE(cp.is_ok()) << cp.status().to_string();
-        EXPECT_EQ(cp.value().stats, sample_tgc().stats);
+        const auto frame = parse_checkpoint_frame(legacy, "legacy");
+        ASSERT_FALSE(frame.is_ok());
+        EXPECT_EQ(frame.status().code(), ErrorCode::kCorrupt);
+        EXPECT_EQ(frame.status().offset(), 8u);
+        EXPECT_FALSE(verify_checkpoint_image(legacy, "v1").is_ok());
+        EXPECT_FALSE(typed_parse(legacy).is_ok());
     }
 }
 

@@ -1,12 +1,13 @@
-// Sharded checkpoint/resume property test (ISSUE 4 acceptance): for random
-// (shard count, batch size, checkpoint cadence, kill point) over Zipf and
-// YCSB traces, resuming from a disk-round-tripped ShardedCheckpoint must
+// Sharded checkpoint/resume property test: for random (shard count, batch
+// size, checkpoint cadence, kill point) over Zipf and YCSB traces, resuming
+// the array (as a CacheReplayTarget) from a disk-round-tripped checkpoint
+// must
 // land on statistics and final plane bytes bit-identical to an
 // uninterrupted replay_sequential — on both storage layouts, with the
 // resume free to pick a different shard count / batch size than the
 // interrupted run, and including runs whose workers were parked by faults
 // or abandoned by the watchdog mid-checkpoint.
-#include "p4lru/replay/checkpoint_io.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/fault/fault_plan.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
 #include "../test_util.hpp"
@@ -36,6 +36,8 @@ using AosFlowCache =
 using KeyCache =
     core::ParallelCache<core::P4lru<std::uint64_t, std::uint64_t, 3>,
                         std::uint64_t, std::uint64_t>;
+using FlowTarget = CacheReplayTarget<FlowCache, FlowKey, std::uint32_t>;
+using Checkpoint = TargetCheckpoint<ReplayStats>;
 
 template <typename CacheA, typename CacheB>
 void expect_same_contents(const CacheA& a, const CacheB& b) {
@@ -85,6 +87,7 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
                std::size_t units, std::uint32_t cache_seed,
                std::mt19937_64& rng, bool chaos) {
     using Ops = std::span<const ReplayOp<Key, Value>>;
+    using Target = CacheReplayTarget<Cache, Key, Value>;
 
     ShardedConfig cfg;
     cfg.shards = 2 + static_cast<std::size_t>(rng() % 5);
@@ -106,12 +109,15 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
     }
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     Cache first(units, cache_seed);
-    const auto rep = replay_sharded_checkpointed(
-        first, Ops(ops), cfg, cadence,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    Target first_target(first);
+    SpanOpSource source{Ops(ops)};
+    const auto run = replay_target_checkpointed_stream(
+        first_target, source, cfg, cadence,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); }, faults);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    const auto& rep = run.value();
     ASSERT_EQ(rep.stats, seq) << "checkpointed run diverged";
     expect_same_contents(ref, first);
     ASSERT_FALSE(cps.empty()) << "no checkpoint emitted";
@@ -121,12 +127,12 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
 
     // Kill point: any emitted checkpoint, through the on-disk format.
     const auto& cp = cps[rng() % cps.size()];
-    EXPECT_EQ(cp.base.stats.ops, cp.base.cursor)
+    EXPECT_EQ(cp.stats.ops, cp.cursor)
         << "cut statistics must cover exactly the op prefix";
     testutil::ScopedTempDir tmp{"p4lru_prop_ckpt"};
     const std::string path = tmp.file("cut.ckpt");
-    ASSERT_TRUE(write_checkpoint(path, cp).is_ok());
-    auto rd = read_checkpoint_checked(path);
+    ASSERT_TRUE(write_target_checkpoint(path, cp).is_ok());
+    auto rd = read_target_checkpoint_checked<ReplayStats>(path);
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
 
     ShardedConfig rcfg;
@@ -134,7 +140,11 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
     rcfg.batch_ops = std::size_t{32} << (rng() % 3);
     rcfg.mode = Mode::kThreaded;
     Cache resumed(units, cache_seed);
-    const auto res = resume_sharded(resumed, Ops(ops), rd.value(), rcfg);
+    Target resumed_target(resumed);
+    SpanOpSource resume_source{Ops(ops)};
+    const auto res = resume_target_sharded_stream(resumed_target,
+                                                  resume_source, rd.value(),
+                                                  rcfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resumed run diverged";
     // Degradation telemetry carried through the kill: the resumed report
@@ -197,22 +207,27 @@ TEST(ShardedCheckpoint, InlineModeEmitsPerBlockCheckpoints) {
     cfg.shards = 4;
     cfg.batch_ops = 256;
     cfg.mode = Mode::kInline;
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x55);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/16,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
-    EXPECT_EQ(rep.stats, seq);
+    FlowTarget target(cache);
+    SpanOpSource source{Ops(ops)};
+    const auto rep = replay_target_checkpointed_stream(
+        target, source, cfg, /*every_batches=*/16,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_EQ(rep.value().stats, seq);
     ASSERT_FALSE(cps.empty());
     for (const auto& cp : cps) {
-        EXPECT_EQ(cp.base.stats.ops, cp.base.cursor);
+        EXPECT_EQ(cp.stats.ops, cp.cursor);
         ASSERT_EQ(cp.shard_stats.size(), 1u);
-        EXPECT_EQ(cp.shard_stats[0], cp.base.stats);
+        EXPECT_EQ(cp.shard_stats[0], cp.stats);
     }
 
     FlowCache resumed(1024, 0x55);
-    const auto res =
-        resume_sharded(resumed, Ops(ops), cps[cps.size() / 2], cfg);
+    FlowTarget resumed_target(resumed);
+    SpanOpSource resume_source{Ops(ops)};
+    const auto res = resume_target_sharded_stream(
+        resumed_target, resume_source, cps[cps.size() / 2], cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     expect_same_contents(ref, resumed);
@@ -239,12 +254,15 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     plan.stall_worker(/*shard=*/1, /*at_batch=*/0);
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x66);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/32,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    FlowTarget target(cache);
+    SpanOpSource source{Ops(ops)};
+    const auto run = replay_target_checkpointed_stream(
+        target, source, cfg, /*every_batches=*/32,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); }, faults);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    const auto& rep = run.value();
     EXPECT_GE(rep.drained_inline, 1u);
     EXPECT_EQ(rep.stats, seq);
     ASSERT_FALSE(cps.empty());
@@ -252,12 +270,16 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     for (const auto& cp : cps) {
         ReplayStats sum;
         for (const auto& s : cp.shard_stats) sum.merge(s);
-        EXPECT_EQ(sum, cp.base.stats);
-        EXPECT_EQ(cp.base.stats.ops, cp.base.cursor);
+        EXPECT_EQ(sum, cp.stats);
+        EXPECT_EQ(cp.stats.ops, cp.cursor);
     }
 
     FlowCache resumed(1024, 0x66);
-    const auto res = resume_sharded(resumed, Ops(ops), cps.back(), cfg);
+    FlowTarget resumed_target(resumed);
+    SpanOpSource resume_source{Ops(ops)};
+    const auto res = resume_target_sharded_stream(resumed_target,
+                                                  resume_source, cps.back(),
+                                                  cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     expect_same_contents(ref, resumed);
@@ -288,19 +310,22 @@ TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     plan.delay_batch(/*shard=*/2, /*at_batch=*/2, /*micros=*/20'000);
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x77);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/32,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    FlowTarget target(cache);
+    SpanOpSource source{Ops(ops)};
+    const auto run = replay_target_checkpointed_stream(
+        target, source, cfg, /*every_batches=*/32,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); }, faults);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    const auto& rep = run.value();
     EXPECT_EQ(rep.stats, seq);
     EXPECT_TRUE(rep.degraded());
     ASSERT_FALSE(cps.empty());
 
     // Telemetry in checkpoints is cumulative, so the last one carries the
     // most; the plan above must have degraded the run well before it.
-    const ShardedCheckpoint& cp = cps.back();
+    const Checkpoint& cp = cps.back();
     ASSERT_GE(cp.abandoned_workers + cp.drained_inline, 1u)
         << "fault plan failed to degrade the run before the kill point";
 
@@ -311,7 +336,10 @@ TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     rcfg.batch_ops = 128;
     rcfg.mode = Mode::kThreaded;
     FlowCache resumed(1024, 0x77);
-    const auto res = resume_sharded(resumed, Ops(ops), cp, rcfg);
+    FlowTarget resumed_target(resumed);
+    SpanOpSource resume_source{Ops(ops)};
+    const auto res =
+        resume_target_sharded_stream(resumed_target, resume_source, cp, rcfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     EXPECT_GE(res.value().backpressure_waits, cp.backpressure_waits);

@@ -1,5 +1,5 @@
 // Property suite for the batched update path: update_batch (and everything
-// layered on it — replay_sequential_batched, the checkpointed sequential
+// layered on it — replay_sequential_batched, the checkpointed inline
 // replay, the policy fill_batch/access_batch entry points, and the sharded
 // engine's routed batches) must emit a bit-identical UpdateResult stream to
 // per-op update on the same input.  Batching hoists only hashing and
@@ -14,10 +14,11 @@
 
 #include "p4lru/cache/policy.hpp"
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -151,37 +152,52 @@ TEST(BatchEquivalence, SequentialBatchedMatchesSequential) {
     expect_same_contents(a, b);
 }
 
-/// Checkpoints cut mid-batch-stream: the batched checkpointed replay must
-/// emit snapshots at exactly the per-op cursors, with bit-identical stats
-/// and plane images, including cadences that do not divide the batch size.
+/// Checkpoints cut mid-batch-stream: the batched checkpointed replay (one
+/// inline shard, a checkpoint every `every_batches` blocks of `batch_ops`)
+/// must emit snapshots at exactly the per-op cursors, with bit-identical
+/// stats and plane images — for cadences of one block and of several.
 TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
+    using Target = CacheReplayTarget<FlowCache, FlowKey, std::uint32_t>;
+    using Checkpoint = TargetCheckpoint<ReplayStats>;
     const auto ops = zipf_ops();
     const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
-    for (const std::uint64_t every : {777u, 10'000u, 256u}) {
-        // Per-op reference: manual loop with take_checkpoint on cadence.
+    struct Cadence {
+        std::size_t batch_ops;
+        std::uint64_t every_batches;
+    };
+    for (const Cadence c : {Cadence{259, 3}, Cadence{2'500, 4},
+                            Cadence{256, 1}}) {
+        const std::uint64_t every = c.batch_ops * c.every_batches;
+        // Per-op reference: manual loop with a checkpoint on cadence.
         FlowCache ref_cache(1024, 0xCC);
-        std::vector<ReplayCheckpoint> ref;
+        Target ref_target(ref_cache);
+        std::vector<Checkpoint> ref;
         ReplayStats ref_stats;
         std::uint64_t cursor = 0;
         for (const auto& op : ops) {
             ref_stats.tally(ref_cache.update(op.key, op.value));
             ++cursor;
             if (cursor % every == 0 && cursor < ops.size()) {
-                ref.push_back(take_checkpoint(ref_cache, cursor, ref_stats));
+                ref.push_back(testutil::sequential_checkpoint(
+                    ref_target, cursor, ref_stats));
             }
         }
 
         FlowCache cache(1024, 0xCC);
-        std::vector<ReplayCheckpoint> got;
-        const auto stats = replay_sequential_checkpointed(
-            cache, span, every,
-            [&](ReplayCheckpoint&& cp) { got.push_back(std::move(cp)); });
-        EXPECT_EQ(stats, ref_stats) << "every=" << every;
+        Target target(cache);
+        std::vector<Checkpoint> got;
+        SpanOpSource source{span};
+        const auto rep = replay_target_checkpointed_stream(
+            target, source, testutil::sequential_config(c.batch_ops),
+            c.every_batches,
+            [&](Checkpoint&& cp) { got.push_back(std::move(cp)); });
+        ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+        EXPECT_EQ(rep.value().stats, ref_stats) << "every=" << every;
         ASSERT_EQ(got.size(), ref.size()) << "every=" << every;
         for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i].cursor, ref[i].cursor);
             EXPECT_EQ(got[i].stats, ref[i].stats);
-            EXPECT_EQ(got[i].planes, ref[i].planes) << "checkpoint " << i;
+            EXPECT_EQ(got[i].state, ref[i].state) << "checkpoint " << i;
         }
         expect_same_contents(ref_cache, cache);
 
@@ -189,7 +205,9 @@ TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
         // state (the resume suffix also runs batched).
         if (!got.empty()) {
             FlowCache resumed(1024, 0xCC);
-            const auto r = resume_sequential(resumed, span, got.back());
+            Target resumed_target(resumed);
+            const auto r =
+                testutil::resume_sequential(resumed_target, span, got.back());
             ASSERT_TRUE(r.is_ok());
             EXPECT_EQ(r.value(), ref_stats);
             expect_same_contents(ref_cache, resumed);

@@ -44,11 +44,11 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/obs/sampler.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/durable_store.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/supervisor.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
@@ -101,12 +101,16 @@ int main() {
     std::size_t snapshots = 0;
     for (int round = 0; round < 3; ++round) {
         Cache cache(1024, 0x7A);
-        std::vector<replay::ShardedCheckpoint> cps;
-        const auto rep = replay::replay_sharded_checkpointed(
-            cache, span, cfg, /*every_batches=*/64,
-            [&](replay::ShardedCheckpoint&& cp) {
-                cps.push_back(std::move(cp));
-            });
+        replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t> target(cache);
+        std::vector<replay::TargetCheckpoint<replay::ReplayStats>> cps;
+        replay::SpanOpSource source{span};
+        const auto rep =
+            replay::replay_target_checkpointed_stream(
+                target, source, cfg, /*every_batches=*/64,
+                [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                    cps.push_back(std::move(cp));
+                })
+                .value();
         snapshots += cps.size();
         if (!(rep.stats == seq) || cps.empty()) {
             std::fprintf(stderr,

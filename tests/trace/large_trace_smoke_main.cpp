@@ -27,9 +27,9 @@
 #endif
 
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
@@ -207,15 +207,18 @@ int main() {
     auto ck_src = open_chunked();
     if (!ck_src.is_ok()) return 1;
     auto ck_stream = replay::packet_op_source(*ck_src.value());
+    using Target = replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
+    using Checkpoint = replay::TargetCheckpoint<replay::ReplayStats>;
     Cache ck_cache(1024, 0x7A);
-    std::vector<replay::ShardedCheckpoint> cps;
+    Target ck_target(ck_cache);
+    std::vector<Checkpoint> cps;
     // Cadence scaled so ~8 cuts land whatever the trace size; a fixed
     // cadence emits none at all on small smoke runs.
     const std::uint64_t every_batches =
         std::max<std::uint64_t>(1, records / (cfg.batch_ops * 8));
-    const auto ck_run = replay::replay_sharded_checkpointed_stream(
-        ck_cache, ck_stream, cfg, every_batches,
-        [&](replay::ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+    const auto ck_run = replay::replay_target_checkpointed_stream(
+        ck_target, ck_stream, cfg, every_batches,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
     if (!ck_run.is_ok() || !(ck_run.value().stats == seq) || cps.empty()) {
         std::fprintf(stderr, "checkpointed stream %s (%zu checkpoints)\n",
                      ck_run.is_ok() ? "diverged from sequential"
@@ -228,12 +231,13 @@ int main() {
     if (!res_src.is_ok()) return 1;
     auto res_stream = replay::packet_op_source(*res_src.value());
     Cache res_cache(1024, 0x7A);
-    const auto res =
-        replay::resume_sharded_stream(res_cache, res_stream, cp, cfg);
+    Target res_target(res_cache);
+    const auto res = replay::resume_target_sharded_stream(
+        res_target, res_stream, cp, cfg);
     if (!res.is_ok() || !(res.value().stats == seq)) {
         std::fprintf(stderr,
                      "resume from cursor %llu %s\n",
-                     static_cast<unsigned long long>(cp.base.cursor),
+                     static_cast<unsigned long long>(cp.cursor),
                      res.is_ok() ? "diverged from sequential"
                                  : res.status().to_string().c_str());
         return 1;

@@ -1,7 +1,8 @@
-// p4lru_ckpt — offline inspector for the durable checkpoint formats
-// (DESIGN.md §12).  Works on both on-disk layouts (P4LRUCKP cache
-// checkpoints and P4LRUTGC target checkpoints) from the header alone — no
-// Stats type needed — so it can judge any file the replay stack writes.
+// p4lru_ckpt — offline inspector for P4LRUTGC checkpoint images
+// (DESIGN.md §12).  It reads an image through the same frame parser the
+// typed readers use, from the header alone — no Stats type needed — so it
+// can judge any checkpoint the replay stack writes, for the bare P4LRU
+// array and the paper systems alike.
 //
 //   p4lru_ckpt describe <file.ckpt>       header fields + per-section CRCs
 //   p4lru_ckpt verify <file.ckpt>...      structural + CRC verdict per file
@@ -15,13 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/durable_store.hpp"
 
 namespace {
 
 using namespace p4lru;
 using replay::DurableStore;
-using replay::ImageInfo;
+using replay::CheckpointFrame;
 
 int usage() {
     std::fprintf(stderr,
@@ -38,40 +40,36 @@ int cmd_describe(const std::string& path) {
                      bytes.status().to_string().c_str());
         return 1;
     }
-    const auto info = replay::describe_checkpoint_image(bytes.value(), path);
-    if (!info.is_ok()) {
+    const auto frame = replay::parse_checkpoint_frame(bytes.value(), path);
+    if (!frame.is_ok()) {
         std::fprintf(stderr, "p4lru_ckpt: %s\n",
-                     info.status().to_string().c_str());
+                     frame.status().to_string().c_str());
         return 1;
     }
-    const ImageInfo& i = info.value();
+    const CheckpointFrame& f = frame.value();
     std::printf("file:          %s\n", path.c_str());
-    std::printf("format:        %s (version %u%s)\n", i.format.c_str(),
-                i.version, i.sealed ? ", CRC-sealed" : ", legacy unsealed");
-    std::printf("state id:      %u\n", i.id);
+    std::printf("format:        P4LRUTGC (version 2, CRC-sealed)\n");
+    std::printf("state id:      %u\n", f.header.state_id);
     std::printf("fingerprint:   0x%016llx\n",
-                static_cast<unsigned long long>(i.fingerprint));
+                static_cast<unsigned long long>(f.header.state_fingerprint));
     std::printf("units:         %llu\n",
-                static_cast<unsigned long long>(i.unit_count));
+                static_cast<unsigned long long>(f.header.unit_count));
     std::printf("cursor:        %llu ops\n",
-                static_cast<unsigned long long>(i.cursor));
-    std::printf("shards:        %llu (%llu bytes per stats record)\n",
-                static_cast<unsigned long long>(i.shard_count),
-                static_cast<unsigned long long>(i.record_bytes));
-    std::printf("payload:       %llu bytes of state (%llu byte file)\n",
-                static_cast<unsigned long long>(i.payload_bytes),
-                static_cast<unsigned long long>(i.file_bytes));
-    for (const auto& s : i.sections) {
-        std::printf("  section %-8s [%8llu, %8llu)  crc stored %08x "
+                static_cast<unsigned long long>(f.header.cursor));
+    std::printf("shards:        %u (%u bytes per stats record)\n",
+                f.shard_count, f.record_bytes);
+    std::printf("payload:       %zu bytes of state (%zu byte file)\n",
+                f.state.size(), bytes.value().size());
+    for (const auto& s : f.sections) {
+        std::printf("  section %-13s [%8llu, %8llu)  crc stored %08x "
                     "computed %08x  %s\n",
-                    s.name.c_str(), static_cast<unsigned long long>(s.begin),
+                    s.name, static_cast<unsigned long long>(s.begin),
                     static_cast<unsigned long long>(s.end), s.stored,
-                    s.computed, s.ok ? "ok" : "MISMATCH");
+                    s.computed, s.ok() ? "ok" : "MISMATCH");
     }
-    std::printf("verdict:       %s\n", i.verdict.is_ok()
-                                           ? "ok"
-                                           : i.verdict.to_string().c_str());
-    return i.verdict.is_ok() ? 0 : 1;
+    std::printf("verdict:       %s\n",
+                f.seal.is_ok() ? "ok" : f.seal.to_string().c_str());
+    return f.seal.is_ok() ? 0 : 1;
 }
 
 int cmd_verify(const std::vector<std::string>& paths) {
