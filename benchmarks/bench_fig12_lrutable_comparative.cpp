@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -21,14 +21,14 @@ namespace {
 
 using Factory = PolicyFactory<VirtualAddress, std::uint32_t>;
 
-double miss_rate(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
-                 TimeNs dt) {
+/// Miss rate of one sequential replay through the one-partition gateway.
+double miss_rate(const std::vector<PacketRecord>& trace,
+                 const LruTableTarget::PolicyFactory& policy, TimeNs dt) {
     LruTableConfig cfg;
     cfg.slow_path_delay = dt;
-    LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    return sys.report().miss_rate;
+    LruTableTarget target(1, policy, cfg);
+    return target.report(replay::replay_target_sequential(target, trace))
+        .miss_rate;
 }
 
 /// The paper "meticulously adjusted" the timeout threshold; reproduce that
@@ -39,9 +39,13 @@ double tuned_timeout_miss(const std::vector<PacketRecord>& trace,
     for (const TimeNs t :
          {10 * kMillisecond, 30 * kMillisecond, 100 * kMillisecond,
           300 * kMillisecond}) {
-        best = std::min(best,
-                        miss_rate(trace, Factory::timeout(entries, 0xE1, t),
-                                  dt));
+        best = std::min(
+            best, miss_rate(
+                      trace,
+                      [=](std::size_t) {
+                          return Factory::timeout(entries, 0xE1, t);
+                      },
+                      dt));
     }
     return best;
 }
@@ -51,27 +55,26 @@ std::vector<SeriesJob> row_jobs(const std::vector<PacketRecord>& trace,
                                 const std::string& row_label,
                                 std::size_t entries, TimeNs dt) {
     const auto n = static_cast<std::uint64_t>(trace.size());
+    const auto job = [&](const char* name,
+                         LruTableTarget::PolicyFactory policy) {
+        return SeriesJob{row_label + "/" + name, n,
+                         [&trace, policy, dt] {
+                             return miss_rate(trace, policy, dt);
+                         }};
+    };
     return {
-        {row_label + "/P4LRU3", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::p4lru3(entries, 0xE1), dt);
-         }},
+        job("P4LRU3",
+            [=](std::size_t) { return Factory::p4lru3(entries, 0xE1); }),
         {row_label + "/Timeout", 4 * n,  // 4 tuning sweeps
          [&trace, entries, dt] {
              return tuned_timeout_miss(trace, entries, dt);
          }},
-        {row_label + "/Elastic", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::elastic(entries, 0xE1), dt);
-         }},
-        {row_label + "/Coco", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::coco(entries, 0xE1), dt);
-         }},
-        {row_label + "/LRU_IDEAL", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::ideal(entries), dt);
-         }},
+        job("Elastic",
+            [=](std::size_t) { return Factory::elastic(entries, 0xE1); }),
+        job("Coco",
+            [=](std::size_t) { return Factory::coco(entries, 0xE1); }),
+        job("LRU_IDEAL",
+            [=](std::size_t) { return Factory::ideal(entries); }),
     };
 }
 

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -20,18 +20,21 @@ namespace {
 
 using Factory = PolicyFactory<std::uint32_t, FlowLen, core::AddMerge>;
 
-double miss_rate(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
+/// Elephant miss rate of one sequential replay through the one-partition
+/// monitor.
+double miss_rate(const std::vector<PacketRecord>& trace,
+                 const LruMonTarget::PolicyFactory& policy,
                  std::uint32_t threshold) {
     FilterConfig fcfg;
     fcfg.reset_period = 10 * kMillisecond;
     LruMonConfig cfg;
     cfg.threshold = threshold;
     cfg.track_ground_truth = false;
-    LruMonSystem sys(make_filter(FilterKind::kTower, fcfg), std::move(policy),
-                     cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    return sys.report().cache_miss_rate;
+    LruMonTarget target(
+        1, [&](std::size_t) { return make_filter(FilterKind::kTower, fcfg); },
+        policy, cfg);
+    return target.report(replay::replay_target_sequential(target, trace))
+        .cache_miss_rate;
 }
 
 double tuned_timeout_miss(const std::vector<PacketRecord>& trace,
@@ -41,8 +44,12 @@ double tuned_timeout_miss(const std::vector<PacketRecord>& trace,
          {3 * kMillisecond, 10 * kMillisecond, 30 * kMillisecond,
           100 * kMillisecond}) {
         best = std::min(
-            best,
-            miss_rate(trace, Factory::timeout(entries, 0xA7, t), threshold));
+            best, miss_rate(
+                      trace,
+                      [=](std::size_t) {
+                          return Factory::timeout(entries, 0xA7, t);
+                      },
+                      threshold));
     }
     return best;
 }
@@ -52,30 +59,26 @@ std::vector<SeriesJob> row_jobs(const std::vector<PacketRecord>& trace,
                                 std::size_t entries,
                                 std::uint32_t threshold) {
     const auto n = static_cast<std::uint64_t>(trace.size());
+    const auto job = [&](const char* name,
+                         LruMonTarget::PolicyFactory policy) {
+        return SeriesJob{row_label + "/" + name, n,
+                         [&trace, policy, threshold] {
+                             return miss_rate(trace, policy, threshold);
+                         }};
+    };
     return {
-        {row_label + "/P4LRU3", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::p4lru3(entries, 0xA7),
-                              threshold);
-         }},
+        job("P4LRU3",
+            [=](std::size_t) { return Factory::p4lru3(entries, 0xA7); }),
         {row_label + "/Timeout", 4 * n,
          [&trace, entries, threshold] {
              return tuned_timeout_miss(trace, entries, threshold);
          }},
-        {row_label + "/Elastic", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::elastic(entries, 0xA7),
-                              threshold);
-         }},
-        {row_label + "/Coco", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::coco(entries, 0xA7),
-                              threshold);
-         }},
-        {row_label + "/LRU_IDEAL", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::ideal(entries), threshold);
-         }},
+        job("Elastic",
+            [=](std::size_t) { return Factory::elastic(entries, 0xA7); }),
+        job("Coco",
+            [=](std::size_t) { return Factory::coco(entries, 0xA7); }),
+        job("LRU_IDEAL",
+            [=](std::size_t) { return Factory::ideal(entries); }),
     };
 }
 

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -16,10 +16,25 @@ namespace {
 
 using Factory = PolicyFactory<VirtualAddress, std::uint32_t>;
 
-Factory::Ptr p4lru4(std::size_t entries, std::uint32_t seed) {
-    return std::make_unique<cache::P4lru4ArrayPolicy<VirtualAddress,
-                                                     std::uint32_t>>(
-        entries, seed, "P4LRU4");
+/// The figure's series as per-partition policy factories.
+LruTableTarget::PolicyFactory ideal(std::size_t entries) {
+    return [=](std::size_t) { return Factory::ideal(entries); };
+}
+LruTableTarget::PolicyFactory p4lru1(std::size_t entries) {
+    return [=](std::size_t) { return Factory::p4lru1(entries, 0xB5); };
+}
+LruTableTarget::PolicyFactory p4lru2(std::size_t entries) {
+    return [=](std::size_t) { return Factory::p4lru2(entries, 0xB5); };
+}
+LruTableTarget::PolicyFactory p4lru3(std::size_t entries) {
+    return [=](std::size_t) { return Factory::p4lru3(entries, 0xB5); };
+}
+LruTableTarget::PolicyFactory p4lru4(std::size_t entries) {
+    return [=](std::size_t) -> Factory::Ptr {
+        return std::make_unique<
+            cache::P4lru4ArrayPolicy<VirtualAddress, std::uint32_t>>(
+            entries, 0xB5, "P4LRU4");
+    };
 }
 
 struct Outcome {
@@ -27,16 +42,17 @@ struct Outcome {
     double similarity = 0;
 };
 
-Outcome run(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
-            TimeNs dt) {
+/// One sequential replay through the one-partition gateway, scoring LRU
+/// similarity over the global access order.
+Outcome run(const std::vector<PacketRecord>& trace,
+            const LruTableTarget::PolicyFactory& policy, TimeNs dt) {
     LruTableConfig cfg;
     cfg.slow_path_delay = dt;
     cfg.track_similarity = true;
     cfg.similarity_max_accesses = 3 * trace.size() + 16;
-    LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    LruTableTarget target(1, policy, cfg);
+    const auto r =
+        target.report(replay::replay_target_sequential(target, trace));
     return {r.miss_rate, r.similarity};
 }
 
@@ -56,11 +72,11 @@ int main() {
         for (const double mult : {0.25, 0.5, 1.0, 2.0, 4.0}) {
             const auto entries =
                 static_cast<std::size_t>(base_entries * mult);
-            const auto id = run(trace, Factory::ideal(entries), base_dt);
-            const auto p1 = run(trace, Factory::p4lru1(entries, 0xB5), base_dt);
-            const auto p2 = run(trace, Factory::p4lru2(entries, 0xB5), base_dt);
-            const auto p3 = run(trace, Factory::p4lru3(entries, 0xB5), base_dt);
-            const auto p4 = run(trace, p4lru4(entries, 0xB5), base_dt);
+            const auto id = run(trace, ideal(entries), base_dt);
+            const auto p1 = run(trace, p4lru1(entries), base_dt);
+            const auto p2 = run(trace, p4lru2(entries), base_dt);
+            const auto p3 = run(trace, p4lru3(entries), base_dt);
+            const auto p4 = run(trace, p4lru4(entries), base_dt);
             a.add_row({std::to_string(entries), pct(id.miss), pct(p1.miss),
                        pct(p2.miss), pct(p3.miss), pct(p4.miss)});
             b.add_row({std::to_string(entries),
@@ -85,13 +101,10 @@ int main() {
         for (const TimeNs dt :
              {10 * kMicrosecond, 40 * kMicrosecond, 160 * kMicrosecond,
               640 * kMicrosecond, 2560 * kMicrosecond}) {
-            const auto id = run(trace, Factory::ideal(base_entries), dt);
-            const auto p1 = run(trace, Factory::p4lru1(base_entries, 0xB5),
-                                dt);
-            const auto p2 = run(trace, Factory::p4lru2(base_entries, 0xB5),
-                                dt);
-            const auto p3 = run(trace, Factory::p4lru3(base_entries, 0xB5),
-                                dt);
+            const auto id = run(trace, ideal(base_entries), dt);
+            const auto p1 = run(trace, p4lru1(base_entries), dt);
+            const auto p2 = run(trace, p4lru2(base_entries), dt);
+            const auto p3 = run(trace, p4lru3(base_entries), dt);
             c.add_row({std::to_string(dt / 1000), pct(id.miss),
                        pct(p1.miss), pct(p2.miss), pct(p3.miss)});
             d.add_row({std::to_string(dt / 1000),

@@ -12,7 +12,8 @@
 #include <memory>
 
 #include "p4lru/cache/policy.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 using namespace p4lru;
@@ -20,14 +21,14 @@ using namespace p4lru::systems::lrutable;
 
 namespace {
 
-LruTableReport replay(const std::vector<PacketRecord>& trace,
-                      std::unique_ptr<LruTableSystem::Policy> policy) {
+/// Replay the trace through one gateway: a single partition, so one cache
+/// and one pending-fill queue, exactly the paper's system.
+LruTableReport translate(const std::vector<PacketRecord>& trace,
+                         const LruTableTarget::PolicyFactory& make_policy) {
     LruTableConfig cfg;
     cfg.slow_path_delay = 40 * kMicrosecond;
-    LruTableSystem nat(std::move(policy), cfg);
-    for (const auto& pkt : trace) nat.process(pkt);
-    nat.finish();
-    return nat.report();
+    LruTableTarget nat(1, make_policy, cfg);
+    return nat.report(replay::replay_target_sequential(nat, trace));
 }
 
 void print(const char* name, const LruTableReport& r) {
@@ -56,17 +57,19 @@ int main(int argc, char** argv) {
     std::printf("trace: %zu packets, %zu flows, peak concurrency %zu\n\n",
                 stats.packets, stats.flows, stats.max_concurrent);
 
-    print("P4LRU3",
-          replay(trace,
-                 std::make_unique<cache::P4lruArrayPolicy<
-                     VirtualAddress, std::uint32_t, 3>>(entries, 0x9A)));
-    print("P4LRU1",
-          replay(trace,
-                 std::make_unique<cache::P4lruArrayPolicy<
-                     VirtualAddress, std::uint32_t, 1>>(entries, 0x9A)));
-    print("IDEAL",
-          replay(trace, std::make_unique<cache::IdealLruPolicy<
-                            VirtualAddress, std::uint32_t>>(entries)));
+    print("P4LRU3", translate(trace, [=](std::size_t) {
+              return std::make_unique<cache::P4lruArrayPolicy<
+                  VirtualAddress, std::uint32_t, 3>>(entries, 0x9A);
+          }));
+    print("P4LRU1", translate(trace, [=](std::size_t) {
+              return std::make_unique<cache::P4lruArrayPolicy<
+                  VirtualAddress, std::uint32_t, 1>>(entries, 0x9A);
+          }));
+    print("IDEAL", translate(trace, [=](std::size_t) {
+              return std::make_unique<
+                  cache::IdealLruPolicy<VirtualAddress, std::uint32_t>>(
+                  entries);
+          }));
 
     std::printf(
         "\nEvery slow-path packet pays the control-plane round trip; the\n"

@@ -11,7 +11,8 @@
 #include <cstdlib>
 #include <memory>
 
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 using namespace p4lru;
@@ -19,6 +20,8 @@ using namespace p4lru::systems::lrumon;
 
 namespace {
 
+/// Replay the trace through one monitor: a single partition, so one filter,
+/// one cache and one analyzer, exactly the paper's system.
 LruMonReport monitor(const std::vector<PacketRecord>& trace,
                      std::uint32_t threshold, bool use_p4lru3) {
     FilterConfig fcfg;
@@ -26,19 +29,18 @@ LruMonReport monitor(const std::vector<PacketRecord>& trace,
     LruMonConfig cfg;
     cfg.threshold = threshold;
 
-    std::unique_ptr<cache::ReplacementPolicy<std::uint32_t, FlowLen>> policy;
-    if (use_p4lru3) {
-        policy = std::make_unique<cache::P4lruArrayPolicy<
-            std::uint32_t, FlowLen, 3, core::AddMerge>>(768, 0x3E);
-    } else {
-        policy = std::make_unique<cache::P4lruArrayPolicy<
+    const auto policy = [use_p4lru3](std::size_t) -> LruMonTarget::PolicyPtr {
+        if (use_p4lru3) {
+            return std::make_unique<cache::P4lruArrayPolicy<
+                std::uint32_t, FlowLen, 3, core::AddMerge>>(768, 0x3E);
+        }
+        return std::make_unique<cache::P4lruArrayPolicy<
             std::uint32_t, FlowLen, 1, core::AddMerge>>(768, 0x3E);
-    }
-    LruMonSystem mon(make_filter(FilterKind::kTower, fcfg), std::move(policy),
-                     cfg);
-    for (const auto& pkt : trace) mon.process(pkt);
-    mon.finish();
-    return mon.report();
+    };
+    LruMonTarget mon(
+        1, [&](std::size_t) { return make_filter(FilterKind::kTower, fcfg); },
+        policy, cfg);
+    return mon.report(replay::replay_target_sequential(mon, trace));
 }
 
 }  // namespace

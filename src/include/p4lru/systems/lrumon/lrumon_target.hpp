@@ -1,16 +1,25 @@
-// LruMon as a ReplayTarget (DESIGN.md §11): the telemetry system partitioned
+// LruMon (Section 3.3): data-plane telemetry that never overestimates.
+//
+// Per packet: the windowed filter drops mouse traffic (est < threshold);
+// elephant packets enter the fingerprint-keyed cache with accumulate-on-hit
+// semantics; every cache miss uploads <f, fp', len'> to the analyzer. A
+// better replacement policy means fewer misses, hence fewer uploads — the
+// quantity Figures 11/14/17 measure — while accuracy is structurally
+// unaffected (only the filter can under-count, and only below threshold).
+//
+// LruMonTarget is the system as a ReplayTarget (DESIGN.md §11), partitioned
 // into `partitions` disjoint slices so the sharded replay engine can drive it
 // in every mode — sequential, inline-batched, threaded-sharded, checkpointed
-// — with bit-identical reports.
+// — with bit-identical reports.  With one partition it is exactly the
+// paper's system: one filter, one cache, one analyzer, global arrival order.
 //
 // Partitioning: a packet belongs to partition fingerprint32(flow) % G, and a
 // partition owns an independent filter + cache-policy + analyzer triple.
 // Every per-op effect (filter estimate, cache fill, upload) depends only on
 // the owning partition's history, so per-shard statistics over disjoint
-// partition sets merge losslessly — the mergeability invariant.  Note this
-// is a *different* (deterministic) system than one monolithic LruMonSystem:
-// G sketches see G disjoint substreams; equivalence claims are across engine
-// modes of the same target, never across targets of different geometry.
+// partition sets merge losslessly — the mergeability invariant.  G sketches
+// see G disjoint substreams, so equivalence claims are across engine modes
+// of the same target, never across targets of different geometry.
 //
 // Report determinism: LruMonStats carries only integer sums and min/max
 // timestamps; LruMonReport's derived rates are computed from the merged
@@ -39,10 +48,31 @@
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/replay/replay_target.hpp"
 #include "p4lru/systems/lrumon/analyzer.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
 #include "p4lru/systems/lrumon/tower_filter.hpp"
 
 namespace p4lru::systems::lrumon {
+
+using FlowLen = std::uint64_t;
+
+struct LruMonConfig {
+    std::uint32_t threshold = 1500;  ///< filter threshold L (bytes)
+    bool track_ground_truth = true;  ///< keep per-flow true byte counts
+};
+
+struct LruMonReport {
+    std::uint64_t packets = 0;
+    std::uint64_t filtered_packets = 0;  ///< mouse packets dropped
+    std::uint64_t elephant_packets = 0;
+    std::uint64_t cache_hits = 0;
+    std::uint64_t uploads = 0;           ///< entries sent to the analyzer
+    double upload_kpps = 0.0;            ///< uploads / trace seconds / 1e3
+    double cache_miss_rate = 0.0;        ///< among elephant packets
+    std::uint64_t total_bytes = 0;
+    std::uint64_t measured_bytes = 0;
+    double total_error_rate = 0.0;       ///< underestimation / total bytes
+    std::uint64_t max_flow_error = 0;    ///< max per-flow underestimation
+    std::uint64_t overestimated_flows = 0;  ///< must stay 0
+};
 
 /// A packet routed to its owning partition; the fingerprint is hashed once.
 struct LruMonRouted {
@@ -314,6 +344,9 @@ class LruMonTarget {
             if (m_.hits != nullptr) m_.hits->add(1);
             return;
         }
+        // Cache miss: upload <f, fp', len'>.  When the policy kept its
+        // occupant (timeout baseline), this packet's bytes ride along in the
+        // upload so measurement stays exact for elephants.
         ++s.uploads;
         if (m_.uploads != nullptr) m_.uploads->add(1);
         if (a.inserted) {

@@ -1,6 +1,26 @@
-// LruTable as a ReplayTarget (DESIGN.md §11): the NAT gateway partitioned by
-// virtual address so the sharded replay engine can drive it in every mode
-// with bit-identical reports.
+// LruTable (Section 3.1): a data-plane NAT whose fast path is a cache of
+// control-plane table entries.
+//
+// Protocol per packet with virtual address va (the packet's virtual
+// destination address, as in the paper):
+//   * cache hit with a real address  -> fast path, base latency;
+//   * cache hit on a PLACEHOLDER     -> the fill for this flow is still in
+//     flight: the packet takes the slow path (latency dT) but does NOT
+//     schedule another fill and does not traverse the cache again;
+//   * cache miss                     -> slow path (latency dT); the cache
+//     inserts a placeholder and the control-plane lookup result re-enters
+//     the data plane after dT, replacing the placeholder with the real
+//     address (a normal write-path cache update).
+//
+// The replacement policy is pluggable so the comparative benches (Figure 12)
+// run the identical protocol over P4LRU3 / Timeout / Elastic / Coco / ideal
+// LRU.
+//
+// LruTableTarget is the system as a ReplayTarget (DESIGN.md §11),
+// partitioned by virtual address so the sharded replay engine can drive it
+// in every mode with bit-identical reports.  With one partition it is
+// exactly the paper's system: one cache, one pending-fill queue, global
+// arrival order.
 //
 // Partitioning: packet -> partition mix64(dst_ip) % G; a partition owns an
 // independent translation-cache policy and its own pending-fill queue.  The
@@ -14,9 +34,12 @@
 // mean) so merging shard statistics is exact and order-free; the report
 // derives the average from the merged integers.
 //
-// Not supported: cfg.track_similarity — the similarity metric is defined
+// cfg.track_similarity needs one partition: the similarity metric is defined
 // over the *global* access order, which partitioned replay does not
-// preserve; the constructor rejects it rather than report a wrong number.
+// preserve, so the constructor rejects it for G > 1 rather than report a
+// wrong number.  The tracker is not part of the state image, so load_state
+// refuses to restore while tracking (a resumed run would score only the
+// suffix).
 #pragma once
 
 #include <chrono>
@@ -29,15 +52,48 @@
 #include <vector>
 
 #include "p4lru/cache/policy.hpp"
+#include "p4lru/cache/similarity.hpp"
 #include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/hash.hpp"
 #include "p4lru/common/types.hpp"
 #include "p4lru/core/unit_storage.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/replay/replay_target.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
 
 namespace p4lru::systems::lrutable {
+
+/// Virtual address: the packet's virtual destination IP.
+using VirtualAddress = std::uint32_t;
+
+/// The control-plane NAT table: the authoritative virtual->real mapping.
+/// Mappings are deterministic functions of the virtual address (a
+/// pre-provisioned table), so any trace works without a provisioning step.
+class NatTable {
+  public:
+    /// Authoritative lookup (slow path). Never fails: the table is full.
+    [[nodiscard]] std::uint32_t lookup(VirtualAddress va) const;
+};
+
+/// Placeholder marking an in-flight control-plane lookup (paper: "e.g.
+/// 0x00000000 or 0xFFFFFFFF").
+inline constexpr std::uint32_t kPlaceholder = 0xFFFFFFFFu;
+
+struct LruTableConfig {
+    TimeNs slow_path_delay = 100 * kMicrosecond;  ///< dT
+    TimeNs base_latency = 1 * kMicrosecond;       ///< direct forwarding cost
+    bool track_similarity = false;            ///< one partition only
+    std::size_t similarity_max_accesses = 0;  ///< required when tracking
+};
+
+struct LruTableReport {
+    std::uint64_t packets = 0;
+    std::uint64_t fast_path = 0;        ///< real-address hits
+    std::uint64_t placeholder_hits = 0; ///< slow path, fill already pending
+    std::uint64_t misses = 0;           ///< slow path, fill scheduled
+    double avg_added_latency_us = 0.0;  ///< mean latency beyond base
+    double miss_rate = 0.0;             ///< (placeholder_hits + misses)/packets
+    double similarity = 1.0;            ///< only if tracking enabled
+};
 
 /// An in-flight control-plane fill owned by one partition.
 struct TargetPendingFill {
@@ -90,9 +146,18 @@ class LruTableTarget {
             throw std::invalid_argument("LruTableTarget: zero partitions");
         }
         if (cfg.track_similarity) {
-            throw std::invalid_argument(
-                "LruTableTarget: similarity tracking needs the global access "
-                "order; use LruTableSystem");
+            if (partitions != 1) {
+                throw std::invalid_argument(
+                    "LruTableTarget: similarity tracking needs the global "
+                    "access order (one partition)");
+            }
+            if (cfg.similarity_max_accesses == 0) {
+                throw std::invalid_argument(
+                    "LruTableTarget: similarity tracking needs max accesses");
+            }
+            similarity_ =
+                std::make_unique<cache::SimilarityTracker<VirtualAddress>>(
+                    cfg.similarity_max_accesses);
         }
         parts_.reserve(partitions);
         for (std::size_t p = 0; p < partitions; ++p) {
@@ -183,6 +248,7 @@ class LruTableTarget {
     }
 
     [[nodiscard]] bool load_state(std::span<const std::byte> in) {
+        if (similarity_) return false;  // tracker is not in the image
         io::ByteReader r(in);
         std::uint64_t n = 0;
         if (!r.u64(n) || n != parts_.size()) return false;
@@ -234,7 +300,7 @@ class LruTableTarget {
                 ? 0.0
                 : static_cast<double>(s.placeholder_hits + s.misses) /
                       static_cast<double>(s.ops);
-        r.similarity = 1.0;  // tracking unsupported (see header comment)
+        r.similarity = similarity_ ? similarity_->similarity() : 1.0;
         return r;
     }
 
@@ -248,8 +314,18 @@ class LruTableTarget {
         while (!p.pending.empty() && p.pending.front().ready_at <= now) {
             const TargetPendingFill f = p.pending.front();
             p.pending.pop_front();
-            (void)p.policy->fill(f.va, f.real_address, f.ready_at);
+            // The control-plane answer re-enters the data plane as a normal
+            // write-path update carrying the real address.
+            const auto a = p.policy->fill(f.va, f.real_address, f.ready_at);
+            if (similarity_) track(a, f.va);
         }
+    }
+
+    /// Similarity hook: every access that leaves va cached counts as a use.
+    void track(const cache::Access<VirtualAddress, std::uint32_t>& a,
+               VirtualAddress va) {
+        if (a.evicted) similarity_->on_evict(a.evicted_key);
+        if (a.inserted) similarity_->on_access(va);
     }
 
     void apply_one(const Routed& r, Stats& s) {
@@ -272,6 +348,7 @@ class LruTableTarget {
                     .count());
             (fast ? m_.fast_ns : m_.slow_ns)->record(ns);
         }
+        if (similarity_) track(a, r.va);
         TimeNs added = 0;
         if (fast) {
             ++s.fast_path;
@@ -305,6 +382,7 @@ class LruTableTarget {
     LruTableConfig cfg_;
     NatTable nat_;
     std::vector<Partition> parts_;
+    std::unique_ptr<cache::SimilarityTracker<VirtualAddress>> similarity_;
     ObsHooks m_{};
 };
 

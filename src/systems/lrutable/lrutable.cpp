@@ -1,6 +1,4 @@
-#include "p4lru/systems/lrutable/lrutable.hpp"
-
-#include <stdexcept>
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 #include "p4lru/common/hash.hpp"
 
@@ -15,87 +13,6 @@ std::uint32_t NatTable::lookup(VirtualAddress va) const {
         std::span<const std::uint8_t>(b, 4), 0x7A57AB1Eu);
     if (ra == 0 || ra == kPlaceholder) ra = 0x0A0A0A0Au;
     return ra;
-}
-
-LruTableSystem::LruTableSystem(std::unique_ptr<Policy> policy,
-                               LruTableConfig cfg)
-    : policy_(std::move(policy)), cfg_(cfg) {
-    if (!policy_) throw std::invalid_argument("LruTableSystem: null policy");
-    if (cfg_.track_similarity) {
-        if (cfg_.similarity_max_accesses == 0) {
-            throw std::invalid_argument(
-                "LruTableSystem: similarity tracking needs max accesses");
-        }
-        similarity_ =
-            std::make_unique<cache::SimilarityTracker<VirtualAddress>>(
-                cfg_.similarity_max_accesses);
-    }
-}
-
-void LruTableSystem::apply_fills(TimeNs now) {
-    while (!pending_.empty() && pending_.front().ready_at <= now) {
-        const PendingFill f = pending_.front();
-        pending_.pop_front();
-        // The control-plane answer re-enters the data plane as a normal
-        // write-path update carrying the real address.
-        const auto a = policy_->fill(f.va, f.real_address, f.ready_at);
-        if (similarity_) {
-            if (a.evicted) similarity_->on_evict(a.evicted_key);
-            if (a.inserted) similarity_->on_access(f.va);
-        }
-    }
-}
-
-TimeNs LruTableSystem::process(const PacketRecord& pkt) {
-    apply_fills(pkt.ts);
-    ++packets_;
-
-    const VirtualAddress va = pkt.flow.dst_ip;
-    const auto a = policy_->access(va, kPlaceholder, pkt.ts);
-    if (similarity_) {
-        if (a.evicted) similarity_->on_evict(a.evicted_key);
-        if (a.inserted) similarity_->on_access(va);
-    }
-
-    TimeNs added = 0;
-    if (a.hit && a.value != kPlaceholder) {
-        ++fast_path_;
-    } else if (a.hit) {
-        // Placeholder hit: fill in flight; slow path, no new fill.
-        ++placeholder_hits_;
-        added = cfg_.slow_path_delay;
-    } else {
-        ++misses_;
-        added = cfg_.slow_path_delay;
-        if (a.inserted) {
-            pending_.push_back(PendingFill{pkt.ts + cfg_.slow_path_delay, va,
-                                           nat_.lookup(va)});
-        }
-    }
-    added_latency_us_.add(static_cast<double>(added) / 1000.0);
-    return cfg_.base_latency + added;
-}
-
-void LruTableSystem::finish() {
-    if (!pending_.empty()) {
-        apply_fills(pending_.back().ready_at);
-    }
-}
-
-LruTableReport LruTableSystem::report() const {
-    LruTableReport r;
-    r.packets = packets_;
-    r.fast_path = fast_path_;
-    r.placeholder_hits = placeholder_hits_;
-    r.misses = misses_;
-    r.avg_added_latency_us = added_latency_us_.mean();
-    r.miss_rate =
-        packets_ == 0
-            ? 0.0
-            : static_cast<double>(placeholder_hits_ + misses_) /
-                  static_cast<double>(packets_);
-    r.similarity = similarity_ ? similarity_->similarity() : 1.0;
-    return r;
 }
 
 }  // namespace p4lru::systems::lrutable

@@ -10,11 +10,12 @@
 #include "p4lru/cache/policy.hpp"
 #include "p4lru/core/p4lru_encoded.hpp"
 #include "p4lru/pipeline/p4lru3_program.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/driver.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 namespace p4lru {
@@ -43,10 +44,10 @@ TEST_F(EndToEnd, HeadlineClaimAcrossAllThreeSystems) {
     const auto table_miss = [&](auto make_policy) {
         systems::lrutable::LruTableConfig cfg;
         cfg.slow_path_delay = 40 * kMicrosecond;
-        systems::lrutable::LruTableSystem sys(make_policy(), cfg);
-        for (const auto& p : *trace_) sys.process(p);
-        sys.finish();
-        return sys.report().miss_rate;
+        systems::lrutable::LruTableTarget sys(
+            1, [&](std::size_t) { return make_policy(); }, cfg);
+        return sys.report(replay::replay_target_sequential(sys, *trace_))
+            .miss_rate;
     };
     const double t3 = table_miss([] {
         return std::make_unique<cache::P4lruArrayPolicy<
@@ -67,12 +68,13 @@ TEST_F(EndToEnd, HeadlineClaimAcrossAllThreeSystems) {
         fcfg.tower_width2 = 1u << 14;
         systems::lrumon::LruMonConfig cfg;
         cfg.threshold = 1500;
-        systems::lrumon::LruMonSystem sys(
-            std::make_unique<systems::lrumon::TowerFilter>(fcfg),
-            make_policy(), cfg);
-        for (const auto& p : *trace_) sys.process(p);
-        sys.finish();
-        return sys.report();
+        systems::lrumon::LruMonTarget sys(
+            1,
+            [&](std::size_t) {
+                return std::make_unique<systems::lrumon::TowerFilter>(fcfg);
+            },
+            [&](std::size_t) { return make_policy(); }, cfg);
+        return sys.report(replay::replay_target_sequential(sys, *trace_));
     };
     const auto m3 = mon_run([] {
         return std::make_unique<cache::P4lruArrayPolicy<
@@ -120,15 +122,18 @@ TEST_F(EndToEnd, LruMonMeasurementReconcilesWithGroundTruth) {
     fcfg.tower_width2 = 1u << 14;
     systems::lrumon::LruMonConfig cfg;
     cfg.threshold = 1000;
-    systems::lrumon::LruMonSystem sys(
-        std::make_unique<systems::lrumon::TowerFilter>(fcfg),
-        std::make_unique<cache::P4lruArrayPolicy<
-            std::uint32_t, systems::lrumon::FlowLen, 3, core::AddMerge>>(
-            3'000, 0x79),
+    systems::lrumon::LruMonTarget sys(
+        1,
+        [&](std::size_t) {
+            return std::make_unique<systems::lrumon::TowerFilter>(fcfg);
+        },
+        [](std::size_t) {
+            return std::make_unique<cache::P4lruArrayPolicy<
+                std::uint32_t, systems::lrumon::FlowLen, 3, core::AddMerge>>(
+                3'000, 0x79);
+        },
         cfg);
-    for (const auto& p : *trace_) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    const auto r = sys.report(replay::replay_target_sequential(sys, *trace_));
 
     std::uint64_t total = 0;
     for (const auto& [flow, bytes] : truth) total += bytes;

@@ -23,11 +23,12 @@
 #include "p4lru/pipeline/p4lru3_program.hpp"
 #include "p4lru/pipeline/system_resources.hpp"
 #include "p4lru/pipeline/tower_program.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/driver.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 
@@ -147,15 +148,19 @@ int cmd_lrutable(const Flags& f) {
     const auto trace = load_or_generate(f);
     systems::lrutable::LruTableConfig cfg;
     cfg.slow_path_delay = f.num("dt-us", 40) * kMicrosecond;
-    auto policy =
-        make_policy<systems::lrutable::VirtualAddress, std::uint32_t,
-                    core::ReplaceMerge>(f.str("policy", "p4lru3"),
-                                        f.num("entries", 12'288), f);
-    const std::string name = policy->name();
-    systems::lrutable::LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    std::string name;
+    systems::lrutable::LruTableTarget sys(
+        1,
+        [&](std::size_t) {
+            auto policy =
+                make_policy<systems::lrutable::VirtualAddress, std::uint32_t,
+                            core::ReplaceMerge>(f.str("policy", "p4lru3"),
+                                                f.num("entries", 12'288), f);
+            name = policy->name();
+            return policy;
+        },
+        cfg);
+    const auto r = sys.report(replay::replay_target_sequential(sys, trace));
     std::printf("policy %-9s packets %lu fast %lu placeholder %lu miss %lu\n"
                 "miss rate %.3f%%  avg added latency %.3f us\n",
                 name.c_str(), r.packets, r.fast_path, r.placeholder_hits,
@@ -176,15 +181,19 @@ int cmd_lrumon(const Flags& f) {
     }
     systems::lrumon::LruMonConfig cfg;
     cfg.threshold = static_cast<std::uint32_t>(f.num("threshold", 1500));
-    auto policy = make_policy<std::uint32_t, systems::lrumon::FlowLen,
-                              core::AddMerge>(f.str("policy", "p4lru3"),
-                                              f.num("entries", 768), f);
-    const std::string name = policy->name();
-    systems::lrumon::LruMonSystem sys(
-        systems::lrumon::make_filter(kind, fcfg), std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    std::string name;
+    systems::lrumon::LruMonTarget sys(
+        1,
+        [&](std::size_t) { return systems::lrumon::make_filter(kind, fcfg); },
+        [&](std::size_t) {
+            auto policy = make_policy<std::uint32_t, systems::lrumon::FlowLen,
+                                      core::AddMerge>(
+                f.str("policy", "p4lru3"), f.num("entries", 768), f);
+            name = policy->name();
+            return policy;
+        },
+        cfg);
+    const auto r = sys.report(replay::replay_target_sequential(sys, trace));
     std::printf(
         "policy %-9s filter %-5s  elephants %lu (miss %.2f%%)  uploads %lu "
         "(%.1f KPPS)\n"
