@@ -304,8 +304,8 @@ auto run_system_series_stream(TargetFactory&& make, Source& source,
         pt.mode = m.name;
         pt.workers = m.workers;
         if (Status st = source.seek(0); !st.is_ok()) {
-            throw std::runtime_error("run_system_series: rewind failed: " +
-                                     st.to_string());
+            throw std::runtime_error(
+                "run_system_series_stream: rewind failed: " + st.to_string());
         }
         const std::uint64_t ops = source.size();
         StopWatch w;
@@ -332,16 +332,6 @@ auto run_system_series_stream(TargetFactory&& make, Source& source,
         out.push_back(std::move(pt));
     }
     return out;
-}
-
-/// In-memory entry point: wraps `ops` in a SpanOpSource and streams it.
-template <typename TargetFactory, typename Op>
-auto run_system_series(TargetFactory&& make, const std::vector<Op>& ops,
-                       const std::vector<EngineMode>& axis) {
-    replay::SpanOpSource<Op> source(
-        std::span<const Op>(ops.data(), ops.size()));
-    return run_system_series_stream(std::forward<TargetFactory>(make),
-                                    source, axis);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 //   * crash_recover  — three injected crashes + recovery ladder restarts
 // plus the byte-level serialize / parse / CRC-verify throughput of a sealed
 // checkpoint image and the recovery-scan latency over a populated store.
+// Exits 1 unless every checkpointed series lands on the plain run's
+// statistics bit for bit.
 //
 // Emits BENCH_durability.json (schema 1) next to the binary so the cost of
 // the durability ladder is tracked run over run, like the other benches.
@@ -15,7 +17,6 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,7 @@ using namespace p4lru;
 using bench::StopWatch;
 using Cache = core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>,
                                   FlowKey, std::uint32_t>;
-using Target = replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
-using Op = replay::ReplayOp<FlowKey, std::uint32_t>;
+using Target = replay::CacheReplayTarget<Cache>;
 
 constexpr std::size_t kUnits = 4'096;
 constexpr std::uint32_t kSeed = 0x7A;
@@ -42,7 +42,7 @@ constexpr std::uint32_t kSeed = 0x7A;
 struct Row {
     std::string name;
     double wall_s = 0.0;
-    std::uint64_t ops = 0;
+    replay::ReplayStats stats{};
     std::uint64_t installs = 0;
     std::uint64_t crashes = 0;
     std::uint64_t bytes = 0;  ///< durable bytes written (installs * image)
@@ -84,34 +84,44 @@ replay::ShardedConfig engine_cfg() {
 int main() {
     const auto trace = bench::make_trace(4, 13, bench::scaled(400'000));
     const auto ops = replay::ops_from_packets(trace);
-    const auto span = std::span<const Op>(ops);
     const auto cfg = engine_cfg();
-    constexpr std::uint64_t kCadence = 32;  // install every 32 batches
+    // Install every 32 batches, or more often when the trace is too short
+    // for the uninterrupted run to make at least 5 installs (one per
+    // delivered multiple of the cadence short of the last batch).
+    const std::uint64_t batches =
+        (ops.size() + cfg.batch_ops - 1) / cfg.batch_ops;
+    const std::uint64_t cadence = std::clamp<std::uint64_t>(
+        batches > 0 ? (batches - 1) / 5 : 0, 1, 32);
 
     std::vector<Row> rows;
 
     {  // plain: no checkpoint machinery at all.
         Cache cache(kUnits, kSeed);
+        Target target(cache);
+        replay::SpanOpSource source(ops);
         StopWatch w;
-        const auto rep = replay::replay_sharded(cache, span, cfg);
-        rows.push_back({"plain", w.seconds(), rep.stats.ops, 0, 0, 0});
+        const auto rep =
+            replay::replay_target_sharded_stream(target, source, cfg).value();
+        rows.push_back({"plain", w.seconds(), rep.stats, 0, 0, 0});
     }
 
     std::uint64_t image_bytes = 0;
     {  // checkpointed: quiesce + serialize every cut, then discard.
         Cache cache(kUnits, kSeed);
         Target target(cache);
+        replay::SpanOpSource source(ops);
         std::uint64_t cuts = 0;
         StopWatch w;
-        const auto rep = replay::replay_target_checkpointed(
-            target, span, cfg, kCadence,
-            [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
-                const auto img = replay::serialize_target_checkpoint(cp);
-                image_bytes = img.bytes.size();
-                ++cuts;
-            });
-        rows.push_back({"checkpointed", w.seconds(), rep.stats.ops, cuts, 0,
-                        0});
+        const auto rep =
+            replay::replay_target_checkpointed_stream(
+                target, source, cfg, cadence,
+                [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                    const auto img = replay::serialize_target_checkpoint(cp);
+                    image_bytes = img.bytes.size();
+                    ++cuts;
+                })
+                .value();
+        rows.push_back({"checkpointed", w.seconds(), rep.stats, cuts, 0, 0});
     }
 
     const auto durable_run = [&](const char* name, bool sync,
@@ -128,11 +138,12 @@ int main() {
             return Target(lives.back());
         };
         replay::SupervisorConfig sup;
-        sup.every_batches = kCadence;
+        sup.every_batches = cadence;
         sup.max_attempts = expected_crashes + 2;
+        replay::SpanOpSource source(ops);
         StopWatch w;
-        const auto sv =
-            replay::run_supervised(factory, span, cfg, store, sup, plan);
+        const auto sv = replay::run_supervised_stream(factory, source, cfg,
+                                                      store, sup, plan);
         const double secs = w.seconds();
         if (!sv.is_ok() || sv.value().crashes != expected_crashes) {
             std::fprintf(stderr, "bench_durability: %s failed: %s\n", name,
@@ -140,7 +151,7 @@ int main() {
                                     : sv.status().to_string().c_str());
             return false;
         }
-        rows.push_back({name, secs, sv.value().report.stats.ops,
+        rows.push_back({name, secs, sv.value().report.stats,
                         sv.value().installs, sv.value().crashes,
                         sv.value().installs * image_bytes});
         return true;
@@ -150,9 +161,10 @@ int main() {
     if (!durable_run("durable_fsync", true, {}, 0)) return 1;
     // Crash ordinals are cumulative across attempts, and a resumed attempt
     // only re-installs the suffix — space them off the uninterrupted install
-    // count so all three fire even under P4LRU_SCALE shrinkage.
+    // count.  The cadence above keeps that count at 5 or more, so all three
+    // fire under P4LRU_SCALE shrinkage too.
     const std::uint64_t full_installs =
-        ops.size() / (kCadence * cfg.batch_ops);
+        ops.size() / (cadence * cfg.batch_ops);
     const std::uint64_t step = std::max<std::uint64_t>(full_installs / 5, 1);
     fault::FaultPlan crashes;
     crashes.crash(step, fault::CrashPoint::kTornInstall, 2)
@@ -160,10 +172,25 @@ int main() {
         .crash(3 * step, fault::CrashPoint::kTornTemp, 1);
     if (!durable_run("crash_recover", false, crashes, 3)) return 1;
 
+    // Checkpoint cuts, installs and crash recovery decide only when work
+    // happens, never what: every series must match the plain run.
+    for (const auto& r : rows) {
+        if (!(r.stats == rows.front().stats)) {
+            std::fprintf(stderr,
+                         "bench_durability: %s statistics differ from the "
+                         "plain run\n",
+                         r.name.c_str());
+            return 1;
+        }
+    }
+
     // --- byte-level costs over one representative image -------------------
     Cache img_cache(kUnits, kSeed);
     Target img_target(img_cache);
-    (void)replay::replay_sharded(img_cache, span, cfg);
+    {
+        replay::SpanOpSource source(ops);
+        (void)replay::replay_target_sharded_stream(img_target, source, cfg);
+    }
     const auto cut = replay::take_target_checkpoint(
         img_target,
         replay::BasicCheckpointCut<replay::ReplayStats>{
@@ -226,8 +253,8 @@ int main() {
                     "MB written"});
     for (const auto& r : rows) {
         t.add_row({r.name, ConsoleTable::num(r.wall_s, 3),
-                   ConsoleTable::num(static_cast<double>(r.ops) / r.wall_s /
-                                         1e6,
+                   ConsoleTable::num(static_cast<double>(r.stats.ops) /
+                                         r.wall_s / 1e6,
                                      2),
                    std::to_string(r.installs), std::to_string(r.crashes),
                    ConsoleTable::num(static_cast<double>(r.bytes) / 1e6,
@@ -264,7 +291,7 @@ int main() {
                      "\"ops\": %llu, \"installs\": %llu, \"crashes\": %llu, "
                      "\"durable_bytes\": %llu}%s\n",
                      r.name.c_str(), r.wall_s,
-                     static_cast<unsigned long long>(r.ops),
+                     static_cast<unsigned long long>(r.stats.ops),
                      static_cast<unsigned long long>(r.installs),
                      static_cast<unsigned long long>(r.crashes),
                      static_cast<unsigned long long>(r.bytes),

@@ -5,11 +5,12 @@
 // exactly the comparison of the paper's testbed run.
 //
 // The replay runs through the generic engine (LruTableTarget +
-// run_system_series): every figure point is the sequential reference, and
-// the heaviest trace (CAIDA_60) additionally sweeps the engine-mode axis —
-// inline batching and threaded sharding at 2 and 4 workers — emitting a
-// multi-worker throughput series to BENCH_fig09_lrutable.json with a
-// bit-equality check against the sequential statistics.
+// run_system_series_stream): every figure point is the sequential
+// reference, and the heaviest trace (CAIDA_60) additionally sweeps the
+// engine-mode axis — inline batching and threaded sharding at 2 and 4
+// workers — emitting a multi-worker throughput series to
+// BENCH_fig09_lrutable.json with a bit-equality check against the
+// sequential statistics.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -56,7 +57,8 @@ RunResult run(const std::vector<PacketRecord>& trace,
         return LruTableTarget(kPartitions, policies, cfg);
     };
     RunResult r;
-    r.modes = run_system_series(make, trace, axis);
+    replay::SpanOpSource source(trace);
+    r.modes = run_system_series_stream(make, source, axis);
     r.report = LruTableTarget(kPartitions, policies, cfg)
                    .report(r.modes.front().stats);
     return r;

@@ -3,7 +3,7 @@
 //   (b) throughput speedup over the Naive (cache-less) solution vs database
 //       size, at 8 threads
 //   (c) the same query stream through the generic replay engine
-//       (LruIndexTarget + run_system_series): sequential reference vs
+//       (LruIndexTarget + run_system_series_stream): sequential reference vs
 //       inline and 2/4-worker threaded-sharded, statistics bit-identical,
 //       multi-worker series written to BENCH_fig10_lruindex.json.
 // Series: P4LRU3 (two-pipeline LruIndex = 2 series levels, as the paper's
@@ -119,7 +119,9 @@ int main() {
         wl.seed = 77;
         const auto ops = make_index_ops(wl, queries / 2);
         const auto make = [&] { return LruIndexTarget(server, tcfg); };
-        const auto modes = run_system_series(make, ops, engine_mode_axis());
+        replay::SpanOpSource source(ops);
+        const auto modes =
+            run_system_series_stream(make, source, engine_mode_axis());
 
         std::vector<SystemJsonSeries> json;
         append_system_series(

@@ -5,9 +5,9 @@
 // Series: P4LRU3 and Baseline (hash-table cache).
 //
 // The replay runs through the generic engine (LruMonTarget +
-// run_system_series): figure points use the sequential reference, and the
-// heaviest trace (CAIDA_60 at threshold 1500) additionally sweeps the
-// engine-mode axis — inline batching and 2/4-worker threaded sharding —
+// run_system_series_stream): figure points use the sequential reference,
+// and the heaviest trace (CAIDA_60 at threshold 1500) additionally sweeps
+// the engine-mode axis — inline batching and 2/4-worker threaded sharding —
 // emitting a multi-worker series to BENCH_fig11_lrumon.json with a
 // bit-equality check against the sequential statistics.
 #include <algorithm>
@@ -70,7 +70,8 @@ RunResult run(const std::vector<PacketRecord>& trace,
         return LruMonTarget(kPartitions, filter_slices(), policies, cfg);
     };
     RunResult r;
-    r.modes = run_system_series(make, trace, axis);
+    replay::SpanOpSource source(trace);
+    r.modes = run_system_series_stream(make, source, axis);
     r.report = LruMonTarget(kPartitions, filter_slices(), policies, cfg)
                    .report(r.modes.front().stats);
     return r;

@@ -27,7 +27,9 @@ double miss_rate(const std::vector<PacketRecord>& trace,
     LruTableConfig cfg;
     cfg.slow_path_delay = dt;
     LruTableTarget target(1, policy, cfg);
-    return target.report(replay::replay_target_sequential(target, trace))
+    replay::SpanOpSource source(trace);
+    return target
+        .report(replay::replay_target_sequential_stream(target, source).value())
         .miss_rate;
 }
 

@@ -33,7 +33,9 @@ double miss_rate(const std::vector<PacketRecord>& trace,
     LruMonTarget target(
         1, [&](std::size_t) { return make_filter(FilterKind::kTower, fcfg); },
         policy, cfg);
-    return target.report(replay::replay_target_sequential(target, trace))
+    replay::SpanOpSource source(trace);
+    return target
+        .report(replay::replay_target_sequential_stream(target, source).value())
         .cache_miss_rate;
 }
 

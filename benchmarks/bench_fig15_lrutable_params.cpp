@@ -51,8 +51,9 @@ Outcome run(const std::vector<PacketRecord>& trace,
     cfg.track_similarity = true;
     cfg.similarity_max_accesses = 3 * trace.size() + 16;
     LruTableTarget target(1, policy, cfg);
-    const auto r =
-        target.report(replay::replay_target_sequential(target, trace));
+    replay::SpanOpSource source(trace);
+    const auto r = target.report(
+        replay::replay_target_sequential_stream(target, source).value());
     return {r.miss_rate, r.similarity};
 }
 

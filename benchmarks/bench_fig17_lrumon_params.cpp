@@ -35,7 +35,9 @@ LruMonReport run(const std::vector<PacketRecord>& trace, TimeNs reset,
     LruMonTarget target(
         1, [&](std::size_t) { return make_filter(kind, fcfg); },
         [=](std::size_t) { return Factory::p4lru3(entries, 0x17A); }, cfg);
-    return target.report(replay::replay_target_sequential(target, trace));
+    replay::SpanOpSource source(trace);
+    return target.report(
+        replay::replay_target_sequential_stream(target, source).value());
 }
 
 }  // namespace

@@ -186,6 +186,34 @@ BENCHMARK(BM_Crc32FlowKey);
 
 using ReplaySpan = std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>;
 
+/// One-op-at-a-time reference replay of `span` into `cache`.
+template <typename Cache>
+replay::ReplayStats replay_per_op(Cache& cache, ReplaySpan span) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(span);
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
+/// Engine replay of `span` into `cache` under `cfg`.
+template <typename Cache>
+replay::ShardedReport replay_engine(Cache& cache, ReplaySpan span,
+                                    const replay::ShardedConfig& cfg) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(span);
+    return replay::replay_target_sharded_stream(target, source, cfg).value();
+}
+
+/// The one-shard inline engine: sequential replay through the batched
+/// path (route and prefetch a block, then apply it in order), scrubbing
+/// the whole array every `scrub_every` ops when nonzero.
+replay::ShardedConfig inline_engine(std::uint64_t scrub_every = 0) {
+    replay::ShardedConfig cfg;
+    cfg.shards = 1;
+    cfg.mode = replay::Mode::kInline;
+    cfg.robust.scrub_every = scrub_every;
+    return cfg;
+}
+
 /// Scan kernel the next replay run will execute (override-aware).
 const char* active_kernel_name() {
     return core::simd::kernel_name(core::simd::active_kernel());
@@ -221,7 +249,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
     // Warmup: touch the trace and code paths once, off the clock.
     {
         Cache warm(units, 0xE1);
-        (void)replay::replay_sequential(
+        (void)replay_per_op(
             warm, span.subspan(0, std::min<std::size_t>(span.size(),
                                                         100'000)));
     }
@@ -231,7 +259,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        const auto s = replay::replay_sequential(cache, span);
+        const auto s = replay_per_op(cache, span);
         const double secs = w.seconds();
         if (rep == 0 || secs < seq_seconds) seq_seconds = secs;
         seq_stats = s;
@@ -248,14 +276,14 @@ double run_layout_series(ReplaySpan span, std::size_t units,
                         seq_stats.evictions});
     }
 
-    // Batched sequential: same op order, hashing hoisted per 256-op chunk
-    // with the key-plane line of op i+8 prefetched while op i executes.
+    // Batched sequential (the one-shard inline engine): same op order, each
+    // 256-op block routed and prefetched before it is applied in order.
     double batched_seconds = 0.0;
     replay::ReplayStats batched_stats;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        batched_stats = replay::replay_sequential_batched(cache, span);
+        batched_stats = replay_engine(cache, span, inline_engine()).stats;
         const double secs = w.seconds();
         if (rep == 0 || secs < batched_seconds) batched_seconds = secs;
     }
@@ -287,7 +315,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
         for (int rep = 0; rep < kReps; ++rep) {
             Cache cache(units, 0xE1);
             bench::StopWatch w;
-            last = replay::replay_sharded(cache, span, cfg);
+            last = replay_engine(cache, span, cfg);
             const double secs = w.seconds();
             if (rep == 0 || secs < best) best = secs;
             all_identical = all_identical && last.stats == seq_stats;
@@ -319,9 +347,10 @@ double run_layout_series(ReplaySpan span, std::size_t units,
 }
 
 /// Scan-kernel head-to-head on the SoA layout: forced scalar vs the
-/// dispatched SIMD kernel, each via the per-op and the batched sequential
-/// path.  All four cells replay the same trace; stats must be identical
-/// (the kernels are bit-equivalent — only the wall time may move).
+/// dispatched SIMD kernel, each via the per-op reference and the
+/// one-shard inline engine.  All four cells replay the same trace; stats
+/// must be identical (the kernels are bit-equivalent — only the wall time
+/// may move).
 template <typename Cache>
 void run_kernel_series(ReplaySpan span, std::size_t units,
                        ConsoleTable& table,
@@ -344,8 +373,8 @@ void run_kernel_series(ReplaySpan span, std::size_t units,
             for (int rep = 0; rep < kReps; ++rep) {
                 Cache cache(units, 0xE1);
                 bench::StopWatch w;
-                s = batched ? replay::replay_sequential_batched(cache, span)
-                            : replay::replay_sequential(cache, span);
+                s = batched ? replay_engine(cache, span, inline_engine()).stats
+                            : replay_per_op(cache, span);
                 const double secs = w.seconds();
                 if (rep == 0 || secs < best) best = secs;
             }
@@ -396,7 +425,7 @@ void run_pinning_series(ReplaySpan span, std::size_t units,
         for (int rep = 0; rep < kReps; ++rep) {
             Cache cache(units, 0xE1);
             bench::StopWatch w;
-            rep_out = replay::replay_sharded(cache, span, cfg);
+            rep_out = replay_engine(cache, span, cfg);
             const double secs = w.seconds();
             if (rep == 0 || secs < best) best = secs;
         }
@@ -421,8 +450,9 @@ void run_pinning_series(ReplaySpan span, std::size_t units,
     }
 }
 
-/// Integrity-scrubber overhead: sequential replay with the scrubber off vs
-/// on a 64k-op cadence, same trace and units as the main series.  The stats
+/// Integrity-scrubber overhead: the one-shard inline engine with the
+/// scrubber off vs on a 64k-op cadence, same trace and units as the main
+/// series.  The stats
 /// must be identical (a clean cache scrubs to zero findings); the wall-time
 /// delta is the price of periodically revalidating every meta word.
 template <typename Cache>
@@ -434,37 +464,36 @@ void run_scrubber_series(ReplaySpan span, std::size_t units,
     constexpr std::uint64_t kScrubEvery = 1u << 16;
 
     double off_seconds = 0.0;
-    replay::ReplayStats off_stats;
+    replay::ShardedReport off_rep;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        off_stats = replay::replay_sequential(cache, span);
+        off_rep = replay_engine(cache, span, inline_engine());
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
 
     double on_seconds = 0.0;
-    replay::ScrubbedReplay on_result;
+    replay::ShardedReport on_rep;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        on_result =
-            replay::replay_sequential_scrubbed(cache, span, kScrubEvery);
+        on_rep = replay_engine(cache, span, inline_engine(kScrubEvery));
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
 
     for (const auto& [mode, secs, s] :
-         {std::tuple{"scrub_off", off_seconds, off_stats},
-          std::tuple{"scrub_on", on_seconds, on_result.stats}}) {
+         {std::tuple{"scrub_off", off_seconds, off_rep.stats},
+          std::tuple{"scrub_on", on_seconds, on_rep.stats}}) {
         const stats::Throughput tp{s.ops, secs};
         table.add_row({"scrubber", layout, "1", mode, active_kernel_name(),
-                       "per_op", ConsoleTable::num(secs, 3),
+                       "batched", ConsoleTable::num(secs, 3),
                        ConsoleTable::num(tp.mops(), 2),
                        ConsoleTable::num(off_seconds / secs, 2),
                        bench::pct(s.hit_rate())});
         json.push_back({"scrubber", layout, 0, mode, active_kernel_name(),
-                        "per_op", secs, tp.mops(), s.ops, s.hits, s.misses,
+                        "batched", secs, tp.mops(), s.ops, s.hits, s.misses,
                         s.evictions});
     }
 
@@ -472,9 +501,9 @@ void run_scrubber_series(ReplaySpan span, std::size_t units,
                 "%llu units scanned, %llu corrupt, stats %s\n",
                 static_cast<unsigned long long>(kScrubEvery), layout,
                 (on_seconds / off_seconds - 1.0) * 100.0,
-                static_cast<unsigned long long>(on_result.scrub.scanned),
-                static_cast<unsigned long long>(on_result.scrub.corrupt),
-                verdict(on_result.stats == off_stats));
+                static_cast<unsigned long long>(on_rep.scrub.scanned),
+                static_cast<unsigned long long>(on_rep.scrub.corrupt),
+                verdict(on_rep.stats == off_rep.stats));
 }
 
 /// Checkpoint-quiesce overhead: threaded sharded replay with checkpointing
@@ -498,7 +527,7 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        off_rep = replay::replay_sharded(cache, span, cfg);
+        off_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
@@ -510,9 +539,8 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
         Cache cache(units, 0xE1);
         emitted = 0;
         bench::StopWatch w;
-        replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t> target(
-            cache);
-        replay::SpanOpSource source{span};
+        replay::CacheReplayTarget target(cache);
+        replay::SpanOpSource source(span);
         on_rep = replay::replay_target_checkpointed_stream(
                      target, source, cfg, kEveryBatches,
                      [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
@@ -567,7 +595,7 @@ void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xF2);
         bench::StopWatch w;
-        off_rep = replay::replay_sharded(cache, span, cfg);
+        off_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
@@ -579,7 +607,7 @@ void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xF2);
         bench::StopWatch w;
-        on_rep = replay::replay_sharded(cache, span, cfg);
+        on_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
@@ -653,8 +681,10 @@ void run_source_series(const std::vector<PacketRecord>& trace,
             auto src = open_source(source);
             auto stream = replay::packet_op_source(*src);
             Cache cache(units, 0xE1);
+            replay::CacheReplayTarget target(cache);
             bench::StopWatch w;
-            s = replay::replay_sequential_stream(cache, stream).value();
+            s = replay::replay_target_sequential_stream(target, stream)
+                    .value();
             const double secs = w.seconds();
             if (rep == 0 || secs < seq_best) seq_best = secs;
         }
@@ -682,9 +712,10 @@ void run_source_series(const std::vector<PacketRecord>& trace,
             auto src = open_source(source);
             auto stream = replay::packet_op_source(*src);
             Cache cache(units, 0xE1);
+            replay::CacheReplayTarget target(cache);
             bench::StopWatch w;
-            rep_out =
-                replay::replay_sharded_stream(cache, stream, cfg).value();
+            rep_out = replay::replay_target_sharded_stream(target, stream, cfg)
+                          .value();
             const double secs = w.seconds();
             if (rep == 0 || secs < shard_best) shard_best = secs;
         }

@@ -28,7 +28,9 @@ LruTableReport translate(const std::vector<PacketRecord>& trace,
     LruTableConfig cfg;
     cfg.slow_path_delay = 40 * kMicrosecond;
     LruTableTarget nat(1, make_policy, cfg);
-    return nat.report(replay::replay_target_sequential(nat, trace));
+    replay::SpanOpSource source(trace);
+    return nat.report(
+        replay::replay_target_sequential_stream(nat, source).value());
 }
 
 void print(const char* name, const LruTableReport& r) {

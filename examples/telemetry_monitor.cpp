@@ -40,7 +40,9 @@ LruMonReport monitor(const std::vector<PacketRecord>& trace,
     LruMonTarget mon(
         1, [&](std::size_t) { return make_filter(FilterKind::kTower, fcfg); },
         policy, cfg);
-    return mon.report(replay::replay_target_sequential(mon, trace));
+    replay::SpanOpSource source(trace);
+    return mon.report(
+        replay::replay_target_sequential_stream(mon, source).value());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Bridges trace::TraceSource (streaming on-disk packet traces,
 // trace_source.hpp) into the replay engine's OpSource concept
 // (SpanOpSource, replay.hpp) — the glue that lets a trace far larger than
-// RAM flow through replay_target_sharded_stream and the checkpointed /
-// supervised paths without ever being materialized as a vector.
+// RAM flow through the replay entry points (replay_target_*_stream,
+// resume_target_*_stream, run_supervised_stream) without ever being
+// materialized as a vector.
 //
 // Two adapters:
 //   * PacketTraceOpSource — the identity view, for targets whose Op IS
@@ -10,7 +11,7 @@
 //   * MappedTraceOpSource — decodes each PacketRecord into the target's Op
 //     through a mapping functor, staged in a reusable buffer sized by the
 //     pull (never the trace).  packet_op_source() is the canonical
-//     instantiation: the ops_from_packets mapping (key = 5-tuple flow,
+//     instantiation: PacketToReplayOp (replay.hpp, key = 5-tuple flow,
 //     value = wire length), streamed.
 //
 // Both forward seek/size/tell, so checkpoint resume seeks the underlying
@@ -88,15 +89,6 @@ class MappedTraceOpSource {
     trace::TraceSource* src_;
     MapFn fn_;
     std::vector<Op> buf_;  ///< reusable per-batch staging
-};
-
-/// The ops_from_packets mapping (replay.hpp) as a functor: key = 5-tuple
-/// flow, value = wire length.
-struct PacketToReplayOp {
-    [[nodiscard]] ReplayOp<FlowKey, std::uint32_t> operator()(
-        const PacketRecord& p) const noexcept {
-        return {p.flow, p.len};
-    }
 };
 
 /// The canonical packet-trace op source: streams the exact op sequence

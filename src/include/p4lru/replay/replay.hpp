@@ -71,6 +71,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <ranges>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -141,11 +142,10 @@ struct ReplayStats {
 /// with the TraceSource batch contract (trace_source.hpp): next_batch
 /// returns exactly min(max, size() - tell()) ops, an empty span means end
 /// of stream, the span stays valid until the next next_batch()/seek(), and
-/// errors are typed Status at the batch boundary.  SpanOpSource wraps a
-/// span the caller already holds — it never fails — and is how the legacy
-/// whole-span entry points below ride the streaming engine unchanged.
-/// op_source.hpp bridges trace::TraceSource (on-disk packet streams) into
-/// the same concept.
+/// errors are typed Status at the batch boundary.  SpanOpSource wraps ops
+/// the caller already holds in memory — it never fails, so `.value()` on
+/// the result of a replay over it cannot throw.  op_source.hpp bridges
+/// trace::TraceSource (on-disk packet streams) into the same concept.
 template <typename Op>
 class SpanOpSource {
   public:
@@ -179,6 +179,10 @@ class SpanOpSource {
     std::span<const Op> ops_;
     std::size_t cursor_ = 0;
 };
+
+template <std::ranges::contiguous_range R>
+    requires std::ranges::borrowed_range<R>  // no source over a temporary
+SpanOpSource(R&&) -> SpanOpSource<std::ranges::range_value_t<R>>;
 
 enum class Mode {
     kAuto,      ///< threaded when >1 hardware thread, else inline
@@ -253,108 +257,11 @@ struct BasicShardedReport {
 
 using ShardedReport = BasicShardedReport<ReplayStats>;
 
-/// Default pull size of the sequential streaming replayers: large enough to
+/// Default pull size of the sequential streaming replayer: large enough to
 /// amortize the per-batch virtual call, small enough that a bounded-memory
 /// source stays bounded.  Results never depend on it — ops are applied one
 /// at a time in stream order whatever the pull size.
 inline constexpr std::size_t kSequentialPullOps = 4096;
-
-/// Reference replayer over any op source (OpSource concept above): one op
-/// at a time on the calling thread, pulled in `pull_ops`-record batches.
-/// `Cache` is any core::ParallelCache instantiation (either storage
-/// layout).  Fails only when the source fails (a SpanOpSource never does).
-template <typename Cache, typename Source>
-[[nodiscard]] Expected<ReplayStats> replay_sequential_stream(
-    Cache& cache, Source& source,
-    std::size_t pull_ops = kSequentialPullOps) {
-    cache.materialize();  // no-op unless constructed with defer_init
-    ReplayStats s;
-    for (;;) {
-        auto pulled = source.next_batch(pull_ops ? pull_ops : 1);
-        if (!pulled.is_ok()) return pulled.status();
-        const auto chunk = pulled.value();
-        if (chunk.empty()) break;
-        for (const auto& op : chunk) {
-            s.tally(cache.update(op.key, op.value));
-        }
-    }
-    return s;
-}
-
-/// Reference replayer: one op at a time on the calling thread.  A
-/// SpanOpSource wrapper over the streaming core — the span is just an op
-/// source that never fails.
-template <typename Cache, typename Key, typename Value>
-ReplayStats replay_sequential(Cache& cache,
-                              std::span<const ReplayOp<Key, Value>> ops) {
-    SpanOpSource<ReplayOp<Key, Value>> source(ops);
-    return replay_sequential_stream(cache, source).value();
-}
-
-/// Streaming counterpart of replay_sequential_batched: each pulled chunk
-/// goes through the cache's batched update path.  Ops are still applied one
-/// at a time in stream order, so the UpdateResult stream — and therefore
-/// the statistics and the final cache state — is bit-identical to
-/// replay_sequential_stream for any pull size.
-template <typename Cache, typename Source>
-[[nodiscard]] Expected<ReplayStats> replay_sequential_batched_stream(
-    Cache& cache, Source& source,
-    std::size_t pull_ops = kSequentialPullOps) {
-    cache.materialize();
-    ReplayStats s;
-    const auto tally = [&s](std::size_t, std::size_t, const auto& r) {
-        s.tally(r);
-    };
-    for (;;) {
-        auto pulled = source.next_batch(pull_ops ? pull_ops : 1);
-        if (!pulled.is_ok()) return pulled.status();
-        const auto chunk = pulled.value();
-        if (chunk.empty()) break;
-        cache.update_batch(chunk, tally);
-    }
-    return s;
-}
-
-/// Sequential replay through the cache's batched update path: buckets are
-/// hashed a chunk (256 ops) ahead and each op's unit is software-prefetched
-/// core::kBatchPrefetchDistance ops before use, so the unit array's
-/// random-access latency overlaps earlier updates.  Ops are still applied
-/// one at a time in order, so the UpdateResult stream — and therefore the
-/// statistics and the final cache state — is bit-identical to
-/// replay_sequential (tests/replay/batch_equivalence_test.cpp).
-template <typename Cache, typename Key, typename Value>
-ReplayStats replay_sequential_batched(
-    Cache& cache, std::span<const ReplayOp<Key, Value>> ops) {
-    SpanOpSource<ReplayOp<Key, Value>> source(ops);
-    return replay_sequential_batched_stream(cache, source).value();
-}
-
-/// Sequential replay with the integrity scrubber on a fixed cadence: every
-/// `scrub_every` ops the whole unit array is validated and repaired.  On an
-/// uncorrupted cache the scrub finds nothing and the statistics are
-/// bit-identical to replay_sequential — the scrubber's cost (benchmarked in
-/// bench_micro_ops) is pure overhead, never behaviour.
-struct ScrubbedReplay {
-    ReplayStats stats{};
-    core::ScrubReport scrub{};
-};
-
-template <typename Cache, typename Key, typename Value>
-ScrubbedReplay replay_sequential_scrubbed(
-    Cache& cache, std::span<const ReplayOp<Key, Value>> ops,
-    std::uint64_t scrub_every) {
-    cache.materialize();
-    ScrubbedReplay r;
-    std::uint64_t until_scrub = scrub_every;
-    for (const auto& op : ops) {
-        r.stats.tally(cache.update(op.key, op.value));
-        if (scrub_every != 0 && --until_scrub == 0) {
-            r.scrub.merge(cache.scrub_all());
-            until_scrub = scrub_every;
-        }
-    }
-    return r;
-}
 
 namespace detail {
 
@@ -364,18 +271,6 @@ struct RoutedOp {
     std::uint32_t bucket = 0;
     Key key{};
     Value value{};
-};
-
-/// Key/Value extraction from a ReplayOp instantiation — the cache-level
-/// streaming entry points cannot deduce them from a span argument, so they
-/// read them off the source's value_type instead.
-template <typename Op>
-struct ReplayOpTraits;
-
-template <typename Key, typename Value>
-struct ReplayOpTraits<ReplayOp<Key, Value>> {
-    using key_type = Key;
-    using value_type = Value;
 };
 
 /// Per-shard control block shared between a worker and the dispatcher.
@@ -431,9 +326,11 @@ inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
 /// view — routing hashes once via the cache's bucket hash, batches go
 /// through the cache's routed-batch update path, and the snapshot plane is
 /// the storage's raw plane image tagged with its layout id + geometry
-/// fingerprint.  Behavior is identical to the historical cache-wired
-/// engine: replay_sharded wraps the cache in this adapter.
-template <typename Cache, typename Key, typename Value>
+/// fingerprint.  Key and Value default to the storage's, so
+/// `CacheReplayTarget target(cache);` deduces everything.
+template <typename Cache,
+          typename Key = typename Cache::storage_type::key_type,
+          typename Value = typename Cache::storage_type::value_type>
 class CacheReplayTarget {
   public:
     using Op = ReplayOp<Key, Value>;
@@ -549,7 +446,7 @@ namespace detail {
 
 /// Disabled checkpoint hook: the default instantiation folds the trigger
 /// check and the quiesce machinery away entirely (if constexpr on
-/// kEnabled), so a plain replay_sharded pays nothing.
+/// kEnabled), so a plain replay_target_sharded_stream pays nothing.
 /// target_checkpoint.hpp's TargetDispatchCheckpointer is the enabled
 /// counterpart.
 struct NoCheckpoint {
@@ -564,9 +461,9 @@ struct NoCheckpoint {
     }
 };
 
-/// Shared engine behind every sharded entry point — replay_sharded, the
-/// checkpointed target replays (target_checkpoint.hpp), the system adapters
-/// (systems/*/..._target.hpp) and the streaming variants.  `Target` is any
+/// Shared engine behind every sharded entry point —
+/// replay_target_sharded_stream below and the checkpointed, resumed and
+/// supervised replays (target_checkpoint.hpp, supervisor.hpp).  `Target` is any
 /// model of the ReplayTarget concept (replay_target.hpp) — the engine only
 /// routes, batches, prefetches and applies; what an op *means* belongs to
 /// the target.  `Source` is any model of the OpSource concept (SpanOpSource
@@ -579,8 +476,7 @@ struct NoCheckpoint {
 ///
 /// The run covers the ops [source.tell(), source.size()) at entry, and all
 /// indices — fault ordinals, checkpoint cursors — are relative to the entry
-/// position, exactly as the legacy span engine treated a suffix subspan:
-/// seek-based resume (target_checkpoint.hpp) positions the
+/// position: seek-based resume (target_checkpoint.hpp) positions the
 /// source at the checkpoint cursor instead of re-reading the prefix.
 ///
 /// A source failure (rot discovered mid-stream, a file that shrank under
@@ -1114,62 +1010,13 @@ replay_sharded_stream_impl(Target& target, Source& source,
     return report;
 }
 
-/// Whole-span engine entry: the historical signature, now a SpanOpSource
-/// wrapper over the streaming core.  A span source never fails, so the
-/// Expected unwrap cannot throw.
-template <typename Target, typename Faults, typename Ckpt>
-BasicShardedReport<typename Target::Stats> replay_sharded_impl(
-    Target& target, std::span<const typename Target::Op> ops,
-    const ShardedConfig& cfg, const Faults& faults, Ckpt& ckpt) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return replay_sharded_stream_impl(target, source, cfg, faults, ckpt)
-        .value();
-}
-
 }  // namespace detail
-
-/// Sharded replay. Bit-identical statistics and final cache state to
-/// replay_sequential on the same (cache, ops) input, for any shard count —
-/// including degraded runs where stalled workers were drained inline (the
-/// takeover preserves per-unit arrival order).  `Faults` is the injection
-/// hook set: fault::NoFaults (default) compiles every hook away;
-/// fault::InjectedFaults applies a FaultPlan (worker stalls/delays in
-/// threaded mode; plane/op corruption in inline mode, where a single thread
-/// owns the cache).  For mid-run checkpoint emission wrap the cache in a
-/// CacheReplayTarget and use replay_target_checkpointed
-/// (target_checkpoint.hpp), which shares this engine.
-template <typename Cache, typename Key, typename Value,
-          typename Faults = fault::NoFaults>
-ShardedReport replay_sharded(Cache& cache,
-                             std::span<const ReplayOp<Key, Value>> ops,
-                             const ShardedConfig& cfg = {},
-                             const Faults& faults = {}) {
-    CacheReplayTarget<Cache, Key, Value> target(cache);
-    detail::NoCheckpoint no_ckpt;
-    return detail::replay_sharded_impl(target, ops, cfg, faults, no_ckpt);
-}
-
-/// Streaming counterpart of replay_sharded: pulls ReplayOp batches from any
-/// op source (the source's value_type names the Key/Value pair), so the
-/// cache-level engine also runs in O(batch) memory.  Fails when the source
-/// fails mid-stream.
-template <typename Cache, typename Source, typename Faults = fault::NoFaults>
-[[nodiscard]] Expected<ShardedReport> replay_sharded_stream(
-    Cache& cache, Source& source, const ShardedConfig& cfg = {},
-    const Faults& faults = {}) {
-    using Op = std::remove_cvref_t<typename Source::value_type>;
-    using Traits = detail::ReplayOpTraits<Op>;
-    CacheReplayTarget<Cache, typename Traits::key_type,
-                      typename Traits::value_type>
-        target(cache);
-    detail::NoCheckpoint no_ckpt;
-    return detail::replay_sharded_stream_impl(target, source, cfg, faults,
-                                              no_ckpt);
-}
 
 /// Sequential reference replay of any ReplayTarget over any op source: one
 /// op at a time on the calling thread, in stream order, pulled in
-/// `pull_ops`-record batches.  Fails only when the source fails.
+/// `pull_ops`-record batches.  This is the oracle the sharded modes are
+/// proven bit-identical against (tests/systems/, tests/replay/).  Fails
+/// only when the source fails.
 template <typename Target, typename Source>
 [[nodiscard]] Expected<typename Target::Stats>
 replay_target_sequential_stream(Target& target, Source& source,
@@ -1190,38 +1037,21 @@ replay_target_sequential_stream(Target& target, Source& source,
     return stats;
 }
 
-/// Sequential reference replay of any ReplayTarget: one op at a time on the
-/// calling thread, in arrival order.  This is the oracle the sharded modes
-/// are proven bit-identical against (tests/systems/).
-template <typename Target>
-typename Target::Stats replay_target_sequential(
-    Target& target, std::span<const typename Target::Op> ops) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return replay_target_sequential_stream(target, source).value();
-}
-
 /// Sharded replay of any ReplayTarget through the shared engine: inline
 /// batched on one thread or threaded across shard workers per `cfg.mode`,
 /// with the full degradation ladder (backpressure, watchdog takeover,
-/// order-preserving inline drain) and fault hooks.  Statistics are
-/// bit-identical to replay_target_sequential for any shard geometry.
-template <typename Target, typename Faults = fault::NoFaults>
-BasicShardedReport<typename Target::Stats> replay_target_sharded(
-    Target& target, std::span<const typename Target::Op> ops,
-    const ShardedConfig& cfg = {}, const Faults& faults = {}) {
-    detail::NoCheckpoint no_ckpt;
-    return detail::replay_sharded_impl(target, ops, cfg, faults, no_ckpt);
-}
-
-/// Streaming counterpart of replay_target_sharded: the same engine, pulling
-/// `cfg.batch_ops`-record chunks from any op source instead of indexing a
-/// resident span — the engine's footprint is O(batch), so an on-disk trace
-/// far larger than RAM replays through a bounded-memory source
-/// (op_source.hpp over trace::ChunkedFileSource).  Covers the ops
-/// [source.tell(), source.size()); statistics and final target state are
-/// bit-identical to the span entry point over the same op sequence.  Fails
-/// when the source fails mid-stream; the target is then left in a valid but
-/// partial state.
+/// order-preserving inline drain) and fault hooks.  `Faults` is the
+/// injection hook set: fault::NoFaults (default) compiles every hook away;
+/// fault::InjectedFaults applies a FaultPlan (worker stalls/delays in
+/// threaded mode; plane/op corruption in inline mode, where a single thread
+/// owns the target).  The engine pulls `cfg.batch_ops`-record chunks, so
+/// its footprint is O(batch) and an on-disk trace far larger than RAM
+/// replays through a bounded-memory source (op_source.hpp over
+/// trace::ChunkedFileSource).  Covers the ops [source.tell(),
+/// source.size()); statistics and final target state are bit-identical to
+/// replay_target_sequential_stream for any shard geometry.  Fails when the
+/// source fails mid-stream; the target is then left in a valid but partial
+/// state.
 template <typename Target, typename Source, typename Faults = fault::NoFaults>
 [[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
 replay_target_sharded_stream(Target& target, Source& source,
@@ -1232,8 +1062,16 @@ replay_target_sharded_stream(Target& target, Source& source,
                                               no_ckpt);
 }
 
-/// Adapter: a packet trace as replay operations (key = 5-tuple, value = wire
-/// length — the LruTable/LruMon-style update stream).
+/// The packet-to-op mapping of the LruTable/LruMon-style update stream:
+/// key = 5-tuple flow, value = wire length.
+struct PacketToReplayOp {
+    [[nodiscard]] ReplayOp<FlowKey, std::uint32_t> operator()(
+        const PacketRecord& p) const noexcept {
+        return {p.flow, p.len};
+    }
+};
+
+/// A packet trace as replay operations, mapped by PacketToReplayOp.
 [[nodiscard]] std::vector<ReplayOp<FlowKey, std::uint32_t>> ops_from_packets(
     std::span<const PacketRecord> trace);
 

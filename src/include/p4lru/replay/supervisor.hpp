@@ -1,7 +1,7 @@
 // Crash-recovery supervisor for checkpointed target replays (DESIGN.md
 // §12).
 //
-// run_supervised drives replay_target_checkpointed_stream /
+// run_supervised_stream drives replay_target_checkpointed_stream /
 // resume_target_checkpointed_stream for any ReplayTarget with a checkpoint
 // cadence, installing every emitted checkpoint into a DurableStore as a
 // sealed generation.  When a run dies — in these tests, deterministically,
@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -284,24 +283,6 @@ template <typename TargetFactory, typename Source,
         ErrorCode::kUnavailable,
         "supervised replay gave up after " + std::to_string(out.attempts) +
             " attempts; last failure: " + last_failure.to_string()));
-}
-
-/// Run `ops` through a checkpointed, store-backed, crash-surviving replay.
-/// A SpanOpSource wrapper over run_supervised_stream (cold starts "seek"
-/// the span back to 0; resumes skip the prefix).
-template <typename TargetFactory, typename Op,
-          typename Faults = fault::NoFaults>
-[[nodiscard]] auto run_supervised(TargetFactory&& make_target,
-                                  std::span<const Op> ops,
-                                  const ShardedConfig& cfg,
-                                  DurableStore& store,
-                                  const SupervisorConfig& sup = {},
-                                  const fault::FaultPlan& plan = {},
-                                  const Faults& faults = {}) {
-    SpanOpSource<Op> source(ops);
-    return run_supervised_stream(
-        std::forward<TargetFactory>(make_target), source, cfg, store, sup,
-        plan, faults);
 }
 
 }  // namespace p4lru::replay

@@ -151,22 +151,6 @@ replay_target_checkpointed_stream(Target& target, Source& source,
                                               ckpt);
 }
 
-/// Sharded target replay that emits a TargetCheckpoint into `sink` every
-/// `every_batches` delivered batches.  A SpanOpSource wrapper over
-/// replay_target_checkpointed_stream (a span source never fails).
-template <typename Target, typename Sink, typename Faults = fault::NoFaults>
-BasicShardedReport<typename Target::Stats> replay_target_checkpointed(
-    Target& target, std::span<const typename Target::Op> ops,
-    const ShardedConfig& cfg, std::uint64_t every_batches, Sink&& sink,
-    const Faults& faults = {}) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return replay_target_checkpointed_stream(target, source, cfg,
-                                             every_batches,
-                                             std::forward<Sink>(sink),
-                                             faults)
-        .value();
-}
-
 /// Shape/consistency validation shared by the resume entry points and the
 /// supervisor's recovery scan: does `cp` describe a run of THIS target over
 /// a stream of `op_count` ops?  kInvalidState on any mismatch.
@@ -324,20 +308,6 @@ resume_target_sharded_stream(
     return resume_target_checkpointed_stream(
         target, source, cp, cfg, /*every_batches=*/0,
         [](TargetCheckpoint<typename Target::Stats>&&) {}, faults);
-}
-
-/// Restore a target checkpoint into `target` and replay the remaining ops
-/// [cp.cursor, end).  A SpanOpSource wrapper over
-/// resume_target_sharded_stream.
-template <typename Target, typename Faults = fault::NoFaults>
-[[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
-resume_target_sharded(Target& target,
-                      std::span<const typename Target::Op> ops,
-                      const TargetCheckpoint<typename Target::Stats>& cp,
-                      const ShardedConfig& cfg = {},
-                      const Faults& faults = {}) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return resume_target_sharded_stream(target, source, cp, cfg, faults);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,39 @@
-// Test helpers for checkpointing the bare P4LRU array through its replay
-// target (CacheReplayTarget + target_checkpoint.hpp): a sequential run is
-// a {shards = 1, Mode::kInline} run, so "checkpoint a sequential replay at
-// cursor c" and "resume it sequentially" are spelled once here.
+// Test helpers for replaying and checkpointing the bare P4LRU array through
+// its replay target (CacheReplayTarget + target_checkpoint.hpp): resident
+// ops ride a SpanOpSource into the _stream entry points, and a sequential
+// engine run is a {shards = 1, Mode::kInline} run, so "replay this cache",
+// "checkpoint a sequential replay at cursor c" and "resume it
+// sequentially" are spelled once here.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/target_checkpoint.hpp"
 
 namespace p4lru::testutil {
+
+/// The one-op-at-a-time reference replay of resident `ops` into `cache`.
+template <typename Cache, typename Ops>
+replay::ReplayStats cache_sequential(Cache& cache, const Ops& ops) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
+/// The sharded engine over resident `ops` into `cache`.
+template <typename Cache, typename Ops, typename Faults = fault::NoFaults>
+replay::ShardedReport cache_sharded(Cache& cache, const Ops& ops,
+                                    const replay::ShardedConfig& cfg = {},
+                                    const Faults& faults = {}) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sharded_stream(target, source, cfg, faults)
+        .value();
+}
 
 /// One inline shard: the engine's sequential mode.  With `cadence_ops`
 /// set, blocks are that long, so checkpointing every block cuts at exactly

@@ -53,6 +53,7 @@
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 namespace {
@@ -97,7 +98,7 @@ int main() {
         std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops);
 
     Cache seq_cache(1024, 0x7A);
-    const auto seq = replay::replay_sequential(seq_cache, span);
+    const auto seq = testutil::cache_sequential(seq_cache, span);
 
     replay::ShardedConfig cfg;
     cfg.shards = 4;
@@ -135,7 +136,7 @@ int main() {
         const auto plan = fault::FaultPlan::chaos(seed, spec);
         const fault::InjectedFaults faults(plan);
         Cache cache(1024, 0x7A);
-        const auto rep = replay::replay_sharded(cache, span, cfg, faults);
+        const auto rep = testutil::cache_sharded(cache, span, cfg, faults);
         if (!(rep.stats == seq)) {
             std::fprintf(
                 stderr,
@@ -285,8 +286,9 @@ int main() {
             std::filesystem::create_directories(store_dir, ec);
         }
         obs::Sampler sampler(reg, samp_cfg);
-        const auto sv = replay::run_supervised(factory, span, sup_cfg, store,
-                                               sup, crash_plan, faults);
+        replay::SpanOpSource source(span);
+        const auto sv = replay::run_supervised_stream(
+            factory, source, sup_cfg, store, sup, crash_plan, faults);
         sampler.stop();  // final snapshot carries the run's totals
         if (!sv.is_ok() || !(sv.value().report.stats == seq)) {
             std::fprintf(
@@ -418,8 +420,9 @@ int main() {
             }
             auto stream = replay::packet_op_source(*src.value());
             Cache io_cache(1024, 0x7A);
-            const auto io_rep =
-                replay::replay_sharded_stream(io_cache, stream, cfg, faults);
+            Target io_target(io_cache);
+            const auto io_rep = replay::replay_target_sharded_stream(
+                io_target, stream, cfg, faults);
             if (!io_rep.is_ok() || !(io_rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,

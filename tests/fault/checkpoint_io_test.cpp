@@ -36,6 +36,7 @@ template <typename Cache>
 using FlowTarget = CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
 using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
 using Checkpoint = TargetCheckpoint<ReplayStats>;
+using testutil::cache_sequential;
 using testutil::resume_sequential;
 using testutil::sequential_checkpoint;
 
@@ -105,7 +106,7 @@ TEST_F(CheckpointIoTest, ShardedRoundTripPreservesEveryField) {
 TEST_F(CheckpointIoTest, SequentialCheckpointRoundTripsThroughSameReader) {
     const auto ops = small_ops();
     FlowCache cache(64, 0x9D);
-    ReplayStats s = replay_sequential(cache, Ops(ops).first(10'000));
+    ReplayStats s = cache_sequential(cache, Ops(ops).first(10'000));
     const auto cp =
         sequential_checkpoint(FlowTarget<FlowCache>(cache), 10'000, s);
     ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
@@ -120,7 +121,7 @@ TEST_F(CheckpointIoTest, SequentialCheckpointRoundTripsThroughSameReader) {
     const auto res = resume_sequential(target, Ops(ops), rd.value());
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     FlowCache ref(64, 0x9D);
-    EXPECT_EQ(res.value(), replay_sequential(ref, Ops(ops)));
+    EXPECT_EQ(res.value(), cache_sequential(ref, Ops(ops)));
 }
 
 TEST_F(CheckpointIoTest, MissingFileIsIoErrorWithPathAndErrno) {
@@ -231,7 +232,7 @@ TEST_F(CheckpointIoTest, EveryTruncationPrefixIsRejectedWithOffset) {
 TEST_F(CheckpointIoTest, CrossLayoutResumeRejectedAfterDiskRoundTrip) {
     const auto ops = small_ops();
     AosFlowCache aos(64, 0x9D);
-    ReplayStats s = replay_sequential(aos, Ops(ops).first(5'000));
+    ReplayStats s = cache_sequential(aos, Ops(ops).first(5'000));
     ASSERT_TRUE(write_target_checkpoint(
                     path_, sequential_checkpoint(
                                FlowTarget<AosFlowCache>(aos), 5'000, s))

@@ -28,6 +28,7 @@ using AosFlowCache =
                            std::uint32_t>;
 template <typename Cache>
 using FlowTarget = CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
+using testutil::cache_sequential;
 using testutil::resume_sequential;
 using testutil::sequential_checkpoint;
 
@@ -62,10 +63,10 @@ void kill_and_resume_at(const std::vector<ReplayOp<FlowKey, std::uint32_t>>&
                             ops,
                         std::size_t cursor) {
     Cache full(1024, 0x17);
-    const auto ref = replay_sequential(full, Ops(ops));
+    const auto ref = cache_sequential(full, Ops(ops));
 
     Cache first(1024, 0x17);
-    const auto head = replay_sequential(first, Ops(ops).subspan(0, cursor));
+    const auto head = cache_sequential(first, Ops(ops).subspan(0, cursor));
     const auto cp =
         sequential_checkpoint(FlowTarget<Cache>(first), cursor, head);
 
@@ -106,7 +107,7 @@ TEST(CheckpointResume, BoundaryCursors) {
 TEST(CheckpointResume, CheckpointedRunEmitsSnapshotsAndMatches) {
     const auto ops = zipf_ops();
     FlowCache plain(512, 0x31);
-    const auto ref = replay_sequential(plain, Ops(ops));
+    const auto ref = cache_sequential(plain, Ops(ops));
 
     // A sequential cadence of 10'000 ops: one inline shard, 2'500-op
     // blocks, a checkpoint every 4 blocks.

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "p4lru/cache/policy.hpp"
@@ -150,10 +149,11 @@ void expect_every_block_routed(const obs::Registry& reg, std::size_t ops) {
 /// stall; the first cut is resumed on a fresh target.
 template <typename Make, typename Op>
 void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
-    const std::span<const Op> span(ops);
     auto seq_holder = make();
     auto& seq_target = target_of(*seq_holder);
-    const auto seq = replay_target_sequential(seq_target, span);
+    SpanOpSource seq_source(ops);
+    const auto seq =
+        replay_target_sequential_stream(seq_target, seq_source).value();
     const auto seq_state = state_of(seq_target);
     using Stats = std::remove_cvref_t<decltype(seq)>;
 
@@ -167,14 +167,16 @@ void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
     auto holder = make();
     auto& target = target_of(*holder);
     std::vector<TargetCheckpoint<Stats>> cps;
+    SpanOpSource source(ops);
     const auto rep =
-        cut ? replay_target_checkpointed(
-                  target, span, cfg, /*every_batches=*/3,
-                  [&](TargetCheckpoint<Stats>&& cp) {
-                      cps.push_back(std::move(cp));
-                  },
-                  faults)
-            : replay_target_sharded(target, span, cfg, faults);
+        (cut ? replay_target_checkpointed_stream(
+                   target, source, cfg, /*every_batches=*/3,
+                   [&](TargetCheckpoint<Stats>&& cp) {
+                       cps.push_back(std::move(cp));
+                   },
+                   faults)
+             : replay_target_sharded_stream(target, source, cfg, faults))
+            .value();
 
     EXPECT_EQ(rep.stats, seq) << "stalled run must stay bit-identical";
     EXPECT_EQ(state_of(target), seq_state);
@@ -194,8 +196,9 @@ void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
     auto resumed_holder = make();
     auto& resumed = target_of(*resumed_holder);
     obs::Registry resume_reg;
-    const auto res =
-        resume_target_sharded(resumed, span, first, chaos_config(resume_reg));
+    SpanOpSource resume_source(ops);
+    const auto res = resume_target_sharded_stream(
+        resumed, resume_source, first, chaos_config(resume_reg));
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resume from the mid-stall cut";
     EXPECT_EQ(state_of(resumed), seq_state);
@@ -239,17 +242,21 @@ TEST(RoutingChaos, LruIndexStalledWorkerWithCheckpointCut) {
 // route every block and apply every shard, in block order.
 TEST(RoutingChaos, DispatcherRoutesEverythingWhenAllWorkersPark) {
     const auto ops = ops_from_packets(packets());
-    const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     OwnedArray seq;
-    const auto want = replay_target_sequential(seq.view, span);
+    SpanOpSource seq_source(ops);
+    const auto want =
+        replay_target_sequential_stream(seq.view, seq_source).value();
 
     fault::FaultPlan plan;
     for (std::uint32_t s = 0; s < 3; ++s) plan.stall_worker(s, 0);
     const fault::InjectedFaults faults(plan);
     obs::Registry reg;
     OwnedArray run;
+    SpanOpSource source(ops);
     const auto rep =
-        replay_target_sharded(run.view, span, chaos_config(reg), faults);
+        replay_target_sharded_stream(run.view, source, chaos_config(reg),
+                                     faults)
+            .value();
 
     EXPECT_EQ(rep.stats, want);
     EXPECT_EQ(state_of(run.view), state_of(seq.view));

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
@@ -13,6 +12,7 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::core {
 namespace {
@@ -148,9 +148,7 @@ TEST(Scrubber, ReplayRepairsInjectedCorruptionWithoutAborting) {
     replay::ShardedConfig cfg;
     cfg.mode = replay::Mode::kInline;  // data faults need a single owner
     cfg.robust.scrub_every = 1'024;
-    const auto rep = replay_sharded(
-        cache, std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops),
-        cfg, faults);
+    const auto rep = testutil::cache_sharded(cache, ops, cfg, faults);
 
     EXPECT_EQ(rep.stats.ops, ops.size()) << "no abort: every op processed";
     EXPECT_EQ(rep.scrub.corrupt, 3u) << "all injected corruptions found";
@@ -160,49 +158,53 @@ TEST(Scrubber, ReplayRepairsInjectedCorruptionWithoutAborting) {
     EXPECT_EQ(cache.scrub_all().corrupt, 0u);
 }
 
+/// One inline shard (the engine's sequential mode) with the scrubber off,
+/// then on every 4096 ops.
 TEST(Scrubber, ScrubbedSequentialReplayIsBitIdenticalWhenClean) {
     const auto ops = zipf_ops();
+    replay::ShardedConfig cfg = testutil::sequential_config();
     FlowCache plain(512, 0x99);
-    const auto ref = replay_sequential(
-        plain, std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto ref = testutil::cache_sharded(plain, ops, cfg);
+    EXPECT_EQ(ref.scrub.scanned, 0u);
 
+    cfg.robust.scrub_every = 4'096;
     FlowCache scrubbed(512, 0x99);
-    const auto r = replay::replay_sequential_scrubbed(
-        scrubbed,
-        std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops),
-        /*scrub_every=*/4'096);
-    EXPECT_EQ(r.stats, ref) << "scrubbing a healthy cache changes nothing";
+    const auto r = testutil::cache_sharded(scrubbed, ops, cfg);
+    EXPECT_EQ(r.stats, ref.stats)
+        << "scrubbing a healthy cache changes nothing";
+    std::vector<std::byte> plain_planes, scrubbed_planes;
+    plain.storage().save_planes(plain_planes);
+    scrubbed.storage().save_planes(scrubbed_planes);
+    EXPECT_EQ(scrubbed_planes, plain_planes);
     EXPECT_GT(r.scrub.scanned, 0u);
     EXPECT_EQ(r.scrub.corrupt, 0u);
 }
 
-/// Scrub-cadence equivalence (ISSUE 4 satellite): the inline sharded path
-/// must fire its scrub on exactly the same op counts as the sequential
-/// path, for scrub cadences below, at, and above the dispatch block size.
-/// The old code scrubbed at most once per block and discarded the
-/// overshoot, so with scrub_every < batch_ops it under-scrubbed by up to
-/// batch_ops/scrub_every times; the remainder carry fixes that, and equal
-/// ScrubReport.scanned totals are the proof (each firing scans the whole
-/// unit array on both paths).
+/// Scrub-cadence exactness: the inline path must fire its scrub once per
+/// `scrub_every` ops, for scrub cadences below, at, and above the dispatch
+/// block size.  An engine that scrubbed at most once per block and
+/// discarded the overshoot would under-scrub by up to
+/// batch_ops/scrub_every times with scrub_every < batch_ops; the remainder
+/// carry prevents that.  Each firing scans the whole unit array, so the
+/// scanned total is (ops / scrub_every) * units exactly.
 TEST(Scrubber, InlineShardedScrubCadenceMatchesSequential) {
     const auto ops = zipf_ops();
-    using Ops = std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>;
+    constexpr std::size_t kUnits = 512;
+    FlowCache seq(kUnits, 0x77);
+    const auto ref = testutil::cache_sequential(seq, ops);
+
     const std::uint64_t cadences[] = {64, 100, 256, 1'000, 4'096};
     for (const std::uint64_t scrub_every : cadences) {
-        FlowCache seq(512, 0x77);
-        const auto a =
-            replay::replay_sequential_scrubbed(seq, Ops(ops), scrub_every);
-
-        FlowCache inl(512, 0x77);
+        FlowCache inl(kUnits, 0x77);
         replay::ShardedConfig cfg;
         cfg.mode = replay::Mode::kInline;
         cfg.batch_ops = 256;  // cadences above span both < and > this
         cfg.robust.scrub_every = scrub_every;
-        const auto rep = replay_sharded(inl, Ops(ops), cfg);
+        const auto rep = testutil::cache_sharded(inl, ops, cfg);
 
-        EXPECT_EQ(rep.scrub.scanned, a.scrub.scanned)
+        EXPECT_EQ(rep.scrub.scanned, (ops.size() / scrub_every) * kUnits)
             << "scrub_every=" << scrub_every;
-        EXPECT_EQ(rep.stats, a.stats) << "scrub_every=" << scrub_every;
+        EXPECT_EQ(rep.stats, ref) << "scrub_every=" << scrub_every;
         EXPECT_EQ(rep.scrub.corrupt, 0u);
     }
 }

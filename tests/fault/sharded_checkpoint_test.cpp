@@ -1,9 +1,8 @@
 // Sharded checkpoint/resume property test: for random (shard count, batch
 // size, checkpoint cadence, kill point) over Zipf and YCSB traces, resuming
 // the array (as a CacheReplayTarget) from a disk-round-tripped checkpoint
-// must
-// land on statistics and final plane bytes bit-identical to an
-// uninterrupted replay_sequential — on both storage layouts, with the
+// must land on statistics and final plane bytes bit-identical to an
+// uninterrupted sequential replay — on both storage layouts, with the
 // resume free to pick a different shard count / batch size than the
 // interrupted run, and including runs whose workers were parked by faults
 // or abandoned by the watchdog mid-checkpoint.
@@ -22,6 +21,7 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 namespace p4lru::replay {
@@ -168,7 +168,7 @@ void run_property(const std::vector<ReplayOp<Key, Value>>& ops,
                   std::uint64_t rng_seed, int trials, bool chaos) {
     using Ops = std::span<const ReplayOp<Key, Value>>;
     Cache ref(units, cache_seed);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::cache_sequential(ref, Ops(ops));
     std::mt19937_64 rng(rng_seed);
     for (int t = 0; t < trials; ++t) {
         SCOPED_TRACE("trial " + std::to_string(t));
@@ -201,7 +201,7 @@ TEST(ShardedCheckpoint, InlineModeEmitsPerBlockCheckpoints) {
     const auto ops = zipf_ops();
     using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x55);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::cache_sequential(ref, Ops(ops));
 
     ShardedConfig cfg;
     cfg.shards = 4;
@@ -240,7 +240,7 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     const auto ops = zipf_ops();
     using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x66);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::cache_sequential(ref, Ops(ops));
 
     ShardedConfig cfg;
     cfg.shards = 4;
@@ -295,7 +295,7 @@ TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     const auto ops = zipf_ops();
     using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x77);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::cache_sequential(ref, Ops(ops));
 
     ShardedConfig cfg;
     cfg.shards = 4;

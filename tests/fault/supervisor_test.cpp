@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -87,8 +86,8 @@ void check_supervised(Make make, const std::vector<Op>& ops, Mode mode,
                       std::size_t expect_crashes) {
     using Target = decltype(make());
     auto ref = make();
-    const auto seq =
-        replay_target_sequential(ref, std::span<const Op>(ops));
+    SpanOpSource source(ops);
+    const auto seq = replay_target_sequential_stream(ref, source).value();
     const auto ref_state = state_of(ref);
     ASSERT_FALSE(ref_state.empty());
 
@@ -102,8 +101,9 @@ void check_supervised(Make make, const std::vector<Op>& ops, Mode mode,
     SupervisorConfig sup;
     sup.every_batches = 4;
     sup.max_attempts = expect_crashes + 2;
-    const auto sv = run_supervised(factory, std::span<const Op>(ops),
-                                   engine_config(mode), store, sup, plan);
+    const auto sv = run_supervised_stream(factory, source,
+                                          engine_config(mode), store, sup,
+                                          plan);
     ASSERT_TRUE(sv.is_ok()) << sv.status().to_string();
     EXPECT_EQ(sv.value().report.stats, seq) << "supervised stats diverged";
     EXPECT_EQ(sv.value().crashes, expect_crashes);
@@ -203,9 +203,9 @@ TEST(SupervisorTest, CleanRunIsSingleAttemptColdStart) {
     };
     testutil::ScopedTempDir tmp{"p4lru_sup"};
     DurableStore store(tmp.file("store"), {.retain = 3, .sync = false});
-    const auto sv = run_supervised(
-        make, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        engine_config(Mode::kInline), store);
+    SpanOpSource source(ops);
+    const auto sv = run_supervised_stream(make, source,
+                                          engine_config(Mode::kInline), store);
     ASSERT_TRUE(sv.is_ok()) << sv.status().to_string();
     EXPECT_EQ(sv.value().attempts, 1u);
     EXPECT_EQ(sv.value().crashes, 0u);
@@ -217,7 +217,7 @@ TEST(SupervisorTest, CleanRunIsSingleAttemptColdStart) {
 
 TEST(SupervisorTest, WarmStoreResumesInsteadOfColdStarting) {
     const auto ops = ops_from_packets(small_trace(46));
-    const auto span = std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops);
+    SpanOpSource source(ops);
     std::deque<SoaCache> caches;
     auto factory = [&]() -> decltype(auto) {
         caches.emplace_back(256, 0x5C);
@@ -226,14 +226,14 @@ TEST(SupervisorTest, WarmStoreResumesInsteadOfColdStarting) {
     };
     testutil::ScopedTempDir tmp{"p4lru_sup"};
     DurableStore store(tmp.file("store"), {.retain = 3, .sync = false});
-    const auto first = run_supervised(factory, span,
-                                      engine_config(Mode::kInline), store);
+    const auto first = run_supervised_stream(
+        factory, source, engine_config(Mode::kInline), store);
     ASSERT_TRUE(first.is_ok()) << first.status().to_string();
 
     // A second supervised run over the same store picks up the newest
     // generation and replays only the suffix — same final stats.
-    const auto second = run_supervised(factory, span,
-                                       engine_config(Mode::kInline), store);
+    const auto second = run_supervised_stream(
+        factory, source, engine_config(Mode::kInline), store);
     ASSERT_TRUE(second.is_ok()) << second.status().to_string();
     EXPECT_GT(second.value().resumed_from_gen, 0u);
     EXPECT_EQ(second.value().report.stats, first.value().report.stats);
@@ -256,9 +256,10 @@ TEST(SupervisorTest, ExhaustedAttemptsFailUnavailableWithLastCause) {
     SupervisorConfig sup;
     sup.every_batches = 4;
     sup.max_attempts = 3;
-    const auto sv = run_supervised(
-        factory, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        engine_config(Mode::kInline), store, sup, plan);
+    SpanOpSource source(ops);
+    const auto sv = run_supervised_stream(factory, source,
+                                          engine_config(Mode::kInline), store,
+                                          sup, plan);
     ASSERT_FALSE(sv.is_ok());
     EXPECT_EQ(sv.status().code(), ErrorCode::kUnavailable);
     EXPECT_NE(sv.status().message().find("3 attempts"), std::string::npos)

@@ -46,7 +46,10 @@ TEST_F(EndToEnd, HeadlineClaimAcrossAllThreeSystems) {
         cfg.slow_path_delay = 40 * kMicrosecond;
         systems::lrutable::LruTableTarget sys(
             1, [&](std::size_t) { return make_policy(); }, cfg);
-        return sys.report(replay::replay_target_sequential(sys, *trace_))
+        replay::SpanOpSource source(*trace_);
+        return sys
+            .report(replay::replay_target_sequential_stream(sys, source)
+                        .value())
             .miss_rate;
     };
     const double t3 = table_miss([] {
@@ -74,7 +77,9 @@ TEST_F(EndToEnd, HeadlineClaimAcrossAllThreeSystems) {
                 return std::make_unique<systems::lrumon::TowerFilter>(fcfg);
             },
             [&](std::size_t) { return make_policy(); }, cfg);
-        return sys.report(replay::replay_target_sequential(sys, *trace_));
+        replay::SpanOpSource source(*trace_);
+        return sys.report(
+            replay::replay_target_sequential_stream(sys, source).value());
     };
     const auto m3 = mon_run([] {
         return std::make_unique<cache::P4lruArrayPolicy<
@@ -133,7 +138,9 @@ TEST_F(EndToEnd, LruMonMeasurementReconcilesWithGroundTruth) {
                 3'000, 0x79);
         },
         cfg);
-    const auto r = sys.report(replay::replay_target_sequential(sys, *trace_));
+    replay::SpanOpSource source(*trace_);
+    const auto r = sys.report(
+        replay::replay_target_sequential_stream(sys, source).value());
 
     std::uint64_t total = 0;
     for (const auto& [flow, bytes] : truth) total += bytes;

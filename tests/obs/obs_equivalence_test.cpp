@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
@@ -15,6 +14,7 @@
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/lruindex_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -22,7 +22,6 @@ namespace {
 using FlowCache =
     core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                         std::uint32_t>;
-using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
 
 std::vector<ReplayOp<FlowKey, std::uint32_t>> zipf_ops() {
     trace::TraceConfig cfg;
@@ -49,12 +48,12 @@ void check_obs_equivalence(Mode mode) {
     cfg.mode = mode;
 
     FlowCache off_cache(1024, 0x91);
-    const auto off = replay_sharded(off_cache, Ops(ops), cfg);
+    const auto off = testutil::cache_sharded(off_cache, ops, cfg);
 
     obs::Registry reg;
     cfg.metrics = &reg;
     FlowCache on_cache(1024, 0x91);
-    const auto on = replay_sharded(on_cache, Ops(ops), cfg);
+    const auto on = testutil::cache_sharded(on_cache, ops, cfg);
 
     // Obs-on is bit-identical to obs-off: statistics, report shape, and
     // the final plane bytes.
@@ -121,13 +120,14 @@ TEST(ObsReplayEquivalence, ThreadedStageInstrumentsAreInertOnSystemTarget) {
     cfg.mode = Mode::kThreaded;
 
     LruIndexTarget off(server, tcfg);
+    SpanOpSource off_source(ops);
     const auto r_off =
-        replay_target_sharded(off, std::span<const LruIndexOp>(ops), cfg);
+        replay_target_sharded_stream(off, off_source, cfg).value();
     obs::Registry reg;
     cfg.metrics = &reg;
     LruIndexTarget on(server, tcfg);
-    const auto r_on =
-        replay_target_sharded(on, std::span<const LruIndexOp>(ops), cfg);
+    SpanOpSource on_source(ops);
+    const auto r_on = replay_target_sharded_stream(on, on_source, cfg).value();
     EXPECT_EQ(r_on.stats, r_off.stats);
     std::vector<std::byte> s_off, s_on;
     off.save_state(s_off);
@@ -148,7 +148,7 @@ TEST(ObsReplayEquivalence, NullRegistryIsTheDefaultAndHarmless) {
     cfg.mode = Mode::kInline;
     ASSERT_EQ(cfg.metrics, nullptr) << "obs must be opt-in";
     FlowCache cache(1024, 0x91);
-    const auto rep = replay_sharded(cache, Ops(ops), cfg);
+    const auto rep = testutil::cache_sharded(cache, ops, cfg);
     EXPECT_GT(rep.stats.ops, 0u);
 }
 
@@ -167,8 +167,9 @@ TEST(ObsReplayEquivalence, LruIndexTargetCountersMatchStatsExactly) {
     obs::Registry reg;
     LruIndexTarget target(server, tcfg);
     target.set_metrics(&reg);
-    const auto stats = replay::replay_target_sequential(
-        target, std::span<const LruIndexOp>(ops));
+    SpanOpSource source(ops);
+    const auto stats =
+        replay::replay_target_sequential_stream(target, source).value();
 
     const obs::Snapshot snap = reg.snapshot();
     ASSERT_NE(snap.counter("lruindex_hits"), nullptr);
@@ -182,8 +183,9 @@ TEST(ObsReplayEquivalence, LruIndexTargetCountersMatchStatsExactly) {
     // Detaching stops the flow; the stats themselves are unaffected.
     target.set_metrics(nullptr);
     LruIndexTarget target2(server, tcfg);
-    const auto stats2 = replay::replay_target_sequential(
-        target2, std::span<const LruIndexOp>(ops));
+    SpanOpSource source2(ops);
+    const auto stats2 =
+        replay::replay_target_sequential_stream(target2, source2).value();
     EXPECT_EQ(stats2, stats);
     EXPECT_EQ(*reg.snapshot().counter("lruindex_hits"), stats.hits)
         << "detached target kept counting";

@@ -1,5 +1,5 @@
 // Property suite for the batched update path: update_batch (and everything
-// layered on it — replay_sequential_batched, the checkpointed inline
+// layered on it — the one-shard inline engine, the checkpointed inline
 // replay, the policy fill_batch/access_batch entry points, and the sharded
 // engine's routed batches) must emit a bit-identical UpdateResult stream to
 // per-op update on the same input.  Batching hoists only hashing and
@@ -143,12 +143,19 @@ TEST(BatchEquivalence, YcsbResultStreamIsBitIdenticalAos) {
                                                                   0xF1);
 }
 
+/// The one-shard inline engine (route and prefetch a block, then apply it
+/// through the routed-batch path) against plain per-op cache.update.
 TEST(BatchEquivalence, SequentialBatchedMatchesSequential) {
     const auto ops = zipf_ops();
-    const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     FlowCache a(4096, 0xE1);
+    ReplayStats per_op;
+    for (const auto& op : ops) per_op.tally(a.update(op.key, op.value));
+
     FlowCache b(4096, 0xE1);
-    EXPECT_EQ(replay_sequential_batched(b, span), replay_sequential(a, span));
+    const auto rep =
+        testutil::cache_sharded(b, ops, testutil::sequential_config());
+    EXPECT_FALSE(rep.threaded);
+    EXPECT_EQ(rep.stats, per_op);
     expect_same_contents(a, b);
 }
 
@@ -157,7 +164,7 @@ TEST(BatchEquivalence, SequentialBatchedMatchesSequential) {
 /// must emit snapshots at exactly the per-op cursors, with bit-identical
 /// stats and plane images — for cadences of one block and of several.
 TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
-    using Target = CacheReplayTarget<FlowCache, FlowKey, std::uint32_t>;
+    using Target = CacheReplayTarget<FlowCache>;
     using Checkpoint = TargetCheckpoint<ReplayStats>;
     const auto ops = zipf_ops();
     const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
@@ -186,7 +193,7 @@ TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
         FlowCache cache(1024, 0xCC);
         Target target(cache);
         std::vector<Checkpoint> got;
-        SpanOpSource source{span};
+        SpanOpSource source(ops);
         const auto rep = replay_target_checkpointed_stream(
             target, source, testutil::sequential_config(c.batch_ops),
             c.every_batches,
@@ -259,16 +266,15 @@ TEST(BatchEquivalence, PolicyBatchesMatchPerOp) {
 /// and the report says how many workers actually pinned.
 TEST(BatchEquivalence, PinnedThreadedReplayMatchesSequential) {
     const auto ops = zipf_ops();
-    const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     FlowCache seq_cache(2048, 0xAB);
-    const auto seq = replay_sequential(seq_cache, span);
+    const auto seq = testutil::cache_sequential(seq_cache, ops);
 
     FlowCache cache(2048, 0xAB);
     ShardedConfig cfg;
     cfg.shards = 4;
     cfg.mode = Mode::kThreaded;
     cfg.pin_workers = true;
-    const auto rep = replay_sharded(cache, span, cfg);
+    const auto rep = testutil::cache_sharded(cache, ops, cfg);
     EXPECT_EQ(rep.stats, seq);
     expect_same_contents(seq_cache, cache);
 #if defined(__linux__)
@@ -282,7 +288,7 @@ TEST(BatchEquivalence, PinnedThreadedReplayMatchesSequential) {
     ShardedConfig off;
     off.shards = 4;
     off.mode = Mode::kThreaded;
-    const auto rep_off = replay_sharded(plain, span, off);
+    const auto rep_off = testutil::cache_sharded(plain, ops, off);
     EXPECT_EQ(rep_off.pinned_workers, 0u);
     EXPECT_EQ(rep_off.stats, seq);
 }

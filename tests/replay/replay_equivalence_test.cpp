@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/trace/trace_gen.hpp"
@@ -73,22 +74,22 @@ std::vector<ReplayOp<std::uint64_t, std::uint64_t>> ycsb_ops() {
     return ops;
 }
 
+using testutil::cache_sequential;
+using testutil::cache_sharded;
+
 class ReplayEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ReplayEquivalence, ZipfTraceMatchesSequential) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(4096, 0xE1);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = cache_sequential(seq_cache, ops);
 
     for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
         FlowCache cache(4096, 0xE1);
         ShardedConfig cfg;
         cfg.shards = GetParam();
         cfg.mode = mode;
-        const auto rep = replay_sharded(
-            cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-            cfg);
+        const auto rep = cache_sharded(cache, ops, cfg);
         EXPECT_EQ(rep.stats, seq);
         EXPECT_EQ(rep.shards, GetParam());
         EXPECT_EQ(cache.size(), seq_cache.size());
@@ -99,19 +100,14 @@ TEST_P(ReplayEquivalence, ZipfTraceMatchesSequential) {
 TEST_P(ReplayEquivalence, YcsbTraceMatchesSequential) {
     const auto ops = ycsb_ops();
     KeyCache seq_cache(2048, 0xF1);
-    const auto seq = replay_sequential(
-        seq_cache,
-        std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops));
+    const auto seq = cache_sequential(seq_cache, ops);
 
     for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
         KeyCache cache(2048, 0xF1);
         ShardedConfig cfg;
         cfg.shards = GetParam();
         cfg.mode = mode;
-        const auto rep = replay_sharded(
-            cache,
-            std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops),
-            cfg);
+        const auto rep = cache_sharded(cache, ops, cfg);
         EXPECT_EQ(rep.stats, seq);
         expect_same_contents(seq_cache, cache);
     }
@@ -125,10 +121,8 @@ TEST_P(ReplayEquivalence, DeterministicAcrossRuns) {
 
     FlowCache a(1024, 0xAB);
     FlowCache b(1024, 0xAB);
-    const auto ra = replay_sharded(
-        a, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg);
-    const auto rb = replay_sharded(
-        b, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg);
+    const auto ra = cache_sharded(a, ops, cfg);
+    const auto rb = cache_sharded(b, ops, cfg);
     EXPECT_EQ(ra.stats, rb.stats);
     expect_same_contents(a, b);
 }
@@ -145,13 +139,10 @@ class CrossLayoutEquivalence : public ::testing::TestWithParam<std::size_t> {
 TEST_P(CrossLayoutEquivalence, ZipfSoaMatchesAosReference) {
     const auto ops = zipf_ops();
     AosFlowCache aos(4096, 0xE1);
-    const auto ref = replay_sequential(
-        aos, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto ref = cache_sequential(aos, ops);
 
     FlowCache soa_seq(4096, 0xE1);
-    EXPECT_EQ(replay_sequential(
-                  soa_seq,
-                  std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops)),
+    EXPECT_EQ(cache_sequential(soa_seq, ops),
               ref);
     expect_same_contents(aos, soa_seq);
 
@@ -160,8 +151,7 @@ TEST_P(CrossLayoutEquivalence, ZipfSoaMatchesAosReference) {
         ShardedConfig cfg;
         cfg.shards = GetParam();
         cfg.mode = mode;
-        const auto rep = replay_sharded(
-            soa, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg);
+        const auto rep = cache_sharded(soa, ops, cfg);
         EXPECT_EQ(rep.stats, ref);
         expect_same_contents(aos, soa);
     }
@@ -170,17 +160,14 @@ TEST_P(CrossLayoutEquivalence, ZipfSoaMatchesAosReference) {
 TEST_P(CrossLayoutEquivalence, YcsbSoaMatchesAosReference) {
     const auto ops = ycsb_ops();
     AosKeyCache aos(2048, 0xF1);
-    const auto ref = replay_sequential(
-        aos, std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops));
+    const auto ref = cache_sequential(aos, ops);
 
     for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
         KeyCache soa(2048, 0xF1);
         ShardedConfig cfg;
         cfg.shards = GetParam();
         cfg.mode = mode;
-        const auto rep = replay_sharded(
-            soa, std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops),
-            cfg);
+        const auto rep = cache_sharded(soa, ops, cfg);
         EXPECT_EQ(rep.stats, ref);
         expect_same_contents(aos, soa);
     }
@@ -192,17 +179,14 @@ TEST_P(CrossLayoutEquivalence, YcsbSoaMatchesAosReference) {
 TEST_P(CrossLayoutEquivalence, DeferredFirstTouchMatchesEager) {
     const auto ops = zipf_ops();
     FlowCache eager(1024, 0x1F7);
-    const auto ref = replay_sequential(
-        eager, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto ref = cache_sequential(eager, ops);
 
     FlowCache deferred(1024, 0x1F7, core::defer_init);
     EXPECT_FALSE(deferred.materialized());
     ShardedConfig cfg;
     cfg.shards = GetParam();
     cfg.mode = Mode::kThreaded;
-    const auto rep = replay_sharded(
-        deferred, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        cfg);
+    const auto rep = cache_sharded(deferred, ops, cfg);
     EXPECT_TRUE(rep.threaded);
     EXPECT_TRUE(deferred.materialized());
     EXPECT_EQ(rep.stats, ref);
@@ -214,15 +198,12 @@ TEST_P(CrossLayoutEquivalence, DeferredFirstTouchMatchesEager) {
 TEST(ReplayFirstTouch, InlineModeMaterializesDeferredCache) {
     const auto ops = zipf_ops();
     FlowCache eager(512, 0x2F8);
-    const auto ref = replay_sequential(
-        eager, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto ref = cache_sequential(eager, ops);
 
     FlowCache deferred(512, 0x2F8, core::defer_init);
     ShardedConfig cfg;
     cfg.mode = Mode::kInline;
-    const auto rep = replay_sharded(
-        deferred, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        cfg);
+    const auto rep = cache_sharded(deferred, ops, cfg);
     EXPECT_TRUE(deferred.materialized());
     EXPECT_EQ(rep.stats, ref);
     expect_same_contents(eager, deferred);
@@ -234,8 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, CrossLayoutEquivalence,
 TEST(Replay, StatsAreConsistent) {
     const auto ops = zipf_ops();
     FlowCache cache(4096, 0xE1);
-    const auto s = replay_sequential(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto s = cache_sequential(cache, ops);
     EXPECT_EQ(s.ops, ops.size());
     EXPECT_EQ(s.hits + s.misses, s.ops);
     EXPECT_LE(s.evictions, s.misses);
@@ -248,11 +228,9 @@ TEST(Replay, StatsAreConsistent) {
 TEST(Replay, EmptyOpsYieldZeroStats) {
     FlowCache cache(64, 1);
     const std::vector<ReplayOp<FlowKey, std::uint32_t>> none;
-    const auto seq = replay_sequential(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(none));
+    const auto seq = cache_sequential(cache, none);
     EXPECT_EQ(seq, ReplayStats{});
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(none));
+    const auto rep = cache_sharded(cache, none);
     EXPECT_EQ(rep.stats, ReplayStats{});
 }
 
@@ -262,14 +240,11 @@ TEST(Replay, ShardCountClampsToUnits) {
     ShardedConfig cfg;
     cfg.shards = 16;  // only 2 units exist
     cfg.mode = Mode::kThreaded;
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg);
+    const auto rep = cache_sharded(cache, ops, cfg);
     EXPECT_EQ(rep.shards, 2u);
     FlowCache seq_cache(2, 5);
     EXPECT_EQ(rep.stats,
-              replay_sequential(
-                  seq_cache,
-                  std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops)));
+              cache_sequential(seq_cache, ops));
 }
 
 /// Concurrency sanity: hammer the threaded engine with more workers than
@@ -285,9 +260,7 @@ TEST(ReplayConcurrency, ThreadedSmokeUnderChurn) {
         cfg.batch_ops = 16;     // many small batches
         cfg.queue_batches = 4;  // force producer backpressure
         cfg.mode = Mode::kThreaded;
-        const auto rep = replay_sharded(
-            cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-            cfg);
+        const auto rep = cache_sharded(cache, ops, cfg);
         if (round == 0) {
             first = rep.stats;
         } else {

@@ -53,6 +53,7 @@
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 int main() {
@@ -70,7 +71,7 @@ int main() {
         std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops);
 
     Cache seq_cache(1024, 0x7A);
-    const auto seq = replay::replay_sequential(seq_cache, span);
+    const auto seq = testutil::cache_sequential(seq_cache, span);
 
     replay::ShardedConfig cfg;
     cfg.shards = 8;
@@ -85,7 +86,7 @@ int main() {
         Cache cache = (round % 2 == 0)
                           ? Cache(1024, 0x7A)
                           : Cache(1024, 0x7A, core::defer_init);
-        const auto rep = replay::replay_sharded(cache, span, cfg);
+        const auto rep = testutil::cache_sharded(cache, span, cfg);
         if (!(rep.stats == seq) || !cache.materialized()) {
             std::fprintf(stderr,
                          "round %d: sharded stats diverge from sequential "
@@ -146,14 +147,18 @@ int main() {
             },
             mcfg);
     };
-    const auto pkt_span = std::span<const PacketRecord>(trace);
     LruMonTarget seq_target = make_target();
-    const auto seq_sys = replay::replay_target_sequential(seq_target, pkt_span);
+    replay::SpanOpSource seq_source(trace);
+    const auto seq_sys =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
     std::vector<std::byte> seq_image;
     seq_target.save_state(seq_image);
     for (int round = 0; round < 3; ++round) {
         LruMonTarget target = make_target();
-        const auto rep = replay::replay_target_sharded(target, pkt_span, cfg);
+        replay::SpanOpSource source(trace);
+        const auto rep =
+            replay::replay_target_sharded_stream(target, source, cfg).value();
         std::vector<std::byte> image;
         target.save_state(image);
         if (!(rep.stats == seq_sys) || image != seq_image) {
@@ -189,8 +194,9 @@ int main() {
     replay::SupervisorConfig sup;
     sup.every_batches = 32;
     sup.max_attempts = 4;
-    const auto sv = replay::run_supervised(factory, span, cfg, store, sup,
-                                           crash_plan);
+    replay::SpanOpSource source(span);
+    const auto sv = replay::run_supervised_stream(factory, source, cfg, store,
+                                                  sup, crash_plan);
     if (!sv.is_ok() || !(sv.value().report.stats == seq) ||
         sv.value().crashes != 2) {
         std::fprintf(
@@ -250,7 +256,7 @@ int main() {
         replay::ShardedConfig ocfg = cfg;
         ocfg.metrics = &reg;
         Cache cache(1024, 0x7A);
-        const auto rep = replay::replay_sharded(cache, span, ocfg);
+        const auto rep = testutil::cache_sharded(cache, span, ocfg);
         if (!(rep.stats == seq)) {
             std::fprintf(
                 stderr,
@@ -287,7 +293,9 @@ int main() {
             }
             auto stream = replay::packet_op_source(*src.value());
             Cache cache(1024, 0x7A);
-            const auto rep = replay::replay_sharded_stream(cache, stream, cfg);
+            replay::CacheReplayTarget target(cache);
+            const auto rep =
+                replay::replay_target_sharded_stream(target, stream, cfg);
             if (!rep.is_ok() || !(rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,

@@ -47,7 +47,9 @@ void step(LruMonTarget& mon, LruMonStats& s, const PacketRecord& pkt) {
 
 LruMonReport replay_all(LruMonTarget& mon,
                         const std::vector<PacketRecord>& trace) {
-    return mon.report(replay::replay_target_sequential(mon, trace));
+    replay::SpanOpSource source(trace);
+    return mon.report(
+        replay::replay_target_sequential_stream(mon, source).value());
 }
 
 PacketRecord packet(std::uint32_t flow_id, TimeNs ts, std::uint32_t len) {

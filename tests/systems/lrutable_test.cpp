@@ -47,7 +47,9 @@ TimeNs step(LruTableTarget& nat, LruTableStats& s, const PacketRecord& pkt,
 
 LruTableReport replay_all(LruTableTarget& nat,
                           const std::vector<PacketRecord>& trace) {
-    return nat.report(replay::replay_target_sequential(nat, trace));
+    replay::SpanOpSource source(trace);
+    return nat.report(
+        replay::replay_target_sequential_stream(nat, source).value());
 }
 
 PacketRecord packet(std::uint32_t flow_id, TimeNs ts) {
@@ -273,7 +275,8 @@ TEST(LruTableTarget, OnePartitionMatchesGoldenReport) {
     cfg.track_similarity = true;
     cfg.similarity_max_accesses = 3 * trace.size() + 16;
     LruTableTarget nat(1, p4lru3_factory(600), cfg);
-    const auto s = replay::replay_target_sequential(nat, trace);
+    replay::SpanOpSource source(trace);
+    const auto s = replay::replay_target_sequential_stream(nat, source).value();
     const auto r = nat.report(s);
     EXPECT_EQ(r.packets, 40'004u);
     EXPECT_EQ(r.fast_path, 38'708u);

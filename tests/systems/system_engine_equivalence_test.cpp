@@ -128,8 +128,10 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    replay::SpanOpSource seq_source(ops);
+    const Stats seq =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
     const std::vector<std::byte> seq_state = state_of(seq_target);
     ASSERT_FALSE(seq_state.empty());
 
@@ -141,8 +143,9 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
         cfg.queue_batches = 4 + rng() % 12;
         cfg.mode = trial % 2 == 0 ? Mode::kInline : Mode::kThreaded;
         auto t = make();
+        replay::SpanOpSource source(ops);
         const auto rep =
-            replay::replay_target_sharded(t, std::span<const Op>(ops), cfg);
+            replay::replay_target_sharded_stream(t, source, cfg).value();
         EXPECT_EQ(rep.stats, seq)
             << "diverged at shards=" << cfg.shards
             << " batch=" << cfg.batch_ops << " mode="
@@ -177,8 +180,10 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    replay::SpanOpSource seq_source(ops);
+    const Stats seq =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
     const std::vector<std::byte> seq_state = state_of(seq_target);
 
     // Checkpointed run: capture cuts every 8 delivered batches.
@@ -191,9 +196,11 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     run_cfg.shards = 3;
     run_cfg.batch_ops = 64;
     run_cfg.mode = Mode::kThreaded;
-    const auto full = replay::replay_target_checkpointed(
-        live, std::span<const Op>(ops), run_cfg, 8, sink);
-    EXPECT_EQ(full.stats, seq) << "checkpointed run diverged";
+    replay::SpanOpSource live_source(ops);
+    const auto full = replay::replay_target_checkpointed_stream(
+        live, live_source, run_cfg, 8, sink);
+    ASSERT_TRUE(full.is_ok()) << full.status().to_string();
+    EXPECT_EQ(full.value().stats, seq) << "checkpointed run diverged";
     ASSERT_FALSE(cps.empty());
     const auto& cp = cps[cps.size() / 2];
     ASSERT_GT(cp.cursor, 0u);
@@ -206,8 +213,9 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     resume_cfg.batch_ops = 32;
     resume_cfg.mode = Mode::kInline;
     auto resumed = make();
-    const auto res = replay::resume_target_sharded(
-        resumed, std::span<const Op>(ops), cp, resume_cfg);
+    replay::SpanOpSource resume_source(ops);
+    const auto res = replay::resume_target_sharded_stream(
+        resumed, resume_source, cp, resume_cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resumed run diverged";
     EXPECT_EQ(state_of(resumed), seq_state) << "resumed state diverged";
@@ -226,8 +234,9 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
     auto from_disk = make();
     resume_cfg.mode = Mode::kThreaded;
-    const auto res2 = replay::resume_target_sharded(
-        from_disk, std::span<const Op>(ops), rd.value(), resume_cfg);
+    replay::SpanOpSource disk_source(ops);
+    const auto res2 = replay::resume_target_sharded_stream(
+        from_disk, disk_source, rd.value(), resume_cfg);
     ASSERT_TRUE(res2.is_ok()) << res2.status().to_string();
     EXPECT_EQ(res2.value().stats, seq) << "disk-resumed run diverged";
     EXPECT_EQ(state_of(from_disk), seq_state)
@@ -263,8 +272,10 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    replay::SpanOpSource seq_source(ops);
+    const Stats seq =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
     const std::vector<std::byte> seq_state = state_of(seq_target);
 
     fault::FaultPlan plan;
@@ -275,8 +286,9 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     cfg.batch_ops = 32;
     cfg.mode = Mode::kThreaded;
     auto t = make();
-    const auto rep = replay::replay_target_sharded(
-        t, std::span<const Op>(ops), cfg, faults);
+    replay::SpanOpSource source(ops);
+    const auto rep =
+        replay::replay_target_sharded_stream(t, source, cfg, faults).value();
     EXPECT_EQ(rep.stats, seq) << "stalled run diverged";
     EXPECT_EQ(state_of(t), seq_state) << "stalled state diverged";
     // The stalled worker must actually have been worked around.
@@ -312,8 +324,10 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
         cfg.shards = shards;
         cfg.batch_ops = 48;
         cfg.mode = Mode::kInline;
-        const auto rep = replay::replay_target_sharded(
-            t, std::span<const PacketRecord>(ops), cfg, faults);
+        replay::SpanOpSource source(ops);
+        const auto rep =
+            replay::replay_target_sharded_stream(t, source, cfg, faults)
+                .value();
         return std::pair{rep.stats, state_of(t)};
     };
     const auto [s1, st1] = run(1);
@@ -323,10 +337,10 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
 
     // And the corruption was not a no-op: the fault-free run differs.
     auto clean = make_lrumon();
-    const auto clean_stats = replay::replay_target_sequential(
-        clean, std::span<const PacketRecord>(ops));
+    replay::SpanOpSource clean_source(ops);
+    ASSERT_TRUE(
+        replay::replay_target_sequential_stream(clean, clean_source).is_ok());
     EXPECT_NE(state_of(clean), st1);
-    (void)clean_stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -338,8 +352,10 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
     const fault::FlakyService flaky(0xF1A6, 257, 2);
 
     auto seq_target = make_lruindex(&flaky);
-    const auto seq = replay::replay_target_sequential(
-        seq_target, std::span<const systems::lruindex::LruIndexOp>(ops));
+    replay::SpanOpSource seq_source(ops);
+    const auto seq =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
     EXPECT_GT(seq.retries, 0u);
     EXPECT_EQ(seq.wrong_replies, 0u);
 
@@ -348,16 +364,18 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
     cfg.batch_ops = 64;
     cfg.mode = Mode::kThreaded;
     auto t = make_lruindex(&flaky);
-    const auto rep = replay::replay_target_sharded(
-        t, std::span<const systems::lruindex::LruIndexOp>(ops), cfg);
+    replay::SpanOpSource source(ops);
+    const auto rep =
+        replay::replay_target_sharded_stream(t, source, cfg).value();
     EXPECT_EQ(rep.stats, seq);
     EXPECT_EQ(state_of(t), state_of(seq_target));
 
     // Exhausting max_attempts completes queries as failures.
     const fault::FlakyService stubborn(0xF1A6, 101, 64);
     auto f = make_lruindex(&stubborn);
-    const auto failed = replay::replay_target_sequential(
-        f, std::span<const systems::lruindex::LruIndexOp>(ops));
+    replay::SpanOpSource failed_source(ops);
+    const auto failed =
+        replay::replay_target_sequential_stream(f, failed_source).value();
     EXPECT_GT(failed.failed_queries, 0u);
 }
 
@@ -368,13 +386,15 @@ TEST(SystemEngineEquivalence, ReportsDeriveFromMergedStats) {
     const auto trace = zipf_trace(53, 20'000);
     auto a = make_lrumon();
     auto b = make_lrumon();
-    const auto sa = replay::replay_target_sequential(
-        a, std::span<const PacketRecord>(trace));
+    replay::SpanOpSource source_a(trace);
+    const auto sa =
+        replay::replay_target_sequential_stream(a, source_a).value();
     ShardedConfig cfg;
     cfg.shards = 3;
     cfg.mode = Mode::kThreaded;
-    const auto rb = replay::replay_target_sharded(
-        b, std::span<const PacketRecord>(trace), cfg);
+    replay::SpanOpSource source_b(trace);
+    const auto rb =
+        replay::replay_target_sharded_stream(b, source_b, cfg).value();
     ASSERT_EQ(sa, rb.stats);
     const auto ra = a.report(sa);
     const auto rbb = b.report(rb.stats);
@@ -446,8 +466,10 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
 
     // Oracle: in-memory sequential replay over the raw span.
     auto ref_target = make();
-    const auto ref = replay::replay_target_sequential(
-        ref_target, std::span<const PacketRecord>(trace));
+    replay::SpanOpSource ref_source(trace);
+    const auto ref =
+        replay::replay_target_sequential_stream(ref_target, ref_source)
+            .value();
     const std::vector<std::byte> ref_state = state_of(ref_target);
 
     ShardedConfig inline_cfg;
@@ -515,8 +537,10 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
     auto ref_target = make_lrumon();
     using Target = decltype(ref_target);
     using Stats = typename Target::Stats;
-    const Stats ref = replay::replay_target_sequential(
-        ref_target, std::span<const PacketRecord>(trace));
+    replay::SpanOpSource ref_source(trace);
+    const Stats ref =
+        replay::replay_target_sequential_stream(ref_target, ref_source)
+            .value();
     const std::vector<std::byte> ref_state = state_of(ref_target);
 
     // Checkpointed run over the background-reader source: cuts every 8

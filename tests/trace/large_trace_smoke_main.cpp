@@ -155,8 +155,9 @@ int main() {
     if (!seq_src.is_ok()) return 1;
     auto seq_stream = replay::packet_op_source(*seq_src.value());
     Cache seq_cache(1024, 0x7A);
-    const auto seq_run = replay::replay_sequential_stream(seq_cache,
-                                                          seq_stream);
+    replay::CacheReplayTarget seq_target(seq_cache);
+    const auto seq_run =
+        replay::replay_target_sequential_stream(seq_target, seq_stream);
     if (!seq_run.is_ok()) {
         std::fprintf(stderr, "sequential stream: %s\n",
                      seq_run.status().to_string().c_str());
@@ -182,8 +183,9 @@ int main() {
     if (!thr_src.is_ok()) return 1;
     auto thr_stream = replay::packet_op_source(*thr_src.value());
     Cache thr_cache(1024, 0x7A);
+    replay::CacheReplayTarget thr_target(thr_cache);
     const auto thr_run =
-        replay::replay_sharded_stream(thr_cache, thr_stream, cfg);
+        replay::replay_target_sharded_stream(thr_target, thr_stream, cfg);
     if (!thr_run.is_ok() || !(thr_run.value().stats == seq)) {
         std::fprintf(stderr, "threaded stream %s (ops %llu/%llu)\n",
                      thr_run.is_ok() ? "diverged from sequential"
@@ -263,8 +265,9 @@ int main() {
         trace::VectorSource vec(std::move(whole).value());
         auto vec_stream = replay::packet_op_source(vec);
         Cache vec_cache(1024, 0x7A);
+        replay::CacheReplayTarget vec_target(vec_cache);
         const auto vec_run =
-            replay::replay_sequential_stream(vec_cache, vec_stream);
+            replay::replay_target_sequential_stream(vec_target, vec_stream);
         if (!vec_run.is_ok() || !(vec_run.value() == seq)) {
             std::fprintf(stderr, "VectorSource replay diverged\n");
             return 1;

@@ -160,7 +160,9 @@ int cmd_lrutable(const Flags& f) {
             return policy;
         },
         cfg);
-    const auto r = sys.report(replay::replay_target_sequential(sys, trace));
+    replay::SpanOpSource source(trace);
+    const auto r = sys.report(
+        replay::replay_target_sequential_stream(sys, source).value());
     std::printf("policy %-9s packets %lu fast %lu placeholder %lu miss %lu\n"
                 "miss rate %.3f%%  avg added latency %.3f us\n",
                 name.c_str(), r.packets, r.fast_path, r.placeholder_hits,
@@ -193,7 +195,9 @@ int cmd_lrumon(const Flags& f) {
             return policy;
         },
         cfg);
-    const auto r = sys.report(replay::replay_target_sequential(sys, trace));
+    replay::SpanOpSource source(trace);
+    const auto r = sys.report(
+        replay::replay_target_sequential_stream(sys, source).value());
     std::printf(
         "policy %-9s filter %-5s  elephants %lu (miss %.2f%%)  uploads %lu "
         "(%.1f KPPS)\n"
