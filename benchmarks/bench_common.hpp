@@ -133,6 +133,16 @@ struct PolicyFactory {
 /// Percent formatting helper.
 inline std::string pct(double v) { return ConsoleTable::num(v * 100.0, 2); }
 
+/// The LruIndex benches' exit check over the wrong replies every run
+/// counted: false (after saying so) unless there were none.
+inline bool no_wrong_replies(std::uint64_t wrong_replies) {
+    if (wrong_replies == 0) return true;
+    std::printf("\nWRONG REPLIES (BUG): %llu; the server must always return "
+                "the queried key's record\n",
+                static_cast<unsigned long long>(wrong_replies));
+    return false;
+}
+
 // ---------------------------------------------------------------------------
 // Timing harness: every figure bench reports wall time and Mops/s per series
 // so the perf trajectory is visible run over run, and bench_micro_ops emits

@@ -50,6 +50,7 @@ std::unique_ptr<IndexCache> baseline(std::size_t entries) {
 int main() {
     const std::size_t units = scaled(1u << 13);
     const std::size_t queries = scaled(120'000);
+    std::uint64_t wrong_replies = 0;  // over every run below; must stay 0
 
     // --- (a) throughput vs #threads, fixed database ---------------------
     {
@@ -66,6 +67,8 @@ int main() {
             auto naive_cfg = cfg;
             naive_cfg.use_cache = false;
             const auto rn = run_driver(naive_cfg, server, nullptr);
+            wrong_replies +=
+                r3.wrong_replies + r1.wrong_replies + rn.wrong_replies;
             t.add_row({std::to_string(threads),
                        ConsoleTable::num(r3.throughput_ktps, 1),
                        ConsoleTable::num(r1.throughput_ktps, 1),
@@ -92,6 +95,8 @@ int main() {
             auto naive_cfg = cfg;
             naive_cfg.use_cache = false;
             const auto rn = run_driver(naive_cfg, server, nullptr);
+            wrong_replies +=
+                r3.wrong_replies + r1.wrong_replies + rn.wrong_replies;
             t.add_row({std::to_string(items),
                        ConsoleTable::num(
                            r3.throughput_ktps / rn.throughput_ktps, 3),
@@ -135,6 +140,7 @@ int main() {
                         "miss %", "matches sequential"});
         for (const auto& m : modes) {
             all_match &= m.matches_sequential;
+            wrong_replies += m.stats.wrong_replies;
             t.add_row({m.mode, std::to_string(m.workers),
                        ConsoleTable::num(m.wall_s, 3),
                        ConsoleTable::num(m.mops, 2),
@@ -158,5 +164,6 @@ int main() {
         "few percent (up to 1.03x in (a), 1.08x in (b)); both beat Naive by\n"
         "1.2-1.4x. The gain is muted because YCSB's stochastic keys have\n"
         "weaker temporal locality than CAIDA traffic (paper Section 4.1).\n");
-    return all_match ? 0 : 1;
+    const bool replies_ok = no_wrong_replies(wrong_replies);
+    return all_match && replies_ok ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 // read-only DbServer (serve() is const), so cells are evaluated via
 // bench::run_series — concurrently on multicore machines — and per-series
 // timings (wall time, Mops/s over the query count) print after each table.
+#include <atomic>
 #include <cstdio>
 #include <memory>
 
@@ -23,6 +24,9 @@ namespace {
 
 using Factory = PolicyFactory<DbKey, index::RecordAddress>;
 
+/// Summed over every driver run (cells run concurrently); must stay 0.
+std::atomic<std::uint64_t> wrong_replies{0};
+
 double miss_rate(DbServer& server, std::unique_ptr<IndexCache> cache,
                  std::size_t queries) {
     DriverConfig cfg;
@@ -32,6 +36,7 @@ double miss_rate(DbServer& server, std::unique_ptr<IndexCache> cache,
     cfg.workload.zipf_alpha = 0.9;
     cfg.workload.seed = 130;
     const auto r = run_driver(cfg, server, cache.get());
+    wrong_replies += r.wrong_replies;
     return r.miss_rate;
 }
 
@@ -163,5 +168,5 @@ int main() {
         "miss rate by up to 33.3/23.6/10.4%% in (a) and 23.7/19.0/9.8%% in\n"
         "(b). Gains are smaller than LruTable's because YCSB keys have\n"
         "weaker temporal locality.\n");
-    return 0;
+    return no_wrong_replies(wrong_replies.load()) ? 0 : 1;
 }

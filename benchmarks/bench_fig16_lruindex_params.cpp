@@ -68,6 +68,9 @@ class TrackedSeries final : public IndexCache {
     mutable cache::SimilarityTracker<DbKey> tracker_;
 };
 
+/// Summed over every driver run; must stay 0.
+std::uint64_t wrong_replies = 0;
+
 struct Outcome {
     double miss = 0;
     double similarity = 0;
@@ -85,6 +88,7 @@ Outcome run_series(DbServer& server, std::size_t levels,
     cfg.workload.zipf_alpha = 0.9;
     cfg.workload.seed = 160;
     const auto r = run_driver(cfg, server, &cache);
+    wrong_replies += r.wrong_replies;
     return {r.miss_rate, cache.similarity()};
 }
 
@@ -100,7 +104,9 @@ double run_ideal(DbServer& server, std::size_t entries,
     cfg.workload.items = server.items();
     cfg.workload.zipf_alpha = 0.9;
     cfg.workload.seed = 160;
-    return run_driver(cfg, server, &cache).miss_rate;
+    const auto r = run_driver(cfg, server, &cache);
+    wrong_replies += r.wrong_replies;
+    return r.miss_rate;
 }
 
 }  // namespace
@@ -224,5 +230,5 @@ int main() {
         "more levels raise P4LRU1/2 similarity while P4LRU3's similarity\n"
         "drops slightly (the paper's argument for defaulting to 4 levels);\n"
         "P4LRU3 stays closest to LRU_IDEAL across memory and latency.\n");
-    return 0;
+    return no_wrong_replies(wrong_replies) ? 0 : 1;
 }

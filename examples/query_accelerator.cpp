@@ -53,5 +53,6 @@ int main(int argc, char** argv) {
     std::printf("speedup: %.2fx   wrong replies: %lu (must be 0)\n",
                 cached.throughput_ktps / naive.throughput_ktps,
                 cached.wrong_replies);
-    return 0;
+    // Exit nonzero if the server ever answered with another key's record.
+    return cached.wrong_replies == 0 && naive.wrong_replies == 0 ? 0 : 1;
 }

@@ -29,6 +29,9 @@ class RecordStore {
     /// address space is exhausted.
     RecordAddress allocate(std::span<const std::uint8_t> payload);
 
+    /// Make room for `n` records in total (one allocation for a bulk load).
+    void reserve(std::size_t n) { slabs_.reserve(n); }
+
     /// Read the record at `addr`. Throws std::out_of_range for invalid or
     /// null addresses.
     [[nodiscard]] const Record& read(RecordAddress addr) const;

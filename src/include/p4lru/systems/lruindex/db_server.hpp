@@ -1,13 +1,13 @@
-// The database server LruIndex accelerates: a B+ tree index over 64-byte
-// records in a RecordStore, plus the service-cost model that turns index
-// bypasses into time savings (substituting for the paper's DPDK server;
-// see DESIGN.md).
+// The database server LruIndex accelerates: a read-only B+ tree index over
+// 64-byte records in a RecordStore, plus the service-cost model that turns
+// index bypasses into time savings (substituting for the paper's DPDK
+// server; see DESIGN.md).
 #pragma once
 
 #include <cstdint>
 
 #include "p4lru/common/types.hpp"
-#include "p4lru/index/bptree.hpp"
+#include "p4lru/index/flat_bptree.hpp"
 #include "p4lru/index/record_store.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
 
@@ -29,7 +29,9 @@ struct ServeResult {
     TimeNs lock_time = 0;        ///< serialized portion (0 on index bypass)
     bool used_index = false;     ///< walked the B+ tree
     bool valid = false;          ///< key existed
-    std::array<std::uint8_t, index::RecordStore::kRecordBytes> record{};
+    /// The served record in the server's store (null when !valid); the
+    /// server hands it out in place rather than copying it.
+    const index::RecordStore::Record* record = nullptr;
 };
 
 class DbServer {
@@ -47,14 +49,19 @@ class DbServer {
     [[nodiscard]] std::size_t index_height() const { return tree_.height(); }
     [[nodiscard]] const ServerCosts& costs() const noexcept { return costs_; }
 
-    /// Ground-truth address (tests).
-    [[nodiscard]] index::RecordAddress address_of(DbKey key) const;
+    /// Ground-truth address, independent of the index: the constructor
+    /// allocates keys 0..items-1 in order from record slot 1, so key k
+    /// lives in slot k + 1.
+    [[nodiscard]] index::RecordAddress address_of(DbKey key) const noexcept {
+        return key < items_ ? (key + 1) * index::RecordStore::kRecordBytes
+                            : index::kNullRecord;
+    }
 
   private:
     std::uint64_t items_;
     ServerCosts costs_;
     index::RecordStore store_;
-    index::BPlusTree<DbKey, index::RecordAddress> tree_;
+    index::FlatBPlusTree<DbKey, index::RecordAddress> tree_;
 };
 
 }  // namespace p4lru::systems::lruindex

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "p4lru/common/hash.hpp"
 
@@ -24,12 +26,22 @@ std::array<std::uint8_t, index::RecordStore::kRecordBytes> make_payload(
 DbServer::DbServer(std::uint64_t items, ServerCosts costs)
     : items_(items), costs_(costs) {
     if (items == 0) throw std::invalid_argument("DbServer: zero items");
+    std::vector<DbKey> keys(items);
+    std::vector<index::RecordAddress> addrs(items);
+    store_.reserve(items);
     for (std::uint64_t k = 0; k < items; ++k) {
         const auto payload = make_payload(k);
-        const auto addr = store_.allocate(
+        keys[k] = k;
+        addrs[k] = store_.allocate(
             std::span<const std::uint8_t>(payload.data(), payload.size()));
-        tree_.insert(k, addr);
     }
+    // address_of() answers from arithmetic, not from the store or the
+    // tree; hold the store to it.
+    if (addrs.back() != address_of(items - 1)) {
+        throw std::logic_error("DbServer: record layout breaks address_of");
+    }
+    tree_ = index::FlatBPlusTree<DbKey, index::RecordAddress>(
+        std::move(keys), std::move(addrs));
 }
 
 ServeResult DbServer::serve(DbKey key, const CacheHeader& hdr) const {
@@ -40,7 +52,7 @@ ServeResult DbServer::serve(DbKey key, const CacheHeader& hdr) const {
         r.service_time = costs_.base + costs_.record_fetch;
         r.used_index = false;
         r.valid = true;
-        r.record = store_.read(r.addr);
+        r.record = &store_.read(r.addr);
         return r;
     }
     const auto fr = tree_.find(key);
@@ -52,14 +64,9 @@ ServeResult DbServer::serve(DbKey key, const CacheHeader& hdr) const {
     if (fr.value) {
         r.addr = *fr.value;
         r.valid = true;
-        r.record = store_.read(r.addr);
+        r.record = &store_.read(r.addr);
     }
     return r;
-}
-
-index::RecordAddress DbServer::address_of(DbKey key) const {
-    const auto fr = tree_.find(key);
-    return fr.value.value_or(index::kNullRecord);
 }
 
 }  // namespace p4lru::systems::lruindex

@@ -1,7 +1,8 @@
-// In-memory B+ tree: the database server's "built-in indexing" that LruIndex
-// bypasses on a cache hit (the paper names the B+ Tree explicitly). Lookup
-// reports the number of node hops so the server cost model can charge
-// index traversals realistically.
+// Insert-built B+ tree: the tests' independent oracle for the library's
+// read-only index::FlatBPlusTree. Nodes are heap-allocated and grow by
+// preemptive splits on the way down, the textbook algorithm; the flat tree
+// must reproduce the height, values and node hops that inserting its keys
+// in increasing order into this tree gives.
 #pragma once
 
 #include <algorithm>
@@ -11,11 +12,9 @@
 #include <stdexcept>
 #include <vector>
 
-namespace p4lru::index {
+namespace p4lru::index::oracle {
 
 /// B+ tree mapping Key -> Value with configurable fanout.
-/// Single-threaded; the LruIndex thread-scaling model serializes index
-/// traversals through a cost model rather than real concurrency.
 template <typename Key, typename Value, std::size_t Fanout = 64>
     requires(Fanout >= 4)
 class BPlusTree {
@@ -202,4 +201,4 @@ class BPlusTree {
     std::size_t size_ = 0;
 };
 
-}  // namespace p4lru::index
+}  // namespace p4lru::index::oracle

@@ -1,4 +1,7 @@
-#include "p4lru/index/bptree.hpp"
+// The library's read-only FlatBPlusTree and the insert-built oracle it is
+// checked against (bptree_oracle.hpp). Cases that build from a sorted load
+// run on both trees; cases that need inserts run on the oracle.
+#include "p4lru/index/flat_bptree.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,10 +9,26 @@
 #include <map>
 #include <vector>
 
+#include "bptree_oracle.hpp"
 #include "p4lru/common/random.hpp"
 
 namespace p4lru::index {
 namespace {
+
+using oracle::BPlusTree;
+
+/// Flat tree over keys 0..n-1 with value f(k).
+template <std::size_t Fanout, typename Value, typename Fn>
+FlatBPlusTree<std::uint64_t, Value, Fanout> flat_sequential(std::uint64_t n,
+                                                            Fn f) {
+    std::vector<std::uint64_t> keys(n);
+    std::vector<Value> values(n);
+    for (std::uint64_t k = 0; k < n; ++k) {
+        keys[k] = k;
+        values[k] = f(k);
+    }
+    return {std::move(keys), std::move(values)};
+}
 
 TEST(BPlusTree, EmptyTreeFindsNothing) {
     BPlusTree<std::uint64_t, int> t;
@@ -17,6 +36,12 @@ TEST(BPlusTree, EmptyTreeFindsNothing) {
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.height(), 1u);
     EXPECT_TRUE(t.validate());
+
+    const FlatBPlusTree<std::uint64_t, int> flat;
+    EXPECT_FALSE(flat.find(1).value.has_value());
+    EXPECT_EQ(flat.find(1).node_hops, 1u);
+    EXPECT_EQ(flat.size(), 0u);
+    EXPECT_EQ(flat.height(), 1u);
 }
 
 TEST(BPlusTree, InsertAndFindSequential) {
@@ -24,10 +49,17 @@ TEST(BPlusTree, InsertAndFindSequential) {
     for (std::uint64_t k = 0; k < 1000; ++k) t.insert(k, k * 7);
     EXPECT_EQ(t.size(), 1000u);
     EXPECT_TRUE(t.validate());
+    const auto flat = flat_sequential<8, std::uint64_t>(
+        1000, [](std::uint64_t k) { return k * 7; });
+    EXPECT_EQ(flat.size(), 1000u);
+    EXPECT_EQ(flat.height(), t.height());
     for (std::uint64_t k = 0; k < 1000; ++k) {
         ASSERT_EQ(t.find(k).value, std::optional<std::uint64_t>(k * 7)) << k;
+        ASSERT_EQ(flat.find(k).value, std::optional<std::uint64_t>(k * 7))
+            << k;
     }
     EXPECT_FALSE(t.find(1000).value.has_value());
+    EXPECT_FALSE(flat.find(1000).value.has_value());
 }
 
 TEST(BPlusTree, InsertReverseOrder) {
@@ -59,8 +91,22 @@ TEST(BPlusTree, RandomInsertsMatchStdMap) {
     }
     EXPECT_TRUE(t.validate());
     EXPECT_EQ(t.size(), ref.size());
+    // The flat tree built from the map's sorted load finds the same values
+    // for every present key and nothing for the gaps between them.
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> values;
+    for (const auto& [k, v] : ref) {
+        keys.push_back(k);
+        values.push_back(v);
+    }
+    const FlatBPlusTree<std::uint64_t, std::uint64_t, 16> flat(
+        std::move(keys), std::move(values));
     for (const auto& [k, v] : ref) {
         ASSERT_EQ(t.find(k).value, std::optional<std::uint64_t>(v)) << k;
+        ASSERT_EQ(flat.find(k).value, std::optional<std::uint64_t>(v)) << k;
+    }
+    for (std::uint64_t k = 0; k <= 5001; ++k) {
+        ASSERT_EQ(flat.find(k).value.has_value(), ref.contains(k)) << k;
     }
 }
 
@@ -70,6 +116,9 @@ TEST(BPlusTree, HeightGrowsLogarithmically) {
     // Fanout 64 and 1e5 keys: height must be small.
     EXPECT_LE(t.height(), 4u);
     EXPECT_GE(t.height(), 2u);
+    const auto flat =
+        flat_sequential<64, int>(100'000, [](std::uint64_t) { return 0; });
+    EXPECT_EQ(flat.height(), t.height());
 }
 
 TEST(BPlusTree, NodeHopsEqualsHeight) {
@@ -77,6 +126,10 @@ TEST(BPlusTree, NodeHopsEqualsHeight) {
     for (std::uint64_t k = 0; k < 5000; ++k) t.insert(k, 0);
     const auto fr = t.find(1234);
     EXPECT_EQ(fr.node_hops, t.height());
+    const auto flat =
+        flat_sequential<8, int>(5000, [](std::uint64_t) { return 0; });
+    EXPECT_EQ(flat.find(1234).node_hops, flat.height());
+    EXPECT_EQ(flat.find(99'999).node_hops, flat.height());
 }
 
 TEST(BPlusTree, ForEachVisitsKeysInOrder) {
@@ -112,6 +165,10 @@ TEST(BPlusTree, ContainsConvenience) {
     t.insert(9, 1);
     EXPECT_TRUE(t.contains(9));
     EXPECT_FALSE(t.contains(10));
+    const FlatBPlusTree<std::uint64_t, int> flat({9}, {1});
+    EXPECT_TRUE(flat.find(9).value.has_value());
+    EXPECT_FALSE(flat.find(10).value.has_value());
+    EXPECT_FALSE(flat.find(8).value.has_value());
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "p4lru/common/byte_io.hpp"
+#include "p4lru/replay/replay.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/driver.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
+#include "p4lru/systems/lruindex/lruindex_target.hpp"
 
 namespace p4lru::systems::lruindex {
 namespace {
@@ -32,6 +37,7 @@ TEST(DbServer, MissingKeyIsInvalid) {
     DbServer server(100, quick_costs());
     const auto r = server.serve(100, CacheHeader{});
     EXPECT_FALSE(r.valid);
+    EXPECT_EQ(r.record, nullptr);
 }
 
 TEST(DbServer, CachedHeaderBypassesIndex) {
@@ -55,7 +61,40 @@ TEST(DbServer, BypassReturnsTheSameRecord) {
     hdr.cached_index = server.address_of(7);
     const auto direct = server.serve(7, hdr);
     const auto indexed = server.serve(7, CacheHeader{});
-    EXPECT_EQ(direct.record, indexed.record);
+    ASSERT_NE(direct.record, nullptr);
+    ASSERT_NE(indexed.record, nullptr);
+    EXPECT_EQ(*direct.record, *indexed.record);
+}
+
+TEST(DbServer, AddressOfMatchesTheTreeWalk) {
+    for (const std::uint64_t items : {1u, 63u, 1'987u, 20'000u}) {
+        DbServer server(items, quick_costs());
+        for (DbKey k = 0; k < items; ++k) {
+            const auto walk = server.serve(k, CacheHeader{});
+            ASSERT_TRUE(walk.used_index);
+            ASSERT_TRUE(walk.valid) << items << " " << k;
+            ASSERT_EQ(server.address_of(k), walk.addr) << items << " " << k;
+        }
+        for (const DbKey k : {DbKey{items}, DbKey{items + 1}}) {
+            EXPECT_EQ(server.address_of(k), index::kNullRecord);
+            EXPECT_FALSE(server.serve(k, CacheHeader{}).valid);
+        }
+    }
+}
+
+TEST(DbServer, IndexHeightGolden) {
+    // Heights of the insert-built tree this server used to walk, at the
+    // item counts the benches (at P4LRU_SCALE 1 and 0.05), the example, the
+    // CLI and perfbench load. service_time charges per level.
+    const std::pair<std::uint64_t, std::size_t> golden[] = {
+        {2'500, 3},   {5'000, 3},   {10'000, 3},  {20'000, 3},
+        {50'000, 3},  {100'000, 4}, {200'000, 4}, {400'000, 4},
+        {1'000'000, 4},
+    };
+    for (const auto& [items, height] : golden) {
+        EXPECT_EQ(DbServer(items, quick_costs()).index_height(), height)
+            << items;
+    }
 }
 
 TEST(DbServer, StaleCachedIndexFallsBackToIndex) {
@@ -66,6 +105,58 @@ TEST(DbServer, StaleCachedIndexFallsBackToIndex) {
     const auto r = server.serve(5, hdr);
     EXPECT_TRUE(r.used_index);
     EXPECT_TRUE(r.valid);
+}
+
+/// The state image LruIndexTarget::save_state writes for one partition
+/// holding `cache`.
+std::vector<std::byte> one_partition_state(const SeriesIndexCache& cache) {
+    std::vector<std::byte> out;
+    io::ByteWriter w(out);
+    w.u64(1);
+    w.u64(cache.series().level_count());
+    for (std::size_t i = 0; i < cache.series().level_count(); ++i) {
+        std::vector<std::byte> planes;
+        cache.series().level(i).storage().save_planes(planes);
+        w.u64(planes.size());
+        w.bytes(planes.data(), planes.size());
+    }
+    return out;
+}
+
+TEST(LruIndexTarget, CachedAddressOfAnotherRecordIsAWrongReply) {
+    const DbServer server(1'000, quick_costs());
+    LruIndexTarget::Config cfg;
+    cfg.partitions = 1;
+    cfg.levels = 2;
+    cfg.units_per_level = 16;
+    std::vector<LruIndexOp> ops;
+    for (DbKey k = 0; k < 8; ++k) ops.push_back(LruIndexOp{k, k});
+
+    const auto run = [&](LruIndexTarget& target) {
+        replay::SpanOpSource<LruIndexOp> source(ops);
+        return replay::replay_target_sequential_stream(target, source)
+            .value();
+    };
+
+    // The partition's cache, built as the target builds partition 0, with
+    // every key's slot pointing at the next key's record: a valid address
+    // the server serves without a tree walk, but the wrong one.
+    SeriesIndexCache poisoned(cfg.levels, cfg.units_per_level, cfg.seed);
+    for (std::size_t i = 0; i < poisoned.series().level_count(); ++i) {
+        poisoned.series().level(i).materialize();
+    }
+    for (DbKey k = 0; k < 8; ++k) {
+        poisoned.reply(k, server.address_of(k + 1), CacheHeader{}, 0);
+    }
+    LruIndexTarget target(server, cfg);
+    ASSERT_TRUE(target.load_state(one_partition_state(poisoned)));
+    const auto stats = run(target);
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.wrong_replies, 0u);
+
+    // The same replay over an honest cache counts none.
+    LruIndexTarget clean(server, cfg);
+    EXPECT_EQ(run(clean).wrong_replies, 0u);
 }
 
 TEST(SeriesIndexCache, QueryReplyProtocol) {

@@ -229,6 +229,10 @@ int cmd_lruindex(const Flags& f) {
         with.throughput_ktps, 100.0 * with.miss_rate, with.avg_latency_us,
         naive.throughput_ktps, with.throughput_ktps / naive.throughput_ktps,
         with.wrong_replies);
+    if (with.wrong_replies != 0 || naive.wrong_replies != 0) {
+        std::fprintf(stderr, "error: the server sent wrong replies\n");
+        return 1;
+    }
     return 0;
 }
 
