@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -24,42 +25,12 @@
 #include "p4lru/common/stats.hpp"
 #include "p4lru/common/table.hpp"
 #include "p4lru/common/types.hpp"
-#include "p4lru/core/simd/scan_kernels.hpp"
+#include "p4lru/obs/exposition.hpp"
 #include "p4lru/replay/affinity.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 namespace p4lru::bench {
-
-/// Escape a string for embedding inside a JSON string literal.  The bench
-/// writers emit JSON via raw fprintf, so every %s-substituted field must go
-/// through here — a kernel name or series label containing `"` or `\` (or a
-/// control byte from a corrupted env var) would otherwise produce a file no
-/// JSON parser accepts.
-inline std::string json_escape(const std::string& in) {
-    std::string out;
-    out.reserve(in.size());
-    for (const char c : in) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 /// Global scale knob from the environment (default 1.0).
 inline double scale() {
@@ -145,8 +116,7 @@ inline bool no_wrong_replies(std::uint64_t wrong_replies) {
 
 // ---------------------------------------------------------------------------
 // Timing harness: every figure bench reports wall time and Mops/s per series
-// so the perf trajectory is visible run over run, and bench_micro_ops emits
-// the same numbers machine-readably (BENCH_micro_ops.json).
+// so the perf trajectory is visible run over run.
 
 /// Monotonic wall-clock stopwatch.
 class StopWatch {
@@ -345,155 +315,68 @@ auto run_system_series_stream(TargetFactory&& make, Source& source,
 }
 
 // ---------------------------------------------------------------------------
-// Machine-readable benchmark output (BENCH_*.json).
+// Machine-readable output: every bench writes BENCH_<bench>.json into the
+// working directory in perfbench's metric shape, through write_bench_json.
 
-/// One replay-throughput series of bench_micro_ops.  Schema 3 tags each
-/// series with the unit-storage layout (AoS-vs-SoA speedup tracked run over
-/// run), the scan kernel that executed it, and the update path (per-op vs
-/// batched).
-struct ReplayJsonSeries {
-    std::string name;        ///< "sequential" / "sharded" / "kernel" / ...
-    std::string layout;      ///< "aos" / "soa" (UnitStorage::layout_name())
-    std::size_t workers = 0; ///< shard count (0 for sequential)
-    std::string mode;        ///< "sequential" / "threaded" / "inline" / ...
-    std::string kernel;      ///< scan kernel active for the series
-    std::string path;        ///< "per_op" / "batched"
-    double wall_s = 0.0;
-    double mops = 0.0;
-    std::uint64_t ops = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
+/// One named measurement, written as {"value", "unit"}.
+struct Metric {
+    std::string name;
+    double value = 0.0;
+    std::string unit;
 };
 
-/// The number of hardware threads the process can actually use — the
-/// affinity-mask-aware count, not hardware_concurrency() (which ignores
-/// taskset/cgroup masks and may return 0).  Series interpretation depends
-/// on it: an N-worker "threaded" row on a 1-CPU machine measures scheduling
-/// overhead, not parallel speedup.
-inline std::size_t usable_hardware_threads() {
-    return replay::pinnable_cpus();
-}
-
-/// Emit the throughput baseline consumed by later PRs' perf tracking.
-/// Schema 3: top-level scan-kernel identity (dispatched kernel + CPU
-/// features) and per-series kernel/path tags.
-inline bool write_replay_json(const std::string& path, std::size_t packets,
-                              std::size_t units, double scale_value,
-                              const std::vector<ReplayJsonSeries>& series) {
+/// Write BENCH_<bench>.json into the working directory:
+///   {"bench", "scale", "hardware_threads", "correct",
+///    "metrics": {name: {"value", "unit"}}}
+/// hardware_threads is the affinity-aware CPU count: an N-worker row on
+/// fewer CPUs measures scheduling overhead, not parallel speedup.  A
+/// non-finite value is written as null so the file always parses.  Returns
+/// false (after saying so) when the file cannot be written.
+inline bool write_bench_json(const std::string& bench, bool correct,
+                             const std::vector<Metric>& metrics) {
+    const std::string path = "BENCH_" + bench + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    const core::simd::CpuFeatures feat = core::simd::cpu_features();
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"micro_ops_replay\",\n"
-                 "  \"schema\": 3,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"packets\": %zu,\n"
-                 "  \"units\": %zu,\n"
-                 "  \"hardware_threads\": %zu,\n"
-                 "  \"kernel\": \"%s\",\n"
-                 "  \"cpu_features\": {\"sse2\": %s, \"avx2\": %s, "
-                 "\"neon\": %s},\n"
-                 "  \"series\": [\n",
-                 scale_value, packets, units, usable_hardware_threads(),
-                 json_escape(core::simd::kernel_name(
-                                 core::simd::dispatched_kernel()))
-                     .c_str(),
-                 feat.sse2 ? "true" : "false", feat.avx2 ? "true" : "false",
-                 feat.neon ? "true" : "false");
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const auto& s = series[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"layout\": \"%s\", \"workers\": %zu, "
-            "\"mode\": \"%s\", \"kernel\": \"%s\", \"path\": \"%s\", "
-            "\"wall_s\": %.6f, \"mops\": %.3f, \"ops\": %llu, "
-            "\"hits\": %llu, \"misses\": %llu, \"evictions\": %llu}%s\n",
-            json_escape(s.name).c_str(), json_escape(s.layout).c_str(),
-            s.workers, json_escape(s.mode).c_str(),
-            json_escape(s.kernel).c_str(), json_escape(s.path).c_str(),
-            s.wall_s, s.mops,
-            static_cast<unsigned long long>(s.ops),
-            static_cast<unsigned long long>(s.hits),
-            static_cast<unsigned long long>(s.misses),
-            static_cast<unsigned long long>(s.evictions),
-            i + 1 < series.size() ? "," : "");
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"scale\": %g,\n"
+                 "  \"hardware_threads\": %zu,\n  \"correct\": %s,\n"
+                 "  \"metrics\": {",
+                 obs::json_escape(bench).c_str(), scale(),
+                 replay::pinnable_cpus(), correct ? "true" : "false");
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        const Metric& m = metrics[i];
+        char num[32] = "null";
+        if (std::isfinite(m.value)) {
+            std::snprintf(num, sizeof(num), "%.17g", m.value);
+        }
+        std::fprintf(f, "%s\n    \"%s\": {\"value\": %s, \"unit\": \"%s\"}",
+                     i ? "," : "", obs::json_escape(m.name).c_str(), num,
+                     obs::json_escape(m.unit).c_str());
+    }
+    std::fprintf(f, "\n  }\n}\n");
+    const bool ok = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !ok) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
     return true;
 }
 
-/// One engine-mode row of a system testbed bench (BENCH_fig*.json): a
-/// figure series replayed under one engine mode, with the series' headline
-/// metric and the equivalence verdict against the sequential reference.
-struct SystemJsonSeries {
-    std::string series;       ///< figure series label, e.g. "CAIDA60/P4LRU3"
-    std::string mode;         ///< engine-axis entry name
-    std::size_t workers = 0;  ///< 0 for the sequential reference
-    std::uint64_t ops = 0;
-    double wall_s = 0.0;
-    double mops = 0.0;
-    bool matches_sequential = true;
-    std::string metric_name;  ///< e.g. "miss_rate", "upload_kpps"
-    double metric = 0.0;
-};
-
-/// Convert an engine-axis sweep into JSON rows under one series label.
-/// `metric` maps the (merged, mode-invariant) statistics to the figure's
-/// headline scalar, evaluated per point so a mismatch stays visible.
-template <typename Stats, typename MetricFn>
-void append_system_series(std::vector<SystemJsonSeries>& out,
-                          const std::string& label, std::uint64_t ops,
-                          const std::vector<SystemModePoint<Stats>>& points,
-                          const std::string& metric_name, MetricFn metric) {
+/// The metrics of one engine-axis sweep, `<label>.<mode>_mops` per point;
+/// true when every point matched the sequential reference.
+template <typename Stats>
+bool append_mode_metrics(std::vector<Metric>& out, const std::string& label,
+                         const std::vector<SystemModePoint<Stats>>& points) {
+    bool all_match = true;
     for (const auto& p : points) {
-        SystemJsonSeries row;
-        row.series = label;
-        row.mode = p.mode;
-        row.workers = p.workers;
-        row.ops = ops;
-        row.wall_s = p.wall_s;
-        row.mops = p.mops;
-        row.matches_sequential = p.matches_sequential;
-        row.metric_name = metric_name;
-        row.metric = metric(p.stats);
-        out.push_back(std::move(row));
+        out.push_back({label + "." + p.mode + "_mops", p.mops, "Mops/s"});
+        all_match &= p.matches_sequential;
     }
-}
-
-/// Emit a system testbed bench's engine-mode series (schema 1).
-inline bool write_system_json(const std::string& path,
-                              const std::string& bench,
-                              const std::vector<SystemJsonSeries>& series) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"schema\": 1,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"hardware_threads\": %zu,\n"
-                 "  \"series\": [\n",
-                 json_escape(bench).c_str(), scale(),
-                 usable_hardware_threads());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const auto& s = series[i];
-        std::fprintf(
-            f,
-            "    {\"series\": \"%s\", \"mode\": \"%s\", \"workers\": %zu, "
-            "\"ops\": %llu, \"wall_s\": %.6f, \"mops\": %.3f, "
-            "\"matches_sequential\": %s, \"%s\": %.6f}%s\n",
-            json_escape(s.series).c_str(), json_escape(s.mode).c_str(),
-            s.workers, static_cast<unsigned long long>(s.ops), s.wall_s,
-            s.mops, s.matches_sequential ? "true" : "false",
-            json_escape(s.metric_name).c_str(), s.metric,
-            i + 1 < series.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
+    return all_match;
 }
 
 }  // namespace p4lru::bench

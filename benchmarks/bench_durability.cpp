@@ -11,7 +11,7 @@
 // Exits 1 unless every checkpointed series lands on the plain run's
 // statistics bit for bit.
 //
-// Emits BENCH_durability.json (schema 1) next to the binary so the cost of
+// Writes BENCH_durability.json into the working directory so the cost of
 // the durability ladder is tracked run over run, like the other benches.
 #include <algorithm>
 #include <cstdio>
@@ -174,13 +174,14 @@ int main() {
 
     // Checkpoint cuts, installs and crash recovery decide only when work
     // happens, never what: every series must match the plain run.
+    bool correct = true;
     for (const auto& r : rows) {
         if (!(r.stats == rows.front().stats)) {
             std::fprintf(stderr,
                          "bench_durability: %s statistics differ from the "
                          "plain run\n",
                          r.name.c_str());
-            return 1;
+            correct = false;
         }
     }
 
@@ -267,38 +268,22 @@ int main() {
         "MB/s, recovery scan %.1f us (4 generations)\n",
         mb / ser_s, mb / parse_s, mb / verify_s, scan_s * 1e6);
 
-    std::FILE* f = std::fopen("BENCH_durability.json", "w");
-    if (!f) return 1;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"durability\",\n"
-                 "  \"schema\": 1,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"hardware_threads\": %zu,\n"
-                 "  \"image_bytes\": %zu,\n"
-                 "  \"serialize_mb_s\": %.1f,\n"
-                 "  \"parse_mb_s\": %.1f,\n"
-                 "  \"verify_mb_s\": %.1f,\n"
-                 "  \"recovery_scan_us\": %.1f,\n"
-                 "  \"series\": [\n",
-                 bench::scale(), bench::usable_hardware_threads(),
-                 image.bytes.size(), mb / ser_s, mb / parse_s, mb / verify_s,
-                 scan_s * 1e6);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& r = rows[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"wall_s\": %.6f, "
-                     "\"ops\": %llu, \"installs\": %llu, \"crashes\": %llu, "
-                     "\"durable_bytes\": %llu}%s\n",
-                     r.name.c_str(), r.wall_s,
-                     static_cast<unsigned long long>(r.stats.ops),
-                     static_cast<unsigned long long>(r.installs),
-                     static_cast<unsigned long long>(r.crashes),
-                     static_cast<unsigned long long>(r.bytes),
-                     i + 1 < rows.size() ? "," : "");
+    std::vector<bench::Metric> json = {
+        {"ops", static_cast<double>(ops.size()), "count"},
+        {"image_bytes", static_cast<double>(image.bytes.size()), "B"},
+        {"serialize_mb_s", mb / ser_s, "MB/s"},
+        {"parse_mb_s", mb / parse_s, "MB/s"},
+        {"verify_mb_s", mb / verify_s, "MB/s"},
+        {"recovery_scan_us", scan_s * 1e6, "us"}};
+    for (const auto& r : rows) {
+        json.push_back({r.name + ".wall_s", r.wall_s, "s"});
+        json.push_back(
+            {r.name + ".installs", static_cast<double>(r.installs), "count"});
+        json.push_back(
+            {r.name + ".crashes", static_cast<double>(r.crashes), "count"});
+        json.push_back(
+            {r.name + ".durable_bytes", static_cast<double>(r.bytes), "B"});
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_durability.json\n");
-    return 0;
+    const bool wrote = bench::write_bench_json("durability", correct, json);
+    return correct && wrote ? 0 : 1;
 }

@@ -8,9 +8,9 @@
 // run_system_series_stream): every figure point is the sequential
 // reference, and the heaviest trace (CAIDA_60) additionally sweeps the
 // engine-mode axis — inline batching and threaded sharding at 2 and 4
-// workers — emitting a multi-worker throughput series to
-// BENCH_fig09_lrutable.json with a bit-equality check against the
-// sequential statistics.
+// workers — with a bit-equality check against the sequential statistics.
+// BENCH_fig09_lrutable.json records each series' miss rate and its Mops/s
+// per engine mode.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -75,13 +75,8 @@ int main() {
                     "Baseline miss %", "improvement x"});
     ConsoleTable b({"trace", "max concurrent flows", "P4LRU3 latency us",
                     "Baseline latency us", "improvement x"});
-    std::vector<SystemJsonSeries> json;
-    const auto miss_rate = [](const LruTableStats& s) {
-        return s.ops == 0
-                   ? 0.0
-                   : static_cast<double>(s.placeholder_hits + s.misses) /
-                         static_cast<double>(s.ops);
-    };
+    std::vector<Metric> json;
+    bool all_match = true;
 
     for (const std::size_t n : concurrency_sweep()) {
         const auto trace = make_trace(n, /*seed=*/40 + n);
@@ -95,10 +90,12 @@ int main() {
         const auto p1 =
             run(trace, slices(entries, 0x91, Factory::p4lru1), axis);
         const std::string tag = "CAIDA" + std::to_string(n);
-        append_system_series(json, tag + "/P4LRU3", trace.size(), p3.modes,
-                             "miss_rate", miss_rate);
-        append_system_series(json, tag + "/Baseline", trace.size(), p1.modes,
-                             "miss_rate", miss_rate);
+        for (const auto& [label, r] : {std::pair{tag + "/P4LRU3", &p3},
+                                       std::pair{tag + "/Baseline", &p1}}) {
+            all_match &= append_mode_metrics(json, label, r->modes);
+            json.push_back(
+                {label + ".miss_rate", r->report.miss_rate, "fraction"});
+        }
 
         a.add_row({tag, std::to_string(stats.max_concurrent),
                    pct(p3.report.miss_rate), pct(p1.report.miss_rate),
@@ -115,17 +112,14 @@ int main() {
     a.print("Figure 9(a): LruTable miss rate vs concurrency");
     b.print("Figure 9(b): LruTable added latency vs concurrency");
 
-    bool all_match = true;
-    for (const auto& row : json) all_match &= row.matches_sequential;
-    write_system_json("BENCH_fig09_lrutable.json", "fig09_lrutable", json);
     std::printf(
         "\nEngine axis (CAIDA60): inline + 2/4-worker sharded replays %s\n"
-        "the sequential statistics bit for bit; series in "
-        "BENCH_fig09_lrutable.json.\n",
+        "the sequential statistics bit for bit.\n",
         all_match ? "match" : "MISMATCH");
+    const bool wrote = write_bench_json("fig09_lrutable", all_match, json);
     std::printf(
         "\nPaper shape: miss rate rises with concurrency; P4LRU3 roughly\n"
         "halves the baseline miss rate (paper: 1.4-2.7%% vs 3.0-5.1%%, up\n"
         "to 2.14x) and cuts added latency up to 1.35x.\n");
-    return all_match ? 0 : 1;
+    return all_match && wrote ? 0 : 1;
 }

@@ -8,8 +8,9 @@
 // run_system_series_stream): figure points use the sequential reference,
 // and the heaviest trace (CAIDA_60 at threshold 1500) additionally sweeps
 // the engine-mode axis — inline batching and 2/4-worker threaded sharding —
-// emitting a multi-worker series to BENCH_fig11_lrumon.json with a
-// bit-equality check against the sequential statistics.
+// with a bit-equality check against the sequential statistics.
+// BENCH_fig11_lrumon.json records each (a) series' upload rate and its
+// Mops/s per engine mode.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -77,20 +78,14 @@ RunResult run(const std::vector<PacketRecord>& trace,
     return r;
 }
 
-double upload_kpps(const LruMonStats& s) {
-    const double secs = (s.ops != 0 && s.last_ts > s.first_ts)
-                            ? static_cast<double>(s.last_ts - s.first_ts) / 1e9
-                            : 1.0;
-    return static_cast<double>(s.uploads) / secs / 1e3;
-}
-
 }  // namespace
 
 int main() {
     // Sized so elephant flows contend for the cache (the regime where the
     // replacement policy matters, as on the paper's testbed).
     const std::size_t entries = scaled(3 * (1u << 8));
-    std::vector<SystemJsonSeries> json;
+    std::vector<Metric> json;
+    bool all_match = true;
 
     // --- (a) upload rate vs concurrency ----------------------------------
     {
@@ -108,10 +103,13 @@ int main() {
                 run(trace, policy_slices(entries, 0xD1, Factory::p4lru1),
                     1500, axis);
             const std::string tag = "CAIDA" + std::to_string(n);
-            append_system_series(json, tag + "/P4LRU3", trace.size(),
-                                 p3.modes, "upload_kpps", upload_kpps);
-            append_system_series(json, tag + "/Baseline", trace.size(),
-                                 p1.modes, "upload_kpps", upload_kpps);
+            for (const auto& [label, r] :
+                 {std::pair{tag + "/P4LRU3", &p3},
+                  std::pair{tag + "/Baseline", &p1}}) {
+                all_match &= append_mode_metrics(json, label, r->modes);
+                json.push_back({label + ".upload_kpps", r->report.upload_kpps,
+                                "kpps"});
+            }
             t.add_row({tag, std::to_string(stats.max_concurrent),
                        ConsoleTable::num(p3.report.upload_kpps, 1),
                        ConsoleTable::num(p1.report.upload_kpps, 1),
@@ -144,18 +142,15 @@ int main() {
         t.print("Figure 11(b): LruMon upload rate vs filter threshold");
     }
 
-    bool all_match = true;
-    for (const auto& row : json) all_match &= row.matches_sequential;
-    write_system_json("BENCH_fig11_lrumon.json", "fig11_lrumon", json);
     std::printf(
         "\nEngine axis (CAIDA60): inline + 2/4-worker sharded replays %s\n"
-        "the sequential statistics bit for bit; series in "
-        "BENCH_fig11_lrumon.json.\n",
+        "the sequential statistics bit for bit.\n",
         all_match ? "match" : "MISMATCH");
+    const bool wrote = write_bench_json("fig11_lrumon", all_match, json);
     std::printf(
         "\nPaper shape: upload rate grows with concurrency (35.5 -> 74.0\n"
         "KPPS for P4LRU3 vs 48.0 -> 93.7 for the baseline, up to 1.35x)\n"
         "and falls as the threshold rises (92.9 -> 36.0 vs 115.8 -> 47.9,\n"
         "up to 1.33x).\n");
-    return all_match ? 0 : 1;
+    return all_match && wrote ? 0 : 1;
 }

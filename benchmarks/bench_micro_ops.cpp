@@ -5,18 +5,19 @@
 // implementations, and the sketches.
 //
 // After the google-benchmark suite (skippable with P4LRU_SKIP_GBENCH=1), the
-// trace-replay throughput harness runs: the default 1.2M-packet trace through
-// a paper-scale parallel array, sequential vs sharded per worker count, and
-// writes the machine-readable baseline BENCH_micro_ops.json (path override:
-// P4LRU_BENCH_JSON).
+// trace-replay harness prices the replay engine's axes on the default
+// 1.2M-packet trace — worker count, storage layout, scan kernel, pinning,
+// scrubber, checkpointing, obs and trace source — and writes
+// BENCH_micro_ops.json into the working directory.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <span>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -178,631 +179,252 @@ void BM_Crc32FlowKey(benchmark::State& state) {
 BENCHMARK(BM_Crc32FlowKey);
 
 // ---------------------------------------------------------------------------
-// Trace-replay throughput: both storage layouts (AoS reference vs SoA slab),
-// sequential vs sharded engine, on the default bench trace. Aggregate
-// statistics must be identical across every series of both layouts (the
-// engine's and the slab's bit-equivalence guarantees, asserted at full
-// scale).
+// Trace-replay throughput: one table of priced rows over the default bench
+// trace.  Every row replays the same ops into a fresh cache of the same
+// seed, so its statistics must equal the per-op reference and only the wall
+// time may move; the first row of each group is the one the others are
+// priced against.  A row that prices a mechanism (pinning, scrubber,
+// checkpoint, obs) also counts how often the mechanism engaged: a count of
+// zero means the row measured nothing.  Either failure makes the run exit 1.
 
+using Unit = core::P4lru<FlowKey, std::uint32_t, 3>;
+using SoaCache = core::ParallelCache<Unit, FlowKey, std::uint32_t>;
+using AosCache = core::AosParallelCache<Unit, FlowKey, std::uint32_t>;
 using ReplaySpan = std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>;
 
-/// One-op-at-a-time reference replay of `span` into `cache`.
-template <typename Cache>
-replay::ReplayStats replay_per_op(Cache& cache, ReplaySpan span) {
-    replay::CacheReplayTarget target(cache);
-    replay::SpanOpSource source(span);
-    return replay::replay_target_sequential_stream(target, source).value();
+constexpr std::uint32_t kSeed = 0xE1;
+
+/// One run of a row: its statistics, and how often the priced mechanism
+/// engaged.
+struct Run {
+    replay::ReplayStats stats;
+    std::uint64_t fires = 0;
+};
+
+struct Row {
+    std::string group;
+    std::string name;
+    /// Metric name of the mechanism's engagement count; empty for rows
+    /// that price no mechanism.
+    std::string fires_metric;
+    std::function<Run()> run;
+};
+
+/// A row's measurement over kReps runs.
+struct Priced {
+    double seconds = 0.0;     ///< best wall time (the floor is the signal)
+    std::uint64_t fires = 0;  ///< fewest engagements of any run
+    bool identical = true;    ///< every run's stats equal the reference
+};
+
+Priced best_of(const Row& row, const replay::ReplayStats& reference) {
+    constexpr int kReps = 3;
+    Priced p;
+    for (int rep = 0; rep < kReps; ++rep) {
+        bench::StopWatch w;
+        const Run r = row.run();
+        const double secs = w.seconds();
+        if (rep == 0 || secs < p.seconds) p.seconds = secs;
+        p.fires = rep == 0 ? r.fires : std::min(p.fires, r.fires);
+        p.identical = p.identical && r.stats == reference;
+    }
+    return p;
 }
 
-/// Engine replay of `span` into `cache` under `cfg`.
-template <typename Cache>
-replay::ShardedReport replay_engine(Cache& cache, ReplaySpan span,
-                                    const replay::ShardedConfig& cfg) {
-    replay::CacheReplayTarget target(cache);
-    replay::SpanOpSource source(span);
-    return replay::replay_target_sharded_stream(target, source, cfg).value();
-}
-
-/// The one-shard inline engine: sequential replay through the batched
-/// path (route and prefetch a block, then apply it in order), scrubbing
-/// the whole array every `scrub_every` ops when nonzero.
-replay::ShardedConfig inline_engine(std::uint64_t scrub_every = 0) {
+/// `shards` workers: the one-shard inline engine, or the threaded engine.
+replay::ShardedConfig engine(std::size_t shards) {
     replay::ShardedConfig cfg;
-    cfg.shards = 1;
-    cfg.mode = replay::Mode::kInline;
-    cfg.robust.scrub_every = scrub_every;
+    cfg.shards = shards;
+    cfg.mode = shards == 1 ? replay::Mode::kInline : replay::Mode::kThreaded;
     return cfg;
 }
 
-/// Scan kernel the next replay run will execute (override-aware).
-const char* active_kernel_name() {
-    return core::simd::kernel_name(core::simd::active_kernel());
+/// Engine replay of `ops` into a fresh `Cache` under `cfg`.
+template <typename Cache = SoaCache>
+replay::ShardedReport engine_run(ReplaySpan ops, std::size_t units,
+                                 const replay::ShardedConfig& cfg) {
+    Cache cache(units, kSeed);
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sharded_stream(target, source, cfg).value();
 }
 
-/// Set once any series' statistics diverge from their reference; main()
-/// then exits nonzero, so a correctness regression fails the run.
-bool diverged = false;
-
-/// "IDENTICAL", or "DIVERGED (BUG)" with the run marked failed.
-const char* verdict(bool identical) {
-    if (!identical) diverged = true;
-    return identical ? "IDENTICAL" : "DIVERGED (BUG)";
+/// The one-op-at-a-time reference replay of `ops`.
+replay::ReplayStats per_op_run(ReplaySpan ops, std::size_t units) {
+    SoaCache cache(units, kSeed);
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sequential_stream(target, source).value();
 }
 
-/// Sequential (per-op and batched) + sharded{1,2,4,8} series for one cache
-/// layout.  Each series runs kReps times on a fresh cache; best wall time
-/// is reported (standard throughput practice — the floor is the signal).
-/// On a machine with one usable hardware thread the multi-worker sweep is
-/// skipped: those rows would measure queue overhead of an inline fallback,
-/// not parallel speedup, and have historically been mistaken for the
-/// latter.  Returns the layout's best per-op sequential wall time;
-/// *stats_out receives the sequential stats.
-template <typename Cache>
-double run_layout_series(ReplaySpan span, std::size_t units,
-                         ConsoleTable& table,
-                         std::vector<bench::ReplayJsonSeries>& json,
-                         replay::ReplayStats* stats_out) {
-    const char* layout = Cache::storage_type::layout_name();
-    const char* kernel = active_kernel_name();
-    constexpr int kReps = 3;
-
-    // Warmup: touch the trace and code paths once, off the clock.
-    {
-        Cache warm(units, 0xE1);
-        (void)replay_per_op(
-            warm, span.subspan(0, std::min<std::size_t>(span.size(),
-                                                        100'000)));
-    }
-
-    replay::ReplayStats seq_stats;
-    double seq_seconds = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        bench::StopWatch w;
-        const auto s = replay_per_op(cache, span);
-        const double secs = w.seconds();
-        if (rep == 0 || secs < seq_seconds) seq_seconds = secs;
-        seq_stats = s;
-    }
-    {
-        const stats::Throughput tp{seq_stats.ops, seq_seconds};
-        table.add_row({"sequential", layout, "1", "sequential", kernel,
-                       "per_op", ConsoleTable::num(seq_seconds, 3),
-                       ConsoleTable::num(tp.mops(), 2), "1.00",
-                       bench::pct(seq_stats.hit_rate())});
-        json.push_back({"sequential", layout, 0, "sequential", kernel,
-                        "per_op", seq_seconds, tp.mops(), seq_stats.ops,
-                        seq_stats.hits, seq_stats.misses,
-                        seq_stats.evictions});
-    }
-
-    // Batched sequential (the one-shard inline engine): same op order, each
-    // 256-op block routed and prefetched before it is applied in order.
-    double batched_seconds = 0.0;
-    replay::ReplayStats batched_stats;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        bench::StopWatch w;
-        batched_stats = replay_engine(cache, span, inline_engine()).stats;
-        const double secs = w.seconds();
-        if (rep == 0 || secs < batched_seconds) batched_seconds = secs;
-    }
-    {
-        const stats::Throughput tp{batched_stats.ops, batched_seconds};
-        table.add_row({"sequential", layout, "1", "sequential", kernel,
-                       "batched", ConsoleTable::num(batched_seconds, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(seq_seconds / batched_seconds, 2),
-                       bench::pct(batched_stats.hit_rate())});
-        json.push_back({"sequential", layout, 0, "sequential", kernel,
-                        "batched", batched_seconds, tp.mops(),
-                        batched_stats.ops, batched_stats.hits,
-                        batched_stats.misses, batched_stats.evictions});
-        if (!(batched_stats == seq_stats)) {
-            std::fprintf(stderr, "layout %s: batched stats %s\n", layout,
-                         verdict(false));
-        }
-    }
-
-    bool all_identical = true;
-    const std::size_t hw = bench::usable_hardware_threads();
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-        if (workers > 1 && hw <= 1) continue;  // see function comment
-        replay::ShardedConfig cfg;
-        cfg.shards = workers;
-        double best = 0.0;
-        replay::ShardedReport last;
-        for (int rep = 0; rep < kReps; ++rep) {
-            Cache cache(units, 0xE1);
-            bench::StopWatch w;
-            last = replay_engine(cache, span, cfg);
-            const double secs = w.seconds();
-            if (rep == 0 || secs < best) best = secs;
-            all_identical = all_identical && last.stats == seq_stats;
-        }
-        const stats::Throughput tp{last.stats.ops, best};
-        const char* mode = last.threaded ? "threaded" : "inline";
-        table.add_row({"sharded", layout, std::to_string(last.shards), mode,
-                       kernel, "batched", ConsoleTable::num(best, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(seq_seconds / best, 2),
-                       bench::pct(last.stats.hit_rate())});
-        json.push_back({"sharded", layout, last.shards, mode, kernel,
-                        "batched", best, tp.mops(), last.stats.ops,
-                        last.stats.hits, last.stats.misses,
-                        last.stats.evictions});
-    }
-    if (hw <= 1) {
-        std::printf("layout %s: 1 usable hardware thread — multi-worker "
-                    "sharded sweep skipped\n",
-                    layout);
-    }
-
-    if (!all_identical) {
-        std::fprintf(stderr, "layout %s: sharded stats %s\n", layout,
-                     verdict(false));
-    }
-    *stats_out = seq_stats;
-    return seq_seconds;
-}
-
-/// Scan-kernel head-to-head on the SoA layout: forced scalar vs the
-/// dispatched SIMD kernel, each via the per-op reference and the
-/// one-shard inline engine.  All four cells replay the same trace; stats
-/// must be identical (the kernels are bit-equivalent — only the wall time
-/// may move).
-template <typename Cache>
-void run_kernel_series(ReplaySpan span, std::size_t units,
-                       ConsoleTable& table,
-                       std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    constexpr int kReps = 3;
-
-    replay::ReplayStats first_stats;
-    bool have_first = false;
-    bool identical = true;
-    for (const bool force_scalar : {true, false}) {
-        if (force_scalar &&
-            !core::simd::set_kernel_override(core::simd::ScanKernel::kScalar))
-            continue;
-        if (!force_scalar) core::simd::clear_kernel_override();
-        const char* kernel = active_kernel_name();
-        for (const bool batched : {false, true}) {
-            double best = 0.0;
-            replay::ReplayStats s;
-            for (int rep = 0; rep < kReps; ++rep) {
-                Cache cache(units, 0xE1);
-                bench::StopWatch w;
-                s = batched ? replay_engine(cache, span, inline_engine()).stats
-                            : replay_per_op(cache, span);
-                const double secs = w.seconds();
-                if (rep == 0 || secs < best) best = secs;
-            }
-            if (!have_first) {
-                first_stats = s;
-                have_first = true;
-            }
-            identical = identical && s == first_stats;
-            const stats::Throughput tp{s.ops, best};
-            const char* path = batched ? "batched" : "per_op";
-            table.add_row({"kernel", layout, "1", "sequential", kernel, path,
-                           ConsoleTable::num(best, 3),
-                           ConsoleTable::num(tp.mops(), 2), "-",
-                           bench::pct(s.hit_rate())});
-            json.push_back({"kernel", layout, 0, "sequential", kernel, path,
-                            best, tp.mops(), s.ops, s.hits, s.misses,
-                            s.evictions});
-        }
-    }
-    core::simd::clear_kernel_override();
-    std::printf("kernel series (%s layout): scalar vs %s stats %s\n", layout,
-                core::simd::kernel_name(core::simd::dispatched_kernel()),
-                verdict(identical));
-}
-
-/// Worker-pinning head-to-head: forced-threaded sharded replay with
-/// pin_workers off vs on.  On a multi-core box this prices what pinning
-/// buys (first-touch locality surviving migration); with one usable CPU it
-/// degenerates to the same core either way and the delta is noise — the
-/// rows stay labeled with the real thread count so they read correctly.
-template <typename Cache>
-void run_pinning_series(ReplaySpan span, std::size_t units,
-                        ConsoleTable& table,
-                        std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    const char* kernel = active_kernel_name();
-    constexpr int kReps = 3;
-
-    replay::ShardedConfig cfg;
-    cfg.shards = 4;
-    cfg.mode = replay::Mode::kThreaded;
-
-    double off_seconds = 0.0;
-    for (const bool pin : {false, true}) {
-        cfg.pin_workers = pin;
-        double best = 0.0;
-        replay::ShardedReport rep_out;
-        for (int rep = 0; rep < kReps; ++rep) {
-            Cache cache(units, 0xE1);
-            bench::StopWatch w;
-            rep_out = replay_engine(cache, span, cfg);
-            const double secs = w.seconds();
-            if (rep == 0 || secs < best) best = secs;
-        }
-        if (!pin) off_seconds = best;
-        const stats::Throughput tp{rep_out.stats.ops, best};
-        const char* mode = pin ? "pin_on" : "pin_off";
-        table.add_row({"pinning", layout, std::to_string(cfg.shards), mode,
-                       kernel, "batched", ConsoleTable::num(best, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(off_seconds / best, 2),
-                       bench::pct(rep_out.stats.hit_rate())});
-        json.push_back({"pinning", layout, cfg.shards, mode, kernel,
-                        "batched", best, tp.mops(), rep_out.stats.ops,
-                        rep_out.stats.hits, rep_out.stats.misses,
-                        rep_out.stats.evictions});
-        if (pin) {
-            std::printf("pinning (%s layout, %zu shards, %zu usable cpus): "
-                        "%zu/%zu workers pinned\n",
-                        layout, cfg.shards, bench::usable_hardware_threads(),
-                        rep_out.pinned_workers, rep_out.shards);
-        }
-    }
-}
-
-/// Integrity-scrubber overhead: the one-shard inline engine with the
-/// scrubber off vs on a 64k-op cadence, same trace and units as the main
-/// series.  The stats
-/// must be identical (a clean cache scrubs to zero findings); the wall-time
-/// delta is the price of periodically revalidating every meta word.
-template <typename Cache>
-void run_scrubber_series(ReplaySpan span, std::size_t units,
-                         ConsoleTable& table,
-                         std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    constexpr int kReps = 3;
-    constexpr std::uint64_t kScrubEvery = 1u << 16;
-
-    double off_seconds = 0.0;
-    replay::ShardedReport off_rep;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        bench::StopWatch w;
-        off_rep = replay_engine(cache, span, inline_engine());
-        const double secs = w.seconds();
-        if (rep == 0 || secs < off_seconds) off_seconds = secs;
-    }
-
-    double on_seconds = 0.0;
-    replay::ShardedReport on_rep;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        bench::StopWatch w;
-        on_rep = replay_engine(cache, span, inline_engine(kScrubEvery));
-        const double secs = w.seconds();
-        if (rep == 0 || secs < on_seconds) on_seconds = secs;
-    }
-
-    for (const auto& [mode, secs, s] :
-         {std::tuple{"scrub_off", off_seconds, off_rep.stats},
-          std::tuple{"scrub_on", on_seconds, on_rep.stats}}) {
-        const stats::Throughput tp{s.ops, secs};
-        table.add_row({"scrubber", layout, "1", mode, active_kernel_name(),
-                       "batched", ConsoleTable::num(secs, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(off_seconds / secs, 2),
-                       bench::pct(s.hit_rate())});
-        json.push_back({"scrubber", layout, 0, mode, active_kernel_name(),
-                        "batched", secs, tp.mops(), s.ops, s.hits, s.misses,
-                        s.evictions});
-    }
-
-    std::printf("scrubber (every %llu ops, %s layout): %.2f%% overhead, "
-                "%llu units scanned, %llu corrupt, stats %s\n",
-                static_cast<unsigned long long>(kScrubEvery), layout,
-                (on_seconds / off_seconds - 1.0) * 100.0,
-                static_cast<unsigned long long>(on_rep.scrub.scanned),
-                static_cast<unsigned long long>(on_rep.scrub.corrupt),
-                verdict(on_rep.stats == off_rep.stats));
-}
-
-/// Checkpoint-quiesce overhead: threaded sharded replay with checkpointing
-/// off vs on (snapshot every kEveryBatches delivered blocks).  Each emit
-/// waits for every shard cursor to reach the cut and copies the full plane image
-/// plus per-shard stats; the wall-time delta prices that pause, and the
-/// stats must stay bit-identical to the uncheckpointed run.
-template <typename Cache>
-void run_checkpoint_series(ReplaySpan span, std::size_t units,
-                           ConsoleTable& table,
-                           std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    constexpr int kReps = 3;
-    constexpr std::uint64_t kEveryBatches = 256;
-
-    replay::ShardedConfig cfg;
-    cfg.shards = 4;
-
-    double off_seconds = 0.0;
-    replay::ShardedReport off_rep;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        bench::StopWatch w;
-        off_rep = replay_engine(cache, span, cfg);
-        const double secs = w.seconds();
-        if (rep == 0 || secs < off_seconds) off_seconds = secs;
-    }
-
-    double on_seconds = 0.0;
-    replay::ShardedReport on_rep;
-    std::size_t emitted = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xE1);
-        emitted = 0;
-        bench::StopWatch w;
-        replay::CacheReplayTarget target(cache);
-        replay::SpanOpSource source(span);
-        on_rep = replay::replay_target_checkpointed_stream(
-                     target, source, cfg, kEveryBatches,
-                     [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
-                         ++emitted;
-                         benchmark::DoNotOptimize(cp.state.data());
-                     })
-                     .value();
-        const double secs = w.seconds();
-        if (rep == 0 || secs < on_seconds) on_seconds = secs;
-    }
-
-    for (const auto& [mode, secs, s] :
-         {std::tuple{"ckpt_off", off_seconds, off_rep.stats},
-          std::tuple{"ckpt_on", on_seconds, on_rep.stats}}) {
-        const stats::Throughput tp{s.ops, secs};
-        table.add_row({"checkpoint", layout, std::to_string(cfg.shards),
-                       mode, active_kernel_name(), "batched",
-                       ConsoleTable::num(secs, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(off_seconds / secs, 2),
-                       bench::pct(s.hit_rate())});
-        json.push_back({"checkpoint", layout, cfg.shards, mode,
-                        active_kernel_name(), "batched", secs, tp.mops(),
-                        s.ops, s.hits, s.misses, s.evictions});
-    }
-
-    std::printf("checkpoint (every %llu batches, %s layout, %zu shards): "
-                "%zu snapshots, %.2f%% overhead, stats %s\n",
-                static_cast<unsigned long long>(kEveryBatches), layout,
-                cfg.shards, emitted,
-                (on_seconds / off_seconds - 1.0) * 100.0,
-                verdict(on_rep.stats == off_rep.stats));
-}
-
-/// Observability overhead: the same sharded replay with no Registry (the
-/// default — obs entirely compiled around via null-pointer guards) vs with
-/// a live Registry attached (batch-apply timing, per-shard depth gauges,
-/// degradation counters).  The acceptance bar is twofold: obs-off is the
-/// pre-obs engine bit for bit, and obs-on prices its fetch_adds explicitly
-/// in the committed JSON.
-template <typename Cache>
-void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
-                    std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    constexpr int kReps = 3;
-
-    replay::ShardedConfig cfg;
-    cfg.shards = 4;
-
-    double off_seconds = 0.0;
-    replay::ShardedReport off_rep;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xF2);
-        bench::StopWatch w;
-        off_rep = replay_engine(cache, span, cfg);
-        const double secs = w.seconds();
-        if (rep == 0 || secs < off_seconds) off_seconds = secs;
-    }
-
-    double on_seconds = 0.0;
-    replay::ShardedReport on_rep;
-    obs::Registry reg;
-    cfg.metrics = &reg;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Cache cache(units, 0xF2);
-        bench::StopWatch w;
-        on_rep = replay_engine(cache, span, cfg);
-        const double secs = w.seconds();
-        if (rep == 0 || secs < on_seconds) on_seconds = secs;
-    }
-
-    for (const auto& [mode, secs, s] :
-         {std::tuple{"obs_off", off_seconds, off_rep.stats},
-          std::tuple{"obs_on", on_seconds, on_rep.stats}}) {
-        const stats::Throughput tp{s.ops, secs};
-        table.add_row({"obs", layout, std::to_string(cfg.shards), mode,
-                       active_kernel_name(), "batched",
-                       ConsoleTable::num(secs, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(off_seconds / secs, 2),
-                       bench::pct(s.hit_rate())});
-        json.push_back({"obs", layout, cfg.shards, mode,
-                        active_kernel_name(), "batched", secs, tp.mops(),
-                        s.ops, s.hits, s.misses, s.evictions});
-    }
-
-    const auto snap = reg.snapshot();
-    const std::uint64_t* batches = snap.counter("replay_batches_applied");
-    std::printf("obs (%s layout, %zu shards): %.2f%% overhead, "
-                "%llu batches instrumented, stats %s\n",
-                layout, cfg.shards,
-                (on_seconds / off_seconds - 1.0) * 100.0,
-                static_cast<unsigned long long>(batches ? *batches : 0),
-                verdict(on_rep.stats == off_rep.stats));
-}
-
-/// Trace-source axis: the same replay pulled through each TraceSource — the
-/// in-memory vector, the mmap'd file, the chunked background reader — via
-/// the streaming engine, sequential and 4-way threaded.  Prices the
-/// ingestion paths against each other; the stats must be bit-identical in
-/// every cell (the sources yield the same record stream by contract), so
-/// only wall time may move.
-template <typename Cache>
-void run_source_series(const std::vector<PacketRecord>& trace,
-                       const std::string& trace_path, std::size_t units,
-                       ConsoleTable& table,
-                       std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    const char* kernel = active_kernel_name();
-    constexpr int kReps = 3;
-
-    const auto open_source =
-        [&](const char* which) -> std::unique_ptr<trace::TraceSource> {
-        if (std::strcmp(which, "vector") == 0) {
-            return std::make_unique<trace::VectorSource>(
-                std::span<const PacketRecord>(trace));
-        }
-        if (std::strcmp(which, "mmap") == 0) {
-            return trace::MmapSource::open(trace_path).value();
-        }
-        trace::ChunkedSourceOptions opts;
-        opts.chunk_records = 1u << 16;
-        return trace::ChunkedFileSource::open(trace_path, opts).value();
-    };
-
-    replay::ShardedConfig cfg;
-    cfg.shards = 4;
-    cfg.mode = replay::Mode::kThreaded;
-
-    replay::ReplayStats first_stats;
-    bool have_first = false;
-    bool identical = true;
-    double vector_seq_seconds = 0.0;
-    for (const char* source : {"vector", "mmap", "chunked"}) {
-        double seq_best = 0.0;
-        replay::ReplayStats s;
-        for (int rep = 0; rep < kReps; ++rep) {
-            auto src = open_source(source);
-            auto stream = replay::packet_op_source(*src);
-            Cache cache(units, 0xE1);
-            replay::CacheReplayTarget target(cache);
-            bench::StopWatch w;
-            s = replay::replay_target_sequential_stream(target, stream)
-                    .value();
-            const double secs = w.seconds();
-            if (rep == 0 || secs < seq_best) seq_best = secs;
-        }
-        if (!have_first) {
-            first_stats = s;
-            have_first = true;
-            vector_seq_seconds = seq_best;
-        }
-        identical = identical && s == first_stats;
-        {
-            const stats::Throughput tp{s.ops, seq_best};
-            table.add_row({"trace_source", layout, "1", source, kernel,
-                           "seq_stream", ConsoleTable::num(seq_best, 3),
-                           ConsoleTable::num(tp.mops(), 2),
-                           ConsoleTable::num(vector_seq_seconds / seq_best, 2),
-                           bench::pct(s.hit_rate())});
-            json.push_back({"trace_source", layout, 0, source, kernel,
-                            "seq_stream", seq_best, tp.mops(), s.ops, s.hits,
-                            s.misses, s.evictions});
-        }
-
-        double shard_best = 0.0;
-        replay::ShardedReport rep_out;
-        for (int rep = 0; rep < kReps; ++rep) {
-            auto src = open_source(source);
-            auto stream = replay::packet_op_source(*src);
-            Cache cache(units, 0xE1);
-            replay::CacheReplayTarget target(cache);
-            bench::StopWatch w;
-            rep_out = replay::replay_target_sharded_stream(target, stream, cfg)
-                          .value();
-            const double secs = w.seconds();
-            if (rep == 0 || secs < shard_best) shard_best = secs;
-        }
-        identical = identical && rep_out.stats == first_stats;
-        {
-            const stats::Throughput tp{rep_out.stats.ops, shard_best};
-            table.add_row({"trace_source", layout, std::to_string(cfg.shards),
-                           source, kernel, "shard_stream",
-                           ConsoleTable::num(shard_best, 3),
-                           ConsoleTable::num(tp.mops(), 2),
-                           ConsoleTable::num(vector_seq_seconds / shard_best,
-                                             2),
-                           bench::pct(rep_out.stats.hit_rate())});
-            json.push_back({"trace_source", layout, cfg.shards, source,
-                            kernel, "shard_stream", shard_best, tp.mops(),
-                            rep_out.stats.ops, rep_out.stats.hits,
-                            rep_out.stats.misses, rep_out.stats.evictions});
-        }
-    }
-    std::printf("trace sources (%s layout): vector vs mmap vs chunked stats "
-                "%s\n",
-                layout, verdict(identical));
-}
-
-void run_replay_throughput() {
-    using Unit = core::P4lru<FlowKey, std::uint32_t, 3>;
-    using SoaCache = core::ParallelCache<Unit, FlowKey, std::uint32_t>;
-    using AosCache = core::AosParallelCache<Unit, FlowKey, std::uint32_t>;
-    static_assert(std::is_same_v<SoaCache::storage_type,
-                                 core::SoaSlab<FlowKey, std::uint32_t, 3>>);
-
+bool run_replay_throughput() {
     const std::size_t units = bench::scaled(1u << 16);
     const auto trace = bench::make_trace(60, 42);
     const auto ops = replay::ops_from_packets(trace);
     const ReplaySpan span(ops);
+    // The file-backed sources need the trace on disk in P4LRUTRC form.
+    const std::string trace_path =
+        (std::filesystem::temp_directory_path() / "p4lru_bench_trace.bin")
+            .string();
+    trace::write_trace(trace_path, trace);
 
-    std::vector<bench::ReplayJsonSeries> json;
-    ConsoleTable table({"series", "layout", "workers", "mode", "kernel",
-                        "path", "wall s", "Mops/s", "speedup", "hit %"});
+    // Scrub every 64k ops and checkpoint every 256 blocks, or more often
+    // when the trace is too short for five of each, so both priced rows
+    // fire at every P4LRU_SCALE.
+    const replay::ShardedConfig threaded = engine(4);
+    const std::uint64_t scrub_every =
+        std::clamp<std::uint64_t>(ops.size() / 5, 1, 1u << 16);
+    const std::uint64_t blocks =
+        (ops.size() + threaded.batch_ops - 1) / threaded.batch_ops;
+    const std::uint64_t ckpt_every = std::clamp<std::uint64_t>(
+        blocks > 0 ? (blocks - 1) / 5 : 0, 1, 256);
 
+    const auto inline_soa = [&] {
+        return Run{engine_run(span, units, engine(1)).stats};
+    };
+    const auto threaded_soa = [&] {
+        return Run{engine_run(span, units, threaded).stats};
+    };
+    std::vector<Row> rows = {
+        {"engine", "per_op", "", [&] { return Run{per_op_run(span, units)}; }}};
+    for (const std::size_t w : {1u, 2u, 4u, 8u}) {
+        rows.push_back({"engine", "w" + std::to_string(w), "", [&, w] {
+                            return Run{
+                                engine_run(span, units, engine(w)).stats};
+                        }});
+    }
+    rows.insert(rows.end(), {
+        {"layout", "aos", "",
+         [&] {
+             return Run{engine_run<AosCache>(span, units, engine(1)).stats};
+         }},
+        {"layout", "soa", "", inline_soa},
+        {"kernel", "scalar", "",
+         [&] {
+             core::simd::set_kernel_override(core::simd::ScanKernel::kScalar);
+             const Run r = inline_soa();
+             core::simd::clear_kernel_override();
+             return r;
+         }},
+        {"kernel", "dispatched", "", inline_soa},
+        {"pinning", "off", "", threaded_soa},
+        {"pinning", "on", "pinned_workers",
+         [&] {
+             replay::ShardedConfig cfg = threaded;
+             cfg.pin_workers = true;
+             const auto rep = engine_run(span, units, cfg);
+             return Run{rep.stats, rep.pinned_workers};
+         }},
+        {"scrub", "off", "", inline_soa},
+        {"scrub", "on", "passes",
+         [&] {
+             replay::ShardedConfig cfg = engine(1);
+             cfg.robust.scrub_every = scrub_every;
+             const auto rep = engine_run(span, units, cfg);
+             return Run{rep.stats, rep.scrub.scanned / units};
+         }},
+        {"checkpoint", "off", "", threaded_soa},
+        {"checkpoint", "on", "snapshots",
+         [&] {
+             SoaCache cache(units, kSeed);
+             replay::CacheReplayTarget target(cache);
+             replay::SpanOpSource source(span);
+             std::uint64_t snapshots = 0;
+             const auto rep =
+                 replay::replay_target_checkpointed_stream(
+                     target, source, threaded, ckpt_every,
+                     [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                         ++snapshots;
+                         benchmark::DoNotOptimize(cp.state.data());
+                     })
+                     .value();
+             return Run{rep.stats, snapshots};
+         }},
+        {"obs", "off", "", threaded_soa},
+        {"obs", "on", "batches_instrumented",
+         [&] {
+             obs::Registry reg;
+             replay::ShardedConfig cfg = threaded;
+             cfg.metrics = &reg;
+             const auto rep = engine_run(span, units, cfg);
+             const obs::Snapshot snap = reg.snapshot();
+             const std::uint64_t* batches =
+                 snap.counter("replay_batches_applied");
+             return Run{rep.stats, batches ? *batches : 0};
+         }},
+    });
+    for (const std::string source : {"vector", "mmap", "chunked"}) {
+        rows.push_back({"source", source, "", [&, source] {
+            std::unique_ptr<trace::TraceSource> src;
+            if (source == "vector") {
+                src = std::make_unique<trace::VectorSource>(
+                    std::span<const PacketRecord>(trace));
+            } else if (source == "mmap") {
+                src = trace::MmapSource::open(trace_path).value();
+            } else {
+                src = trace::ChunkedFileSource::open(trace_path).value();
+            }
+            auto stream = replay::packet_op_source(*src);
+            SoaCache cache(units, kSeed);
+            replay::CacheReplayTarget target(cache);
+            return Run{replay::replay_target_sharded_stream(target, stream,
+                                                            engine(1))
+                           .value()
+                           .stats};
+        }});
+    }
+
+    const core::simd::CpuFeatures feat = core::simd::cpu_features();
     std::printf("scan kernel: %s dispatched (sse2=%d avx2=%d neon=%d), "
                 "%zu usable hardware threads\n",
                 core::simd::kernel_name(core::simd::dispatched_kernel()),
-                core::simd::cpu_features().sse2,
-                core::simd::cpu_features().avx2,
-                core::simd::cpu_features().neon,
-                bench::usable_hardware_threads());
+                feat.sse2, feat.avx2, feat.neon, replay::pinnable_cpus());
 
-    replay::ReplayStats aos_stats, soa_stats;
-    const double aos_seconds =
-        run_layout_series<AosCache>(span, units, table, json, &aos_stats);
-    const double soa_seconds =
-        run_layout_series<SoaCache>(span, units, table, json, &soa_stats);
-    run_kernel_series<SoaCache>(span, units, table, json);
-    run_pinning_series<SoaCache>(span, units, table, json);
-    run_scrubber_series<SoaCache>(span, units, table, json);
-    run_checkpoint_series<SoaCache>(span, units, table, json);
-    run_obs_series<SoaCache>(span, units, table, json);
-    {
-        // The file-backed sources need the trace on disk in P4LRUTRC form.
-        const std::string trace_path =
-            (std::filesystem::temp_directory_path() / "p4lru_bench_trace.bin")
-                .string();
-        trace::write_trace(trace_path, trace);
-        run_source_series<SoaCache>(trace, trace_path, units, table, json);
-        std::error_code ec;
-        std::filesystem::remove(trace_path, ec);
+    const replay::ReplayStats reference = per_op_run(span, units);
+    ConsoleTable table({"group", "row", "wall s", "Mops/s", "speedup",
+                        "fires", "stats"});
+    std::vector<bench::Metric> json = {
+        {"trace.ops", static_cast<double>(span.size()), "count"},
+        {"cache.units", static_cast<double>(units), "count"},
+        {"cache.hit_rate", reference.hit_rate(), "fraction"}};
+    bool correct = true;
+    double first_seconds = 0.0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const Row& row = rows[i];
+        const Priced p = best_of(row, reference);
+        if (i == 0 || row.group != rows[i - 1].group) {
+            first_seconds = p.seconds;
+        }
+        const bool fired = row.fires_metric.empty() || p.fires > 0;
+        correct = correct && p.identical && fired;
+        const double mops = static_cast<double>(span.size()) / p.seconds / 1e6;
+        table.add_row(
+            {row.group, row.name, ConsoleTable::num(p.seconds, 3),
+             ConsoleTable::num(mops, 2),
+             ConsoleTable::num(first_seconds / p.seconds, 2),
+             row.fires_metric.empty()
+                 ? "-"
+                 : std::to_string(p.fires) + (fired ? "" : " (BUG)"),
+             p.identical ? "IDENTICAL" : "DIVERGED (BUG)"});
+        json.push_back({row.group + "." + row.name + "_mops", mops, "Mops/s"});
+        if (!row.fires_metric.empty()) {
+            json.push_back({row.group + "." + row.fires_metric,
+                            static_cast<double>(p.fires), "count"});
+        }
     }
+    std::error_code ec;
+    std::filesystem::remove(trace_path, ec);
 
-    table.print("Replay throughput: AoS reference vs SoA slab, sequential "
-                "vs sharded (" +
-                std::to_string(span.size()) + " packets, " +
-                std::to_string(units) + " units)");
-    const bool layouts_identical = aos_stats == soa_stats;
-    std::printf("aggregate hit/miss/eviction counts %s across layouts\n",
-                verdict(layouts_identical));
-    std::printf("single-thread soa/aos replay speedup: %.2fx\n",
-                aos_seconds / soa_seconds);
-
-    const char* path = std::getenv("P4LRU_BENCH_JSON");
-    const std::string out = path ? path : "BENCH_micro_ops.json";
-    if (bench::write_replay_json(out, span.size(), units, bench::scale(),
-                                 json)) {
-        std::printf("wrote %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    }
+    table.print("Replay throughput, speedup vs each group's first row (" +
+                std::to_string(span.size()) + " ops, " +
+                std::to_string(units) + " units, hit " +
+                bench::pct(reference.hit_rate()) + "%, scrub every " +
+                std::to_string(scrub_every) + " ops, checkpoint every " +
+                std::to_string(ckpt_every) + " blocks)");
+    std::printf("every row's statistics vs the per-op reference, and every "
+                "priced mechanism fired: %s\n",
+                correct ? "yes" : "NO (BUG)");
+    return bench::write_bench_json("micro_ops", correct, json) && correct;
 }
 
 }  // namespace
@@ -815,6 +437,5 @@ int main(int argc, char** argv) {
         benchmark::RunSpecifiedBenchmarks();
     }
     benchmark::Shutdown();
-    run_replay_throughput();
-    return diverged ? 1 : 0;
+    return run_replay_throughput() ? 0 : 1;
 }

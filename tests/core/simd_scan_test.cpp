@@ -17,18 +17,12 @@
 #include <vector>
 
 #include "p4lru/core/soa_slab.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::core::simd {
 namespace {
 
-std::vector<ScanKernel> available_kernels() {
-    std::vector<ScanKernel> v{ScanKernel::kScalar};
-    for (const ScanKernel k :
-         {ScanKernel::kSse2, ScanKernel::kAvx2, ScanKernel::kNeon}) {
-        if (kernel_available(k)) v.push_back(k);
-    }
-    return v;
-}
+using testutil::available_kernels;
 
 /// Compare every available kernel of one shape against the scalar
 /// reference on one row/probe pair.

@@ -19,6 +19,7 @@
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
 #include "../checkpoint_util.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -259,6 +260,30 @@ TEST(BatchEquivalence, PolicyBatchesMatchPerOp) {
             batched.access_batch(batch_ops, 0, sink);
         }
         EXPECT_EQ(i, ref.size());
+    }
+}
+
+/// Every scan kernel this CPU offers, forced for a whole replay: the inline
+/// and threaded engines must land on the dispatched kernel's statistics and
+/// unit contents (the kernels are bit-equivalent; only speed may move).
+TEST(BatchEquivalence, ForcedKernelReplayMatchesDispatched) {
+    const auto ops = zipf_ops();
+    ShardedConfig threaded;
+    threaded.shards = 4;
+    threaded.mode = Mode::kThreaded;
+    core::simd::clear_kernel_override();
+    for (const ShardedConfig& cfg :
+         {testutil::sequential_config(), threaded}) {
+        FlowCache dispatched(4096, 0xE1);
+        const auto ref = testutil::cache_sharded(dispatched, ops, cfg);
+        for (const core::simd::ScanKernel k : testutil::available_kernels()) {
+            ASSERT_TRUE(core::simd::set_kernel_override(k));
+            FlowCache cache(4096, 0xE1);
+            const auto rep = testutil::cache_sharded(cache, ops, cfg);
+            core::simd::clear_kernel_override();
+            EXPECT_EQ(rep.stats, ref.stats) << core::simd::kernel_name(k);
+            expect_same_contents(dispatched, cache);
+        }
     }
 }
 

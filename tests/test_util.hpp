@@ -14,12 +14,24 @@
 
 #include "p4lru/common/random.hpp"
 #include "p4lru/common/types.hpp"
+#include "p4lru/core/simd/scan_kernels.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 namespace p4lru::testutil {
+
+/// Every scan kernel this CPU and build can execute, scalar first.
+inline std::vector<core::simd::ScanKernel> available_kernels() {
+    using core::simd::ScanKernel;
+    std::vector<ScanKernel> v{ScanKernel::kScalar};
+    for (const ScanKernel k :
+         {ScanKernel::kSse2, ScanKernel::kAvx2, ScanKernel::kNeon}) {
+        if (core::simd::kernel_available(k)) v.push_back(k);
+    }
+    return v;
+}
 
 /// A unique per-test scratch directory, removed (recursively) on scope
 /// exit.  Every test that touches disk goes through one of these so a
