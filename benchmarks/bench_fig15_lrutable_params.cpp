@@ -33,7 +33,7 @@ LruTableTarget::PolicyFactory p4lru4(std::size_t entries) {
     return [=](std::size_t) -> Factory::Ptr {
         return std::make_unique<
             cache::P4lru4ArrayPolicy<VirtualAddress, std::uint32_t>>(
-            entries, 0xB5, "P4LRU4");
+            entries, 0xB5);
     };
 }
 

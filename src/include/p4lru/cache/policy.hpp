@@ -1,13 +1,17 @@
 // Uniform cache-policy interface and every replacement policy evaluated in
 // the paper's comparative experiments (Figures 12-14), plus two extensions.
+// One implementation per replacement family:
 //
-//   P4lruArrayPolicy<N>  - parallel-connected P4LRU_N (N=1 is the paper's
-//                          "Baseline" hash-table cache, N=3 the contribution)
-//   TimeoutPolicy        - BeauCoup-style last-access-timestamp replacement
-//   ElasticPolicy        - Elastic-sketch vote-based replacement
-//   CocoPolicy           - CocoSketch probabilistic replacement
+//   ArrayPolicy<Unit>    - a parallel-connected array of P4LRU units:
+//     P4lruArrayPolicy<N>  P4LRU_N (N=1 is the paper's "Baseline" hash-table
+//                          cache, N=3 the contribution)
+//     P4lru4ArrayPolicy    the encoded P4LRU4 of Section 2.3.3
+//   BucketPolicy<Rule>   - one entry per bucket, with a collision rule:
+//     TimeoutPolicy        BeauCoup-style last-access-timestamp replacement
+//     ElasticPolicy        Elastic-sketch vote-based replacement
+//     CocoPolicy           CocoSketch probabilistic replacement
+//     LfuPolicy            per-bucket frequency aging (extension)
 //   IdealLruPolicy       - the unconstrained strict-LRU upper bound
-//   LfuPolicy            - per-bucket frequency aging (extension)
 //   ClockPolicy          - CLOCK second-chance approximation (extension,
 //                          what MemC3 uses; its scanning hand is exactly
 //                          what a pipeline cannot provide)
@@ -27,12 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "p4lru/common/hash.hpp"
@@ -70,25 +74,6 @@ class ReplacementPolicy {
     virtual Access<Key, Value> fill(const Key& k, const Value& v,
                                     TimeNs now) = 0;
 
-    /// Batched write path: apply ops strictly in span order, invoking
-    /// sink(access) once per op.  Semantically identical to calling fill()
-    /// per op — the default does exactly that — but array-backed policies
-    /// override it with the cache's batched path (buckets hashed a chunk
-    /// ahead, units prefetched a fixed distance ahead), so batch callers
-    /// get the memory-level parallelism without a behaviour change.
-    virtual void fill_batch(
-        std::span<const core::CacheOp<Key, Value>> ops, TimeNs now,
-        const std::function<void(const Access<Key, Value>&)>& sink) {
-        for (const auto& op : ops) sink(fill(op.key, op.value, now));
-    }
-
-    /// Batched read path; the per-op equivalent of access().
-    virtual void access_batch(
-        std::span<const core::CacheOp<Key, Value>> ops, TimeNs now,
-        const std::function<void(const Access<Key, Value>&)>& sink) {
-        for (const auto& op : ops) sink(access(op.key, op.value, now));
-    }
-
     /// Non-mutating lookup.
     [[nodiscard]] virtual std::optional<Value> peek(const Key& k) const = 0;
 
@@ -117,50 +102,25 @@ class ReplacementPolicy {
     }
 };
 
-/// Parallel-connected P4LRU_N array: capacity_entries = units * N.
-template <typename Key, typename Value, std::size_t N,
+/// Parallel-connected array of P4LRU units: P4lru<N> (N=1 is the paper's
+/// "Baseline" hash-table cache, N=3 the contribution) or the encoded P4LRU4
+/// of Section 2.3.3.  capacity_entries = units * Unit::capacity().
+template <typename Unit, typename Key, typename Value,
           typename Merge = core::ReplaceMerge>
-class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
+class ArrayPolicy final : public ReplacementPolicy<Key, Value> {
   public:
-    P4lruArrayPolicy(std::size_t total_entries, std::uint32_t seed)
-        : array_(std::max<std::size_t>(1, total_entries / N), seed) {}
+    ArrayPolicy(std::size_t total_entries, std::uint32_t seed)
+        : array_(std::max<std::size_t>(1, total_entries / Unit::capacity()),
+                 seed) {}
 
     Access<Key, Value> access(const Key& k, const Value& v,
                               TimeNs /*now*/) override {
-        const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, core::KeepMerge{}));
+        return run(k, v, core::KeepMerge{});
     }
 
     Access<Key, Value> fill(const Key& k, const Value& v,
                             TimeNs /*now*/) override {
-        const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, Merge{}));
-    }
-
-    void fill_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                    TimeNs /*now*/,
-                    const std::function<void(const Access<Key, Value>&)>&
-                        sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            Merge{});
-    }
-
-    void access_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                      TimeNs /*now*/,
-                      const std::function<void(const Access<Key, Value>&)>&
-                          sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            core::KeepMerge{});
+        return run(k, v, Merge{});
     }
 
     std::optional<Value> peek(const Key& k) const override {
@@ -169,7 +129,9 @@ class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
 
     std::size_t capacity_entries() const override { return array_.capacity(); }
 
-    std::string name() const override { return "P4LRU" + std::to_string(N); }
+    std::string name() const override {
+        return "P4LRU" + std::to_string(Unit::capacity());
+    }
 
     void for_each(const std::function<void(const Key&, const Value&)>& fn)
         const override {
@@ -180,8 +142,6 @@ class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
             }
         }
     }
-
-    [[nodiscard]] const auto& array() const noexcept { return array_; }
 
     bool save_state(std::vector<std::byte>& out) const override {
         std::vector<std::byte> planes;
@@ -197,110 +157,10 @@ class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
   private:
     /// The bucket is computed once per access/fill and threaded through to
     /// the post-update readback, so each packet pays exactly one hash.
-    Access<Key, Value> convert(std::size_t b, const Key& k,
-                               const core::UpdateResult<Key, Value>& r) {
-        Access<Key, Value> a;
-        a.hit = r.hit;
-        a.inserted = true;
-        a.evicted = r.evicted;
-        a.evicted_key = r.evicted_key;
-        a.evicted_value = r.evicted_value;
-        a.value = array_.find_at(b, k).value_or(Value{});
-        return a;
-    }
-
-    core::ParallelCache<core::P4lru<Key, Value, N>, Key, Value> array_;
-};
-
-/// Parallel array over an arbitrary unit type (e.g. the encoded P4LRU4 of
-/// Section 2.3.3). `Unit::capacity()` sizes the memory normalization.
-template <typename Unit, typename Key, typename Value,
-          typename Merge = core::ReplaceMerge>
-class UnitArrayPolicy final : public ReplacementPolicy<Key, Value> {
-  public:
-    UnitArrayPolicy(std::size_t total_entries, std::uint32_t seed,
-                    std::string name)
-        : array_(std::max<std::size_t>(1, total_entries / Unit::capacity()),
-                 seed),
-          name_(std::move(name)) {}
-
-    Access<Key, Value> access(const Key& k, const Value& v,
-                              TimeNs /*now*/) override {
+    template <typename MergeFn>
+    Access<Key, Value> run(const Key& k, const Value& v, MergeFn merge) {
         const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, core::KeepMerge{}));
-    }
-
-    Access<Key, Value> fill(const Key& k, const Value& v,
-                            TimeNs /*now*/) override {
-        const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, Merge{}));
-    }
-
-    void fill_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                    TimeNs /*now*/,
-                    const std::function<void(const Access<Key, Value>&)>&
-                        sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            Merge{});
-    }
-
-    void access_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                      TimeNs /*now*/,
-                      const std::function<void(const Access<Key, Value>&)>&
-                          sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            core::KeepMerge{});
-    }
-
-    std::optional<Value> peek(const Key& k) const override {
-        return array_.find(k);
-    }
-
-    std::size_t capacity_entries() const override {
-        return array_.capacity();
-    }
-    std::string name() const override { return name_; }
-
-    void for_each(const std::function<void(const Key&, const Value&)>& fn)
-        const override {
-        // Encoded units store keys in raw slots with Key{} as the empty
-        // sentinel; find() resolves each value through the unit's state.
-        for (std::size_t u = 0; u < array_.unit_count(); ++u) {
-            const auto& unit = array_.unit(u);
-            for (std::size_t i = 0; i < Unit::capacity(); ++i) {
-                const Key& key = unit.raw_key(i);
-                if (key == Key{}) continue;
-                if (const auto value = unit.find(key)) fn(key, *value);
-            }
-        }
-    }
-
-    bool save_state(std::vector<std::byte>& out) const override {
-        std::vector<std::byte> planes;
-        array_.storage().save_planes(planes);
-        out.insert(out.end(), planes.begin(), planes.end());
-        return true;
-    }
-
-    bool load_state(std::span<const std::byte> in) override {
-        return array_.storage().load_planes(in);
-    }
-
-  private:
-    /// One hash per access/fill: the update's bucket is reused for the
-    /// value readback.
-    Access<Key, Value> convert(std::size_t b, const Key& k,
-                               const core::UpdateResult<Key, Value>& r) {
+        const auto r = array_.update_at(b, k, v, merge);
         Access<Key, Value> a;
         a.hit = r.hit;
         a.inserted = true;
@@ -312,26 +172,39 @@ class UnitArrayPolicy final : public ReplacementPolicy<Key, Value> {
     }
 
     core::ParallelCache<Unit, Key, Value> array_;
-    std::string name_;
 };
 
-/// Parallel-connected encoded P4LRU4 (the Section-2.3.3 construction).
+template <typename Key, typename Value, std::size_t N,
+          typename Merge = core::ReplaceMerge>
+using P4lruArrayPolicy =
+    ArrayPolicy<core::P4lru<Key, Value, N>, Key, Value, Merge>;
+
 template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
 using P4lru4ArrayPolicy =
-    UnitArrayPolicy<core::P4lru4Encoded<Key, Value, Merge>, Key, Value,
-                    Merge>;
+    ArrayPolicy<core::P4lru4Encoded<Key, Value, Merge>, Key, Value, Merge>;
 
-/// Timeout policy: a hash table whose occupant is only replaced once its
-/// last-access timestamp is older than `timeout`. The paper notes the
-/// threshold needs careful tuning; the benches sweep it.
-template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
-class TimeoutPolicy final : public ReplacementPolicy<Key, Value> {
+/// A direct-mapped table, one entry per bucket: the shape of the Timeout,
+/// Elastic, Coco and LFU baselines, which differ only in their collision
+/// rule.  A Rule, constructed from (seed, extra constructor args...), has
+///   Meta                      per-bucket replacement metadata;
+///   kName                     the policy's name;
+///   fresh(now)                the Meta of a key inserted into an empty
+///                             bucket;
+///   on_hit(meta, now)         the resident was accessed;
+///   replaces(meta, now)       a different key collides: update the
+///                             resident's meta and return whether the
+///                             newcomer takes the bucket (meta then belongs
+///                             to the newcomer).
+template <typename Rule, typename Key, typename Value,
+          typename Merge = core::ReplaceMerge>
+class BucketPolicy final : public ReplacementPolicy<Key, Value> {
   public:
-    TimeoutPolicy(std::size_t total_entries, std::uint32_t seed,
-                  TimeNs timeout)
+    template <typename... RuleArgs>
+    BucketPolicy(std::size_t total_entries, std::uint32_t seed,
+                 RuleArgs&&... rule_args)
         : buckets_(std::max<std::size_t>(1, total_entries)),
           hasher_(seed, buckets_.size()),
-          timeout_(timeout) {}
+          rule_(seed, std::forward<RuleArgs>(rule_args)...) {}
 
     Access<Key, Value> access(const Key& k, const Value& v,
                               TimeNs now) override {
@@ -349,7 +222,7 @@ class TimeoutPolicy final : public ReplacementPolicy<Key, Value> {
     }
 
     std::size_t capacity_entries() const override { return buckets_.size(); }
-    std::string name() const override { return "Timeout"; }
+    std::string name() const override { return Rule::kName; }
 
     void for_each(const std::function<void(const Key&, const Value&)>& fn)
         const override {
@@ -357,7 +230,6 @@ class TimeoutPolicy final : public ReplacementPolicy<Key, Value> {
             if (b.occupied) fn(b.key, b.value);
         }
     }
-
 
   private:
     Access<Key, Value> run(const Key& k, const Value& v, TimeNs now,
@@ -368,19 +240,22 @@ class TimeoutPolicy final : public ReplacementPolicy<Key, Value> {
             a.hit = true;
             a.inserted = true;
             if (write_hit) b.value = Merge{}(b.value, v);
-            b.last = now;
+            rule_.on_hit(b.meta, now);
             a.value = b.value;
             return a;
         }
-        if (b.occupied && now - b.last <= timeout_) {
-            return a;  // miss, occupant retained, newcomer dropped
-        }
-        if (b.occupied) {
+        if (!b.occupied) {
+            b.meta = rule_.fresh(now);
+        } else if (rule_.replaces(b.meta, now)) {
             a.evicted = true;
             a.evicted_key = b.key;
             a.evicted_value = b.value;
+        } else {
+            return a;  // miss, occupant retained, newcomer dropped
         }
-        b = {true, k, v, now};
+        b.occupied = true;
+        b.key = k;
+        b.value = v;
         a.inserted = true;
         a.value = v;
         return a;
@@ -390,174 +265,105 @@ class TimeoutPolicy final : public ReplacementPolicy<Key, Value> {
         bool occupied = false;
         Key key{};
         Value value{};
-        TimeNs last = 0;
+        typename Rule::Meta meta{};
     };
     std::vector<Bucket> buckets_;
     hash::FlowHasher hasher_;
-    TimeNs timeout_;
+    Rule rule_;
 };
 
-/// Elastic-sketch replacement: each bucket keeps the resident's positive
-/// votes and the colliders' negative votes; the resident is ousted when
+/// Timeout (BeauCoup-style): the occupant is only replaced once its
+/// last-access timestamp is older than `timeout`. The paper notes the
+/// threshold needs careful tuning; the benches sweep it.
+struct TimeoutRule {
+    struct Meta {
+        TimeNs last = 0;
+    };
+    static constexpr const char* kName = "Timeout";
+    TimeoutRule(std::uint32_t /*seed*/, TimeNs t) : timeout(t) {}
+
+    Meta fresh(TimeNs now) const { return {now}; }
+    void on_hit(Meta& m, TimeNs now) const { m.last = now; }
+    bool replaces(Meta& m, TimeNs now) const {
+        if (now - m.last <= timeout) return false;
+        m = fresh(now);
+        return true;
+    }
+
+    TimeNs timeout;
+};
+
+/// Elastic-sketch votes: the resident's positive votes against the
+/// colliders' negative votes; the resident is ousted when
 /// negative >= lambda * positive (lambda = 8 in the Elastic paper).
-template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
-class ElasticPolicy final : public ReplacementPolicy<Key, Value> {
-  public:
-    ElasticPolicy(std::size_t total_entries, std::uint32_t seed,
-                  std::uint32_t lambda = 8)
-        : buckets_(std::max<std::size_t>(1, total_entries)),
-          hasher_(seed, buckets_.size()),
-          lambda_(lambda) {
-        if (lambda == 0) throw std::invalid_argument("ElasticPolicy: lambda 0");
-    }
-
-    Access<Key, Value> access(const Key& k, const Value& v,
-                              TimeNs now) override {
-        return run(k, v, now, false);
-    }
-    Access<Key, Value> fill(const Key& k, const Value& v,
-                            TimeNs now) override {
-        return run(k, v, now, true);
-    }
-
-    std::optional<Value> peek(const Key& k) const override {
-        const auto& b = buckets_[core::bucket_of(hasher_, k)];
-        if (b.occupied && b.key == k) return b.value;
-        return std::nullopt;
-    }
-
-    std::size_t capacity_entries() const override { return buckets_.size(); }
-    std::string name() const override { return "Elastic"; }
-
-    void for_each(const std::function<void(const Key&, const Value&)>& fn)
-        const override {
-        for (const auto& b : buckets_) {
-            if (b.occupied) fn(b.key, b.value);
-        }
-    }
-
-
-  private:
-    Access<Key, Value> run(const Key& k, const Value& v, TimeNs /*now*/,
-                           bool write_hit) {
-        auto& b = buckets_[core::bucket_of(hasher_, k)];
-        Access<Key, Value> a;
-        if (b.occupied && b.key == k) {
-            a.hit = true;
-            a.inserted = true;
-            if (write_hit) b.value = Merge{}(b.value, v);
-            ++b.positive;
-            a.value = b.value;
-            return a;
-        }
-        if (!b.occupied) {
-            b = {true, k, v, 1, 0};
-            a.inserted = true;
-            a.value = v;
-            return a;
-        }
-        ++b.negative;
-        if (b.negative >= lambda_ * b.positive) {
-            a.evicted = true;
-            a.evicted_key = b.key;
-            a.evicted_value = b.value;
-            b = {true, k, v, 1, 0};
-            a.inserted = true;
-            a.value = v;
-        }
-        return a;
-    }
-
-    struct Bucket {
-        bool occupied = false;
-        Key key{};
-        Value value{};
+struct ElasticRule {
+    struct Meta {
         std::uint32_t positive = 0;
         std::uint32_t negative = 0;
     };
-    std::vector<Bucket> buckets_;
-    hash::FlowHasher hasher_;
-    std::uint32_t lambda_;
+    static constexpr const char* kName = "Elastic";
+    explicit ElasticRule(std::uint32_t /*seed*/, std::uint32_t l = 8)
+        : lambda(l) {
+        if (l == 0) throw std::invalid_argument("ElasticPolicy: lambda 0");
+    }
+
+    Meta fresh(TimeNs /*now*/) const { return {1, 0}; }
+    void on_hit(Meta& m, TimeNs /*now*/) const { ++m.positive; }
+    bool replaces(Meta& m, TimeNs now) const {
+        if (++m.negative < lambda * m.positive) return false;
+        m = fresh(now);
+        return true;
+    }
+
+    std::uint32_t lambda;
 };
 
-/// CocoSketch replacement: on a collision the newcomer takes over with
-/// probability 1/(count+1), keeping per-key estimates unbiased.
-template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
-class CocoPolicy final : public ReplacementPolicy<Key, Value> {
-  public:
-    CocoPolicy(std::size_t total_entries, std::uint32_t seed)
-        : buckets_(std::max<std::size_t>(1, total_entries)),
-          hasher_(seed, buckets_.size()),
-          rng_(0xC0C0ULL ^ seed) {}
-
-    Access<Key, Value> access(const Key& k, const Value& v,
-                              TimeNs now) override {
-        return run(k, v, now, false);
-    }
-    Access<Key, Value> fill(const Key& k, const Value& v,
-                            TimeNs now) override {
-        return run(k, v, now, true);
-    }
-
-    std::optional<Value> peek(const Key& k) const override {
-        const auto& b = buckets_[core::bucket_of(hasher_, k)];
-        if (b.occupied && b.key == k) return b.value;
-        return std::nullopt;
-    }
-
-    std::size_t capacity_entries() const override { return buckets_.size(); }
-    std::string name() const override { return "Coco"; }
-
-    void for_each(const std::function<void(const Key&, const Value&)>& fn)
-        const override {
-        for (const auto& b : buckets_) {
-            if (b.occupied) fn(b.key, b.value);
-        }
-    }
-
-
-  private:
-    Access<Key, Value> run(const Key& k, const Value& v, TimeNs /*now*/,
-                           bool write_hit) {
-        auto& b = buckets_[core::bucket_of(hasher_, k)];
-        Access<Key, Value> a;
-        if (b.occupied && b.key == k) {
-            a.hit = true;
-            a.inserted = true;
-            if (write_hit) b.value = Merge{}(b.value, v);
-            ++b.count;
-            a.value = b.value;
-            return a;
-        }
-        if (!b.occupied) {
-            b = {true, k, v, 1};
-            a.inserted = true;
-            a.value = v;
-            return a;
-        }
-        ++b.count;
-        if (rng_.chance(1.0 / static_cast<double>(b.count))) {
-            a.evicted = true;
-            a.evicted_key = b.key;
-            a.evicted_value = b.value;
-            b.key = k;
-            b.value = v;
-            a.inserted = true;
-            a.value = v;
-        }
-        return a;
-    }
-
-    struct Bucket {
-        bool occupied = false;
-        Key key{};
-        Value value{};
+/// CocoSketch: on a collision the newcomer takes over with probability
+/// 1/(count+1), keeping per-key estimates unbiased; the count carries over
+/// to the newcomer.  The rule owns the policy's RNG.
+struct CocoRule {
+    struct Meta {
         std::uint64_t count = 0;
     };
-    std::vector<Bucket> buckets_;
-    hash::FlowHasher hasher_;
-    rng::Xoshiro256 rng_;
+    static constexpr const char* kName = "Coco";
+    explicit CocoRule(std::uint32_t seed) : rng(0xC0C0ULL ^ seed) {}
+
+    Meta fresh(TimeNs /*now*/) const { return {1}; }
+    void on_hit(Meta& m, TimeNs /*now*/) const { ++m.count; }
+    bool replaces(Meta& m, TimeNs /*now*/) {
+        ++m.count;
+        return rng.chance(1.0 / static_cast<double>(m.count));
+    }
+
+    rng::Xoshiro256 rng;
 };
+
+/// Per-bucket frequency aging (HashPipe-flavoured LFU extension): a miss
+/// decays the resident's counter; at zero the newcomer takes the slot.
+struct LfuRule {
+    struct Meta {
+        std::uint32_t freq = 0;
+    };
+    static constexpr const char* kName = "LFU";
+    explicit LfuRule(std::uint32_t /*seed*/) {}
+
+    Meta fresh(TimeNs /*now*/) const { return {1}; }
+    void on_hit(Meta& m, TimeNs /*now*/) const { ++m.freq; }
+    bool replaces(Meta& m, TimeNs now) const {
+        if (--m.freq != 0) return false;
+        m = fresh(now);
+        return true;
+    }
+};
+
+template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
+using TimeoutPolicy = BucketPolicy<TimeoutRule, Key, Value, Merge>;
+template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
+using ElasticPolicy = BucketPolicy<ElasticRule, Key, Value, Merge>;
+template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
+using CocoPolicy = BucketPolicy<CocoRule, Key, Value, Merge>;
+template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
+using LfuPolicy = BucketPolicy<LfuRule, Key, Value, Merge>;
 
 /// The unconstrained strict LRU (doubly linked list + hash map, as in
 /// Memcached): the upper bound every data-plane scheme approximates.
@@ -621,81 +427,6 @@ class IdealLruPolicy final : public ReplacementPolicy<Key, Value> {
     std::unordered_map<Key,
                        typename std::list<std::pair<Key, Value>>::iterator>
         index_;
-};
-
-/// Per-bucket frequency aging (HashPipe-flavoured LFU extension): a miss
-/// decays the resident's counter; at zero the newcomer takes the slot.
-template <typename Key, typename Value, typename Merge = core::ReplaceMerge>
-class LfuPolicy final : public ReplacementPolicy<Key, Value> {
-  public:
-    LfuPolicy(std::size_t total_entries, std::uint32_t seed)
-        : buckets_(std::max<std::size_t>(1, total_entries)),
-          hasher_(seed, buckets_.size()) {}
-
-    Access<Key, Value> access(const Key& k, const Value& v,
-                              TimeNs now) override {
-        return run(k, v, now, false);
-    }
-    Access<Key, Value> fill(const Key& k, const Value& v,
-                            TimeNs now) override {
-        return run(k, v, now, true);
-    }
-
-    std::optional<Value> peek(const Key& k) const override {
-        const auto& b = buckets_[core::bucket_of(hasher_, k)];
-        if (b.occupied && b.key == k) return b.value;
-        return std::nullopt;
-    }
-
-    std::size_t capacity_entries() const override { return buckets_.size(); }
-    std::string name() const override { return "LFU"; }
-
-    void for_each(const std::function<void(const Key&, const Value&)>& fn)
-        const override {
-        for (const auto& b : buckets_) {
-            if (b.occupied) fn(b.key, b.value);
-        }
-    }
-
-
-  private:
-    Access<Key, Value> run(const Key& k, const Value& v, TimeNs /*now*/,
-                           bool write_hit) {
-        auto& b = buckets_[core::bucket_of(hasher_, k)];
-        Access<Key, Value> a;
-        if (b.occupied && b.key == k) {
-            a.hit = true;
-            a.inserted = true;
-            if (write_hit) b.value = Merge{}(b.value, v);
-            ++b.freq;
-            a.value = b.value;
-            return a;
-        }
-        if (!b.occupied) {
-            b = {true, k, v, 1};
-            a.inserted = true;
-            a.value = v;
-            return a;
-        }
-        if (--b.freq == 0) {
-            a.evicted = true;
-            a.evicted_key = b.key;
-            a.evicted_value = b.value;
-            b = {true, k, v, 1};
-            a.inserted = true;
-            a.value = v;
-        }
-        return a;
-    }
-
-    struct Bucket {
-        bool occupied = false;
-        Key key{};
-        Value value{};
-        std::uint32_t freq = 0;
-    };
-    std::vector<Bucket> buckets_;
-    hash::FlowHasher hasher_;
 };
 
 /// CLOCK (second chance): global ring with reference bits and a scanning

@@ -175,7 +175,6 @@ class P4lru4Encoded {
 
     [[nodiscard]] std::uint8_t sigma_code() const noexcept { return sigma_; }
     [[nodiscard]] std::uint8_t v4_code() const noexcept { return v4_; }
-    [[nodiscard]] const Key& raw_key(std::size_t i) const { return key_[i]; }
     [[nodiscard]] static constexpr std::size_t capacity() noexcept {
         return 4;
     }
@@ -184,6 +183,15 @@ class P4lru4Encoded {
         std::size_t n = 0;
         for (const auto& key : key_) n += key != Key{} ? 1 : 0;
         return n;
+    }
+
+    /// Key at 1-based LRU position (1 = most recent).  update() keeps the
+    /// occupied slots a prefix, so positions 1..size() are the residents.
+    [[nodiscard]] const Key& key_at(std::size_t i) const { return key_[i - 1]; }
+
+    /// Value owned by the key at 1-based position i.
+    [[nodiscard]] const Value& value_at(std::size_t i) const {
+        return val_[codec4::compose_state(sigma_, v4_)(i) - 1];
     }
 
   private:

@@ -44,28 +44,14 @@ template <typename Key>
     }
 }
 
-/// One operation of a batched update (see ParallelCache::update_batch).
-template <typename Key, typename Value>
-struct CacheOp {
-    Key key{};
-    Value value{};
-};
-
-/// An op shaped like CacheOp: anything exposing .key and .value members of
-/// the cache's key/value types (replay::ReplayOp qualifies as-is).
+/// An op carrying its key, value and precomputed bucket (the replay
+/// dispatcher's RoutedOp), as ParallelCache::update_routed_batch takes it.
 template <typename Op, typename Key, typename Value>
-concept UpdateOpFor = requires(const Op& o) {
+concept RoutedOpFor = requires(const Op& o) {
     { o.key } -> std::convertible_to<const Key&>;
     { o.value } -> std::convertible_to<const Value&>;
+    { o.bucket } -> std::convertible_to<std::size_t>;
 };
-
-/// An UpdateOpFor that also carries its precomputed bucket (the replay
-/// dispatcher's RoutedOp).
-template <typename Op, typename Key, typename Value>
-concept RoutedOpFor =
-    UpdateOpFor<Op, Key, Value> && requires(const Op& o) {
-        { o.bucket } -> std::convertible_to<std::size_t>;
-    };
 
 /// How many ops ahead the batched update path prefetches each op's unit.
 /// At ~50 Mops per core an op retires in ~20 ns while a DRAM miss costs
@@ -126,42 +112,18 @@ class ParallelCache {
         return storage_.update_at(b, k, v, std::forward<MergeFn>(merge));
     }
 
-    /// Batched update: hash a whole chunk of ops up front, then apply them
-    /// strictly in span order while prefetching each op's unit
+    /// Batched update over ops whose buckets were already computed (the
+    /// replay dispatcher routes by bucket and must not pay the hash twice):
+    /// apply them strictly in span order while prefetching each op's unit
     /// kBatchPrefetchDistance ops ahead, so the unit array's random-access
     /// latency overlaps earlier updates instead of stalling each one.
     ///
     /// `sink` is invoked per op, in op order, as sink(i, b, result) with i
-    /// the op's index in the span and b its bucket (the policy layer's
-    /// post-update readback reuses it; plain stat tallies ignore both).
-    /// Because ops are applied one at a time in order — only the hashing
-    /// and prefetching are hoisted — two ops on the same bucket within a
-    /// batch see each other exactly as they would per-op: the Result stream
-    /// is bit-identical to calling update() per op.
-    template <UpdateOpFor<Key, Value> Op, typename Sink>
-    void update_batch(std::span<const Op> ops, Sink&& sink) {
-        update_batch_impl(ops, std::forward<Sink>(sink),
-                          [this](std::size_t b, const Key& k,
-                                 const Value& v) {
-                              return storage_.update_at(b, k, v);
-                          });
-    }
-
-    /// Per-call merge overload of the batched update (read pass vs write
-    /// pass, as with update()).
-    template <UpdateOpFor<Key, Value> Op, typename Sink, typename MergeFn>
-    void update_batch(std::span<const Op> ops, Sink&& sink, MergeFn merge) {
-        update_batch_impl(
-            ops, std::forward<Sink>(sink),
-            [this, &merge](std::size_t b, const Key& k, const Value& v) {
-                return storage_.update_at(b, k, v, merge);
-            });
-    }
-
-    /// Batched update over ops whose buckets were already computed (the
-    /// replay dispatcher routes by bucket and must not pay the hash twice).
-    /// Same in-order per-op application and distance prefetch as
-    /// update_batch.  Precondition: op.bucket == bucket(op.key) for each op.
+    /// the op's index in the span and b its bucket.  Because ops are
+    /// applied one at a time in order — only the prefetching is hoisted —
+    /// two ops on the same bucket within a batch see each other exactly as
+    /// they would per-op: the Result stream is bit-identical to calling
+    /// update() per op.  Precondition: op.bucket == bucket(op.key).
     template <RoutedOpFor<Key, Value> Op, typename Sink>
     void update_routed_batch(std::span<const Op> ops, Sink&& sink) {
         const std::size_t n = ops.size();
@@ -288,36 +250,6 @@ class ParallelCache {
             throw std::invalid_argument("ParallelCache: zero units");
         }
         return units;
-    }
-
-    /// Shared core of the update_batch overloads: hash a chunk up front
-    /// into stack scratch, warm the first kBatchPrefetchDistance units,
-    /// then apply in order with the prefetch window sliding ahead.
-    template <typename Op, typename Sink, typename Apply>
-    void update_batch_impl(std::span<const Op> ops, Sink&& sink,
-                           Apply&& apply) {
-        constexpr std::size_t kChunk = 256;
-        std::uint32_t buckets[kChunk];
-        for (std::size_t base = 0; base < ops.size(); base += kChunk) {
-            const std::size_t n = std::min(kChunk, ops.size() - base);
-            for (std::size_t i = 0; i < n; ++i) {
-                buckets[i] =
-                    static_cast<std::uint32_t>(bucket(ops[base + i].key));
-            }
-            for (std::size_t i = 0; i < std::min(kBatchPrefetchDistance, n);
-                 ++i) {
-                prefetch_unit(buckets[i]);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (i + kBatchPrefetchDistance < n) {
-                    prefetch_unit(buckets[i + kBatchPrefetchDistance]);
-                }
-                const auto& op = ops[base + i];
-                sink(base + i, static_cast<std::size_t>(buckets[i]),
-                     apply(static_cast<std::size_t>(buckets[i]), op.key,
-                           op.value));
-            }
-        }
     }
 
     Storage storage_;

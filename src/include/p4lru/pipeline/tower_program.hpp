@@ -34,7 +34,7 @@ class TowerPipelineFilter {
 
     /// Control-plane style periodic counter reset (the per-counter
     /// timestamp trick of the paper is modelled at system level; see
-    /// systems::lrumon::TowerFilter).
+    /// systems::lrumon::FlowFilter).
     void reset_counters();
 
     [[nodiscard]] const Pipeline& pipeline() const noexcept { return pipe_; }

@@ -4,13 +4,17 @@
 // first touch in a new window is observably identical to clearing the whole
 // sketch at the window boundary, which is how we model it.
 //
-// Three interchangeable sketches (the paper: "LruMon is also compatible with
-// other sketches, such as the CM sketch or the approximate CU sketch").
+// One filter over three interchangeable sketches (the paper: "LruMon is also
+// compatible with other sketches, such as the CM sketch or the approximate
+// CU sketch"), held in a std::variant so the window roll is written once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/types.hpp"
@@ -18,27 +22,6 @@
 #include "p4lru/sketch/towersketch.hpp"
 
 namespace p4lru::systems::lrumon {
-
-/// Windowed filter interface over a 32-bit flow fingerprint.
-class FlowFilter {
-  public:
-    virtual ~FlowFilter() = default;
-
-    /// Count `len` bytes for `fp` at time `ts`; returns the flow's estimated
-    /// bytes within the current reset window.
-    virtual std::uint64_t add_and_estimate(std::uint32_t fp, std::uint32_t len,
-                                           TimeNs ts) = 0;
-
-    [[nodiscard]] virtual std::string name() const = 0;
-    [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
-
-    /// Append the filter's mutable state (reset window + sketch counters)
-    /// to `w`; load_state restores it on an identically-configured filter
-    /// (false on a short or misshapen image).  Checkpoint snapshot plane of
-    /// the LruMon replay target.
-    virtual void save_state(io::ByteWriter& w) const = 0;
-    [[nodiscard]] virtual bool load_state(io::ByteReader& r) = 0;
-};
 
 struct FilterConfig {
     TimeNs reset_period = 10 * kMillisecond;  ///< paper default
@@ -49,134 +32,91 @@ struct FilterConfig {
     std::size_t cm_depth = 2;
 };
 
-/// TowerSketch-backed filter (the paper's primary configuration).
-class TowerFilter final : public FlowFilter {
-  public:
-    explicit TowerFilter(const FilterConfig& cfg)
-        : cfg_(cfg),
-          sketch_({{cfg.tower_width1, 8}, {cfg.tower_width2, 16}}, cfg.seed) {}
-
-    std::uint64_t add_and_estimate(std::uint32_t fp, std::uint32_t len,
-                                   TimeNs ts) override {
-        roll_window(ts);
-        return sketch_.add_and_estimate(fp, len);
-    }
-
-    std::string name() const override { return "Tower"; }
-    std::size_t memory_bytes() const override {
-        return sketch_.memory_bytes();
-    }
-
-    void save_state(io::ByteWriter& w) const override {
-        w.u64(window_);
-        sketch_.save(w);
-    }
-    bool load_state(io::ByteReader& r) override {
-        return r.u64(window_) && sketch_.load(r);
-    }
-
-  private:
-    void roll_window(TimeNs ts) {
-        const std::uint64_t w = ts / cfg_.reset_period;
-        if (w != window_) {
-            sketch_.clear();
-            window_ = w;
-        }
-    }
-
-    FilterConfig cfg_;
-    std::uint64_t window_ = 0;
-    sketch::TowerSketch<std::uint32_t> sketch_;
-};
-
-/// Count-Min-backed filter (used by the testbed experiments, Figure 11).
-class CmFilter final : public FlowFilter {
-  public:
-    explicit CmFilter(const FilterConfig& cfg)
-        : cfg_(cfg), sketch_(cfg.cm_width, cfg.cm_depth, cfg.seed) {}
-
-    std::uint64_t add_and_estimate(std::uint32_t fp, std::uint32_t len,
-                                   TimeNs ts) override {
-        roll_window(ts);
-        return sketch_.add_and_estimate(fp, len);
-    }
-
-    std::string name() const override { return "CM"; }
-    std::size_t memory_bytes() const override {
-        return sketch_.memory_bytes();
-    }
-
-    void save_state(io::ByteWriter& w) const override {
-        w.u64(window_);
-        sketch_.save(w);
-    }
-    bool load_state(io::ByteReader& r) override {
-        return r.u64(window_) && sketch_.load(r);
-    }
-
-  private:
-    void roll_window(TimeNs ts) {
-        const std::uint64_t w = ts / cfg_.reset_period;
-        if (w != window_) {
-            sketch_.clear();
-            window_ = w;
-        }
-    }
-
-    FilterConfig cfg_;
-    std::uint64_t window_ = 0;
-    sketch::CountMin<std::uint32_t> sketch_;
-};
-
-/// CU-backed filter (conservative update halves the overestimation).
-class CuFilter final : public FlowFilter {
-  public:
-    explicit CuFilter(const FilterConfig& cfg)
-        : cfg_(cfg), sketch_(cfg.cm_width, cfg.cm_depth, cfg.seed) {}
-
-    std::uint64_t add_and_estimate(std::uint32_t fp, std::uint32_t len,
-                                   TimeNs ts) override {
-        roll_window(ts);
-        return sketch_.add_and_estimate(fp, len);
-    }
-
-    std::string name() const override { return "CU"; }
-    std::size_t memory_bytes() const override {
-        return sketch_.memory_bytes();
-    }
-
-    void save_state(io::ByteWriter& w) const override {
-        w.u64(window_);
-        sketch_.save(w);
-    }
-    bool load_state(io::ByteReader& r) override {
-        return r.u64(window_) && sketch_.load(r);
-    }
-
-  private:
-    void roll_window(TimeNs ts) {
-        const std::uint64_t w = ts / cfg_.reset_period;
-        if (w != window_) {
-            sketch_.clear();
-            window_ = w;
-        }
-    }
-
-    FilterConfig cfg_;
-    std::uint64_t window_ = 0;
-    sketch::CuSketch<std::uint32_t> sketch_;
-};
-
+/// kTower is the paper's primary configuration, kCm the testbed's
+/// (Figure 11); kCu's conservative update halves the overestimation.
 enum class FilterKind { kTower, kCm, kCu };
+
+/// Windowed filter over a 32-bit flow fingerprint.
+class FlowFilter {
+  public:
+    /// Throws std::invalid_argument on a zero reset period.
+    FlowFilter(FilterKind kind, const FilterConfig& cfg)
+        : reset_period_(cfg.reset_period), sketch_(make_sketch(kind, cfg)) {
+        if (reset_period_ == 0) {
+            throw std::invalid_argument("FlowFilter: zero reset period");
+        }
+    }
+
+    /// Count `len` bytes for `fp` at time `ts`; returns the flow's estimated
+    /// bytes within the current reset window.
+    std::uint64_t add_and_estimate(std::uint32_t fp, std::uint32_t len,
+                                   TimeNs ts) {
+        const std::uint64_t w = ts / reset_period_;
+        return std::visit(
+            [&](auto& s) {
+                if (w != window_) {
+                    s.clear();
+                    window_ = w;
+                }
+                return s.add_and_estimate(fp, len);
+            },
+            sketch_);
+    }
+
+    [[nodiscard]] std::string name() const {
+        static constexpr const char* kNames[] = {"Tower", "CM", "CU"};
+        return kNames[sketch_.index()];
+    }
+    [[nodiscard]] std::size_t memory_bytes() const {
+        return std::visit([](const auto& s) { return s.memory_bytes(); },
+                          sketch_);
+    }
+
+    /// Append the filter's mutable state (reset window + sketch counters)
+    /// to `w`; load_state restores it on an identically-configured filter
+    /// (false on a short or misshapen image).  Checkpoint snapshot plane of
+    /// the LruMon replay target.
+    void save_state(io::ByteWriter& w) const {
+        w.u64(window_);
+        std::visit([&](const auto& s) { s.save(w); }, sketch_);
+    }
+    [[nodiscard]] bool load_state(io::ByteReader& r) {
+        return r.u64(window_) &&
+               std::visit([&](auto& s) { return s.load(r); }, sketch_);
+    }
+
+  private:
+    /// Alternatives in FilterKind order.
+    using Sketch = std::variant<sketch::TowerSketch<std::uint32_t>,
+                                sketch::CountMin<std::uint32_t>,
+                                sketch::CuSketch<std::uint32_t>>;
+
+    static Sketch make_sketch(FilterKind kind, const FilterConfig& cfg) {
+        switch (kind) {
+            case FilterKind::kTower:
+                return Sketch(std::in_place_index<0>,
+                              std::vector<sketch::TowerLevelConfig>{
+                                  {cfg.tower_width1, 8},
+                                  {cfg.tower_width2, 16}},
+                              cfg.seed);
+            case FilterKind::kCm:
+                return Sketch(std::in_place_index<1>, cfg.cm_width,
+                              cfg.cm_depth, cfg.seed);
+            case FilterKind::kCu:
+                return Sketch(std::in_place_index<2>, cfg.cm_width,
+                              cfg.cm_depth, cfg.seed);
+        }
+        throw std::invalid_argument("FlowFilter: unknown kind");
+    }
+
+    TimeNs reset_period_;
+    std::uint64_t window_ = 0;
+    Sketch sketch_;
+};
 
 [[nodiscard]] inline std::unique_ptr<FlowFilter> make_filter(
     FilterKind kind, const FilterConfig& cfg) {
-    switch (kind) {
-        case FilterKind::kTower: return std::make_unique<TowerFilter>(cfg);
-        case FilterKind::kCm: return std::make_unique<CmFilter>(cfg);
-        case FilterKind::kCu: return std::make_unique<CuFilter>(cfg);
-    }
-    return nullptr;
+    return std::make_unique<FlowFilter>(kind, cfg);
 }
 
 }  // namespace p4lru::systems::lrumon

@@ -13,7 +13,7 @@ using V = std::uint64_t;
 using P4 = P4lru4ArrayPolicy<K, V>;
 
 TEST(P4lru4Policy, BasicAccessAndFill) {
-    P4 p(64, 1, "P4LRU4");
+    P4 p(64, 1);
     const auto miss = p.access(5, 50, 0);
     EXPECT_FALSE(miss.hit);
     EXPECT_TRUE(miss.inserted);
@@ -28,12 +28,12 @@ TEST(P4lru4Policy, BasicAccessAndFill) {
 }
 
 TEST(P4lru4Policy, CapacityNormalization) {
-    EXPECT_EQ(P4(64, 1, "P4LRU4").capacity_entries(), 64u);
-    EXPECT_EQ(P4(66, 1, "P4LRU4").capacity_entries(), 64u);  // 16 units x 4
+    EXPECT_EQ(P4(64, 1).capacity_entries(), 64u);
+    EXPECT_EQ(P4(66, 1).capacity_entries(), 64u);  // 16 units x 4
 }
 
 TEST(P4lru4Policy, ForEachEnumeratesResidentEntries) {
-    P4 p(64, 1, "P4LRU4");
+    P4 p(64, 1);
     for (K k = 1; k <= 10; ++k) p.access(k, k * 3, k);
     std::set<K> seen;
     p.for_each([&](const K& k, const V& v) {
@@ -45,7 +45,7 @@ TEST(P4lru4Policy, ForEachEnumeratesResidentEntries) {
 }
 
 TEST(P4lru4Policy, BucketLruEviction) {
-    P4 p(4, 1, "P4LRU4");  // exactly one unit of 4
+    P4 p(4, 1);  // exactly one unit of 4
     for (K k = 1; k <= 4; ++k) p.access(k, k, 0);
     p.access(1, 1, 0);  // promote 1 -> LRU order: 1 4 3 2
     const auto a = p.fill(9, 9, 0);
@@ -63,7 +63,7 @@ TEST(P4lru4Policy, AtLeastAsGoodAsP4lru3AtEqualMemory) {
         return static_cast<double>(hits) / keys.size();
     };
     P4lruArrayPolicy<K, V, 3> p3(1200, 3);
-    P4 p4(1200, 3, "P4LRU4");
+    P4 p4(1200, 3);
     EXPECT_GE(run(p4), run(p3) - 0.005);
 }
 

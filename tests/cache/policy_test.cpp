@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "../test_util.hpp"
 
@@ -20,6 +23,7 @@ std::vector<PolicyPtr> make_policies() {
     out.push_back(std::make_unique<P4lruArrayPolicy<K, V, 1>>(64, 1));
     out.push_back(std::make_unique<P4lruArrayPolicy<K, V, 2>>(64, 1));
     out.push_back(std::make_unique<P4lruArrayPolicy<K, V, 3>>(64, 1));
+    out.push_back(std::make_unique<P4lru4ArrayPolicy<K, V>>(64, 1));
     out.push_back(
         std::make_unique<TimeoutPolicy<K, V>>(64, 1, TimeNs{1000}));
     out.push_back(std::make_unique<ElasticPolicy<K, V>>(64, 1));
@@ -179,6 +183,63 @@ TEST(Policies, P4lru3ArrayEvictsWithinBucketLru) {
     const auto a = p.fill(4, 4, 0);
     EXPECT_TRUE(a.evicted);
     EXPECT_EQ(a.evicted_key, 2u);
+}
+
+/// P4LRU_n's array policy, n = 1..4, at 240 entries.
+PolicyPtr make_array_policy(std::size_t n) {
+    switch (n) {
+        case 1: return std::make_unique<P4lruArrayPolicy<K, V, 1>>(240, 5);
+        case 2: return std::make_unique<P4lruArrayPolicy<K, V, 2>>(240, 5);
+        case 3: return std::make_unique<P4lruArrayPolicy<K, V, 3>>(240, 5);
+        default: return std::make_unique<P4lru4ArrayPolicy<K, V>>(240, 5);
+    }
+}
+
+/// P4LRU1-4 snapshot their planes: a fresh policy restored from save_state
+/// continues with the original's Access stream, and an image of the wrong
+/// size is refused.
+TEST(Policies, ArraySaveLoadRoundTrip) {
+    const auto keys = testutil::random_keys(20'000, 3000, 11, 0.35);
+    const auto image = [](const Access<K, V>& a) {
+        return std::tuple(a.hit, a.inserted, a.evicted, a.evicted_key,
+                          a.evicted_value, a.value);
+    };
+    for (std::size_t n = 1; n <= 4; ++n) {
+        const auto original = make_array_policy(n);
+        for (std::size_t i = 0; i < keys.size() / 2; ++i) {
+            original->fill(keys[i], keys[i] * 7ull + i, 0);
+        }
+        std::vector<std::byte> state;
+        ASSERT_TRUE(original->save_state(state)) << original->name();
+
+        const auto restored = make_array_policy(n);
+        ASSERT_TRUE(restored->load_state(state)) << original->name();
+        for (std::size_t i = keys.size() / 2; i < keys.size(); ++i) {
+            const V v = keys[i] * 7ull + i;
+            if (i % 3 == 0) {
+                ASSERT_EQ(image(restored->access(keys[i], v, 0)),
+                          image(original->access(keys[i], v, 0)))
+                    << original->name() << " op " << i;
+            } else {
+                ASSERT_EQ(image(restored->fill(keys[i], v, 0)),
+                          image(original->fill(keys[i], v, 0)))
+                    << original->name() << " op " << i;
+            }
+        }
+
+        state.pop_back();
+        EXPECT_FALSE(make_array_policy(n)->load_state(state))
+            << original->name();
+    }
+}
+
+TEST(Policies, OnlyArrayPoliciesSnapshot) {
+    for (const auto& p : make_policies()) {
+        const bool array = p->name().starts_with("P4LRU");
+        std::vector<std::byte> state;
+        EXPECT_EQ(p->save_state(state), array) << p->name();
+        EXPECT_EQ(state.empty(), !array) << p->name();
+    }
 }
 
 // Hit-rate ordering on a bursty skewed stream at equal memory: ideal LRU >=

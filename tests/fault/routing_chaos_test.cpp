@@ -82,7 +82,7 @@ auto make_lrumon() {
             fc.cm_width = 1u << 12;
             fc.cm_depth = 2;
             fc.seed = 0x70EEE + p;
-            return std::make_unique<CmFilter>(fc);
+            return make_filter(FilterKind::kCm, fc);
         },
         [](std::size_t p) {
             return std::make_unique<cache::P4lruArrayPolicy<

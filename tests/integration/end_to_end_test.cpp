@@ -74,7 +74,8 @@ TEST_F(EndToEnd, HeadlineClaimAcrossAllThreeSystems) {
         systems::lrumon::LruMonTarget sys(
             1,
             [&](std::size_t) {
-                return std::make_unique<systems::lrumon::TowerFilter>(fcfg);
+                return systems::lrumon::make_filter(
+                systems::lrumon::FilterKind::kTower, fcfg);
             },
             [&](std::size_t) { return make_policy(); }, cfg);
         replay::SpanOpSource source(*trace_);
@@ -130,7 +131,8 @@ TEST_F(EndToEnd, LruMonMeasurementReconcilesWithGroundTruth) {
     systems::lrumon::LruMonTarget sys(
         1,
         [&](std::size_t) {
-            return std::make_unique<systems::lrumon::TowerFilter>(fcfg);
+            return systems::lrumon::make_filter(
+                systems::lrumon::FilterKind::kTower, fcfg);
         },
         [](std::size_t) {
             return std::make_unique<cache::P4lruArrayPolicy<

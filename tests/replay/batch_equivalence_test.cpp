@@ -1,18 +1,16 @@
-// Property suite for the batched update path: update_batch (and everything
-// layered on it — the one-shard inline engine, the checkpointed inline
-// replay, the policy fill_batch/access_batch entry points, and the sharded
-// engine's routed batches) must emit a bit-identical UpdateResult stream to
-// per-op update on the same input.  Batching hoists only hashing and
-// prefetching; per-op application order is untouched, so this is checkable
-// result-for-result, on both storage layouts, under Zipf and YCSB traffic,
-// with checkpoints cut mid-stream.
+// Property suite for the batched update path: update_routed_batch (and
+// everything layered on it — the one-shard inline engine, the checkpointed
+// inline replay, and the sharded engine's routed batches) must emit a
+// bit-identical UpdateResult stream to per-op update on the same input.
+// Batching hoists only prefetching; per-op application order is untouched,
+// so this is checkable result-for-result, on both storage layouts, under
+// Zipf and YCSB traffic, with checkpoints cut mid-stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "p4lru/cache/policy.hpp"
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/target_checkpoint.hpp"
@@ -92,9 +90,9 @@ struct ResultImage {
     friend bool operator==(const ResultImage&, const ResultImage&) = default;
 };
 
-/// The property itself: per-op update vs update_batch over the same ops on
-/// fresh caches of the same seed — identical result streams, identical
-/// final contents.
+/// The property itself: per-op update vs update_routed_batch over the same
+/// ops, each routed with bucket(), on fresh caches of the same seed —
+/// identical result streams, identical final contents.
 template <typename Cache, typename Key, typename Value>
 void check_batch_stream(std::span<const ReplayOp<Key, Value>> ops,
                         std::size_t units, std::uint32_t seed) {
@@ -107,15 +105,23 @@ void check_batch_stream(std::span<const ReplayOp<Key, Value>> ops,
     }
 
     Cache batched(units, seed);
+    std::vector<detail::RoutedOp<Key, Value>> routed;
+    routed.reserve(ops.size());
+    for (const auto& op : ops) {
+        routed.push_back({static_cast<std::uint32_t>(batched.bucket(op.key)),
+                          op.key, op.value});
+    }
     std::vector<Image> got;
     got.reserve(ops.size());
     std::size_t expect_i = 0;
-    batched.update_batch(ops, [&](std::size_t i, std::size_t b,
-                                  const core::UpdateResult<Key, Value>& r) {
-        EXPECT_EQ(i, expect_i++);  // sink fires per op, in op order
-        EXPECT_EQ(b, batched.bucket(ops[i].key));
-        got.emplace_back(r);
-    });
+    batched.update_routed_batch(
+        std::span<const detail::RoutedOp<Key, Value>>(routed),
+        [&](std::size_t i, std::size_t b,
+            const core::UpdateResult<Key, Value>& r) {
+            EXPECT_EQ(i, expect_i++);  // sink fires per op, in op order
+            EXPECT_EQ(b, routed[i].bucket);
+            got.emplace_back(r);
+        });
     ASSERT_EQ(got.size(), ref.size());
     EXPECT_TRUE(got == ref);
     expect_same_contents(per_op, batched);
@@ -220,46 +226,6 @@ TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
             EXPECT_EQ(r.value(), ref_stats);
             expect_same_contents(ref_cache, resumed);
         }
-    }
-}
-
-/// The policy batch entry points ride the same machinery: Access streams
-/// from fill_batch/access_batch must match per-op fill/access.
-TEST(BatchEquivalence, PolicyBatchesMatchPerOp) {
-    const auto ops = zipf_ops();
-    std::vector<core::CacheOp<FlowKey, std::uint32_t>> batch_ops;
-    batch_ops.reserve(ops.size());
-    for (const auto& op : ops) batch_ops.push_back({op.key, op.value});
-
-    const auto image = [](const cache::Access<FlowKey, std::uint32_t>& a) {
-        return std::tuple(a.hit, a.inserted, a.evicted, a.evicted_key,
-                          a.evicted_value, a.value);
-    };
-    for (const bool write_path : {true, false}) {
-        cache::P4lruArrayPolicy<FlowKey, std::uint32_t, 3> per_op(12'288,
-                                                                  0xE1);
-        cache::P4lruArrayPolicy<FlowKey, std::uint32_t, 3> batched(12'288,
-                                                                   0xE1);
-        std::vector<decltype(image({}))> ref;
-        ref.reserve(ops.size());
-        for (const auto& op : ops) {
-            ref.push_back(image(write_path ? per_op.fill(op.key, op.value, 0)
-                                           : per_op.access(op.key, op.value,
-                                                           0)));
-        }
-        std::size_t i = 0;
-        const auto sink =
-            [&](const cache::Access<FlowKey, std::uint32_t>& a) {
-                ASSERT_LT(i, ref.size());
-                EXPECT_TRUE(image(a) == ref[i]) << "op " << i;
-                ++i;
-            };
-        if (write_path) {
-            batched.fill_batch(batch_ops, 0, sink);
-        } else {
-            batched.access_batch(batch_ops, 0, sink);
-        }
-        EXPECT_EQ(i, ref.size());
     }
 }
 

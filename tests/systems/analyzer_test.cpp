@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "../test_util.hpp"
 #include "p4lru/systems/lrumon/tower_filter.hpp"
 
@@ -66,18 +71,77 @@ TEST(FilterWrappers, NamesAndMemory) {
     EXPECT_GT(cm->memory_bytes(), 0u);
 }
 
-TEST(FilterWrappers, WindowRollForgetsPreviousCounts) {
+constexpr FilterKind kAllKinds[] = {FilterKind::kTower, FilterKind::kCm,
+                                     FilterKind::kCu};
+
+/// Small sketches: 1024 + 512 Tower counters, 2 x 512 CM/CU counters.
+FilterConfig small_config() {
     FilterConfig cfg;
     cfg.reset_period = 10 * kMillisecond;
     cfg.tower_width1 = 1u << 10;
     cfg.tower_width2 = 1u << 9;
-    TowerFilter f(cfg);
-    EXPECT_EQ(f.add_and_estimate(7, 500, 0), 500u);
-    EXPECT_EQ(f.add_and_estimate(7, 500, kMillisecond), 1000u);
-    // New window: the counter restarts.
-    EXPECT_EQ(f.add_and_estimate(7, 500, 11 * kMillisecond), 500u);
-    // Going further in time keeps rolling.
-    EXPECT_EQ(f.add_and_estimate(7, 500, 35 * kMillisecond), 500u);
+    cfg.cm_width = 1u << 9;
+    return cfg;
+}
+
+TEST(FilterWrappers, WindowRollForgetsPreviousCounts) {
+    for (const FilterKind kind : kAllKinds) {
+        FlowFilter f(kind, small_config());
+        EXPECT_EQ(f.add_and_estimate(7, 500, 0), 500u) << f.name();
+        EXPECT_EQ(f.add_and_estimate(7, 500, kMillisecond), 1000u)
+            << f.name();
+        // New window: the counter restarts.
+        EXPECT_EQ(f.add_and_estimate(7, 500, 11 * kMillisecond), 500u)
+            << f.name();
+        // Going further in time keeps rolling.
+        EXPECT_EQ(f.add_and_estimate(7, 500, 35 * kMillisecond), 500u)
+            << f.name();
+    }
+}
+
+TEST(FilterWrappers, ZeroResetPeriodIsRejected) {
+    FilterConfig cfg = small_config();
+    cfg.reset_period = 0;
+    for (const FilterKind kind : kAllKinds) {
+        EXPECT_THROW(FlowFilter(kind, cfg), std::invalid_argument);
+        EXPECT_THROW((void)make_filter(kind, cfg), std::invalid_argument);
+    }
+}
+
+/// A filter restored from a mid-window snapshot keeps counting in that
+/// window and rolls at the same boundary as the original.
+TEST(FilterWrappers, SaveLoadResumesAcrossWindowBoundary) {
+    for (const FilterKind kind : kAllKinds) {
+        FlowFilter original(kind, small_config());
+        for (std::uint32_t fp = 1; fp <= 200; ++fp) {
+            original.add_and_estimate(fp, fp * 3, 12 * kMillisecond + fp);
+        }
+        std::vector<std::byte> image;
+        io::ByteWriter w(image);
+        original.save_state(w);
+
+        FlowFilter restored(kind, small_config());
+        io::ByteReader r(image);
+        ASSERT_TRUE(restored.load_state(r)) << original.name();
+        EXPECT_EQ(r.remaining(), 0u) << original.name();
+
+        // Same window (10-20 ms): the snapshot's counts carry over; then
+        // 20-30 ms and 40-50 ms start from zero on both.
+        for (const TimeNs ts : {15 * kMillisecond, 25 * kMillisecond,
+                                41 * kMillisecond}) {
+            for (std::uint32_t fp = 1; fp <= 200; fp += 7) {
+                EXPECT_EQ(restored.add_and_estimate(fp, 100, ts),
+                          original.add_and_estimate(fp, 100, ts))
+                    << original.name() << " fp " << fp << " ts " << ts;
+            }
+        }
+
+        // A truncated image does not load.
+        FlowFilter short_read(kind, small_config());
+        io::ByteReader truncated(
+            std::span<const std::byte>(image).first(image.size() / 2));
+        EXPECT_FALSE(short_read.load_state(truncated)) << original.name();
+    }
 }
 
 TEST(FilterWrappers, AllKindsAgreeWithoutCollisions) {

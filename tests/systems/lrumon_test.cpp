@@ -29,7 +29,7 @@ std::unique_ptr<FlowFilter> tower(TimeNs reset = 10 * kMillisecond) {
     cfg.reset_period = reset;
     cfg.tower_width1 = 1u << 14;
     cfg.tower_width2 = 1u << 13;
-    return std::make_unique<TowerFilter>(cfg);
+    return make_filter(FilterKind::kTower, cfg);
 }
 
 /// One-partition monitor: a Tower filter with `reset` and a P4LRU3 cache.

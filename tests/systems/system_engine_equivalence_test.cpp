@@ -66,7 +66,7 @@ systems::lrumon::LruMonTarget make_lrumon(std::size_t partitions = 8) {
             fc.cm_width = 1u << 12;
             fc.cm_depth = 2;
             fc.seed = 0x70EEE + p;
-            return std::make_unique<CmFilter>(fc);
+            return make_filter(FilterKind::kCm, fc);
         },
         [](std::size_t p) {
             return std::make_unique<cache::P4lruArrayPolicy<

@@ -100,7 +100,7 @@ std::unique_ptr<cache::ReplacementPolicy<Key, Value>> make_policy(
     }
     if (name == "p4lru4") {
         return std::make_unique<cache::P4lru4ArrayPolicy<Key, Value, Merge>>(
-            entries, seed, "P4LRU4");
+            entries, seed);
     }
     if (name == "timeout") {
         return std::make_unique<cache::TimeoutPolicy<Key, Value, Merge>>(
