@@ -6,7 +6,7 @@
 //
 // After the google-benchmark suite (skippable with P4LRU_SKIP_GBENCH=1), the
 // trace-replay harness prices the replay engine's axes on the default
-// 1.2M-packet trace — worker count, storage layout, scan kernel, pinning,
+// 1.2M-packet trace — worker count, storage layout, scan kernel,
 // scrubber, checkpointing, obs and trace source — and writes
 // BENCH_micro_ops.json into the working directory.
 #include <benchmark/benchmark.h>
@@ -183,8 +183,8 @@ BENCHMARK(BM_Crc32FlowKey);
 // trace.  Every row replays the same ops into a fresh cache of the same
 // seed, so its statistics must equal the per-op reference and only the wall
 // time may move; the first row of each group is the one the others are
-// priced against.  A row that prices a mechanism (pinning, scrubber,
-// checkpoint, obs) also counts how often the mechanism engaged: a count of
+// priced against.  A row that prices a mechanism (scrubber, checkpoint,
+// obs) also counts how often the mechanism engaged: a count of
 // zero means the row measured nothing.  Either failure makes the run exit 1.
 
 using Unit = core::P4lru<FlowKey, std::uint32_t, 3>;
@@ -307,14 +307,6 @@ bool run_replay_throughput() {
              return r;
          }},
         {"kernel", "dispatched", "", inline_soa},
-        {"pinning", "off", "", threaded_soa},
-        {"pinning", "on", "pinned_workers",
-         [&] {
-             replay::ShardedConfig cfg = threaded;
-             cfg.pin_workers = true;
-             const auto rep = engine_run(span, units, cfg);
-             return Run{rep.stats, rep.pinned_workers};
-         }},
         {"scrub", "off", "", inline_soa},
         {"scrub", "on", "passes",
          [&] {

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/hash.hpp"
 #include "p4lru/common/random.hpp"
 #include "p4lru/common/types.hpp"
@@ -101,6 +102,31 @@ class ReplacementPolicy {
         return false;
     }
 };
+
+/// Append `policy`'s state as one framed record of a snapshot image:
+/// u8 has_state (save_state's verdict), u64 length, the state bytes.  The
+/// system targets write one such record per partition.
+template <typename Key, typename Value>
+void save_policy_record(const ReplacementPolicy<Key, Value>& policy,
+                        io::ByteWriter& w) {
+    std::vector<std::byte> state;
+    const bool ok = policy.save_state(state);
+    w.u8(ok ? 1 : 0);
+    w.u64(state.size());
+    w.bytes(state.data(), state.size());
+}
+
+/// Restore a record written by save_policy_record.  False when the record
+/// is truncated, was saved by a policy without state serialization (such a
+/// policy cannot be restored), or its state does not fit `policy`.
+template <typename Key, typename Value>
+[[nodiscard]] bool load_policy_record(ReplacementPolicy<Key, Value>& policy,
+                                      io::ByteReader& r) {
+    std::uint8_t has_state = 0;
+    std::span<const std::byte> state;
+    return r.u8(has_state) && has_state != 0 && r.sub(state) &&
+           policy.load_state(state);
+}
 
 /// Parallel-connected array of P4LRU units: P4lru<N> (N=1 is the paper's
 /// "Baseline" hash-table cache, N=3 the contribution) or the encoded P4LRU4

@@ -80,13 +80,6 @@ class ParallelCache {
     ParallelCache(std::size_t units, std::uint32_t seed)
         : storage_(checked(units)), hasher_(seed, units) {}
 
-    /// Deferred-initialization variant: the storage allocates its planes but
-    /// leaves them untouched; the sharded replay engine (or the caller)
-    /// must cover [0, units) with first_touch_range and mark_materialized
-    /// before any cache operation.  See soa_slab.hpp.
-    ParallelCache(std::size_t units, std::uint32_t seed, defer_init_t)
-        : storage_(checked(units), defer_init), hasher_(seed, units) {}
-
     /// Insert/update through the owning unit (Algorithm 1 within a bucket).
     Result update(const Key& k, const Value& v) {
         return storage_.update_at(bucket(k), k, v);
@@ -211,24 +204,6 @@ class ParallelCache {
             n += storage_.size_at(b);
         }
         return n;
-    }
-
-    // -- first-touch protocol (forwarded to the storage) -----------------
-
-    [[nodiscard]] bool materialized() const noexcept {
-        return storage_.materialized();
-    }
-    /// First-touch the planes of units [lo, hi) from the calling thread.
-    void first_touch_range(std::size_t lo, std::size_t hi) {
-        storage_.first_touch(lo, hi);
-    }
-    void mark_materialized() noexcept { storage_.mark_materialized(); }
-    /// Initialize everything from the calling thread if still deferred.
-    void materialize() {
-        if (!storage_.materialized()) {
-            storage_.first_touch(0, unit_count());
-            storage_.mark_materialized();
-        }
     }
 
     // -- integrity (forwarded to the storage) ----------------------------

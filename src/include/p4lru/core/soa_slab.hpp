@@ -24,11 +24,9 @@
 // MRU-hit fast path (lane 0 matches, rotation and state transition are both
 // identities), which dominates on skewed traffic and predicts well.
 //
-// The planes support deferred initialization (core::defer_init): the slab
-// allocates without touching memory and the sharded replay engine
-// first-touches each shard's sub-range from the worker thread that will own
-// it, placing pages NUMA-locally on multi-node machines (ROADMAP: full
-// pinning builds on this).
+// The constructor allocates the planes once and writes their initial state
+// (empty lanes, identity permutation, zero occupancy), as the switch
+// allocates a P4LRU's register arrays once with the program (§2.3).
 #pragma once
 
 #include <algorithm>
@@ -92,18 +90,10 @@ class SoaSlab {
           keys_(alloc_plane<Key>(units * kKeyStride)),
           vals_(alloc_plane<Value>(units * N)),
           meta_(alloc_plane<MetaWord>(units)) {
-        first_touch(0, units_);
-        materialized_ = true;
+        std::fill_n(keys_.get(), units_ * kKeyStride, Key{});
+        std::fill_n(vals_.get(), units_ * N, Value{});
+        std::fill_n(meta_.get(), units_, identity_meta());
     }
-
-    /// Allocate the planes without touching them; the owner must cover
-    /// [0, unit_count()) with first_touch calls (from the threads that will
-    /// own each range) and then mark_materialized() before any other use.
-    SoaSlab(std::size_t units, defer_init_t)
-        : units_(units),
-          keys_(alloc_plane<Key>(units * kKeyStride)),
-          vals_(alloc_plane<Value>(units * N)),
-          meta_(alloc_plane<MetaWord>(units)) {}
 
     [[nodiscard]] static constexpr std::size_t unit_capacity() noexcept {
         return N;
@@ -389,8 +379,7 @@ class SoaSlab {
     }
 
     /// Restore planes saved by save_planes on a slab of the same geometry;
-    /// false (and no mutation) on a size mismatch.  The slab is materialized
-    /// afterwards — the restore is itself a full first touch.
+    /// false (and no mutation) on a size mismatch.
     [[nodiscard]] bool load_planes(std::span<const std::byte> in) {
         const std::size_t kb = units_ * kKeyStride * sizeof(Key);
         const std::size_t vb = units_ * N * sizeof(Value);
@@ -399,29 +388,8 @@ class SoaSlab {
         std::memcpy(keys_.get(), in.data(), kb);
         std::memcpy(vals_.get(), in.data() + kb, vb);
         std::memcpy(meta_.get(), in.data() + kb + vb, mb);
-        materialized_ = true;
         return true;
     }
-
-    // -- first-touch protocol --------------------------------------------
-
-    [[nodiscard]] bool materialized() const noexcept { return materialized_; }
-
-    /// Initialize (and thereby fault in) the planes of units [lo, hi).  On a
-    /// deferred slab the calling thread performs the first write to those
-    /// pages, so a first-touch NUMA policy places them on its node.  No-op
-    /// once materialized — live contents are never re-zeroed.  Disjoint
-    /// ranges may be touched concurrently (the replay workers do).
-    void first_touch(std::size_t lo, std::size_t hi) {
-        if (materialized_) return;
-        for (std::size_t i = lo * kKeyStride; i < hi * kKeyStride; ++i) keys_[i] = Key{};
-        for (std::size_t i = lo * N; i < hi * N; ++i) vals_[i] = Value{};
-        for (std::size_t b = lo; b < hi; ++b) meta_[b] = identity_meta();
-    }
-
-    /// Declare first-touch coverage complete.  Call once, after every range
-    /// of a deferred slab has been touched and the touching threads joined.
-    void mark_materialized() noexcept { materialized_ = true; }
 
     // -- per-unit inspection ---------------------------------------------
 
@@ -510,7 +478,6 @@ class SoaSlab {
     Plane<Key> keys_;
     Plane<Value> vals_;
     Plane<MetaWord> meta_;
-    bool materialized_ = false;
     [[no_unique_address]] Merge merge_{};
 };
 

@@ -14,10 +14,9 @@
 //                            with a branch-free compare-mask key scan.
 //
 // Every operation is addressed by bucket index — the caller (ParallelCache)
-// hashes exactly once and passes the bucket through.  Storages also speak a
-// small first-touch protocol so the sharded replay engine can fault each
-// shard's slab sub-range in on the worker thread that will own it (the
-// precursor to full NUMA-aware placement; see ROADMAP.md).
+// hashes exactly once and passes the bucket through.  Both storages are
+// fully initialized by their constructor, like the switch's register arrays
+// (§2.3), which are allocated once with the program.
 #pragma once
 
 #include <concepts>
@@ -75,19 +74,8 @@ inline constexpr std::uint32_t kSoaLayoutId = 2;
     return h;
 }
 
-/// Tag requesting deferred plane initialization: the storage allocates but
-/// does not touch its memory; first_touch(lo, hi) (from the thread that will
-/// own [lo, hi)) then mark_materialized() make it usable.  Storages with
-/// eagerly-initialized backing (AosStorage) accept the tag and ignore it.
-struct defer_init_t {
-    explicit defer_init_t() = default;
-};
-inline constexpr defer_init_t defer_init{};
-
 /// Storage model for a hash-indexed array of N-entry LRU units.  All
-/// mutating/readonly entry points take the owning bucket index; the
-/// first-touch trio (materialized / first_touch / mark_materialized) backs
-/// the replay engine's per-worker page placement.
+/// mutating/readonly entry points take the owning bucket index.
 template <typename S>
 concept UnitStorage = requires(S s, const S& cs, std::size_t b,
                                const typename S::key_type& k,
@@ -114,9 +102,6 @@ concept UnitStorage = requires(S s, const S& cs, std::size_t b,
         std::pair<typename S::key_type, typename S::value_type>>>;
     { cs.size_at(b) } -> std::convertible_to<std::size_t>;
     { cs.prefetch(b) };
-    { cs.materialized() } -> std::same_as<bool>;
-    { s.first_touch(b, b) };
-    { s.mark_materialized() };
     { cs.unit(b) };
 };
 
@@ -134,9 +119,6 @@ class AosStorage {
     using Result = UpdateResult<Key, Value>;
 
     explicit AosStorage(std::size_t units) : units_(units) {}
-    /// AoS backing is a std::vector: construction already touches every
-    /// page, so deferred init degenerates to eager init.
-    AosStorage(std::size_t units, defer_init_t) : AosStorage(units) {}
 
     [[nodiscard]] static constexpr std::size_t unit_capacity() noexcept {
         return Unit::capacity();
@@ -199,12 +181,6 @@ class AosStorage {
         (void)b;
 #endif
     }
-
-    // First-touch protocol: vector construction already committed the pages
-    // on the constructing thread, so AoS storage is always materialized.
-    [[nodiscard]] bool materialized() const noexcept { return true; }
-    void first_touch(std::size_t /*lo*/, std::size_t /*hi*/) noexcept {}
-    void mark_materialized() noexcept {}
 
     // -- integrity + checkpoint ------------------------------------------
 

@@ -1,27 +1,18 @@
-// Thread→core pinning for the sharded replay workers (ROADMAP: NUMA
-// pinning on top of first-touch).  A worker that first-touches its shard's
-// slab pages and is later migrated to another core — worse, another NUMA
-// node — loses the locality the first-touch bought; pinning the worker
-// before it touches anything keeps the pages on the core that will drain
-// the shard for the whole run.
+// CPU budget of the calling process: how many CPUs its affinity mask lets
+// it run on.  Benchmarks size their shard counts and thread sweeps by it, so
+// a run under taskset or a cgroup cpuset never oversubscribes the CPUs it
+// was given.
 //
-// Linux-only (sched_setaffinity); a no-op returning false elsewhere, so the
-// ShardedConfig::pin_workers flag is safe to set unconditionally.
+// Linux reads the affinity mask (sched_getaffinity); elsewhere the answer
+// is 1.
 #pragma once
 
 #include <cstddef>
 
 namespace p4lru::replay {
 
-/// Pin the calling thread to the `core`-th CPU it is allowed to run on
-/// (modulo the allowed count, so any shard index is a valid argument).
-/// Indexing into the *allowed* set respects a pre-restricted affinity mask
-/// (taskset, cgroup cpusets).  Returns true when the pin took effect;
-/// false on non-Linux platforms or on any syscall failure.
-bool pin_current_thread(std::size_t core);
-
 /// CPUs the calling process may run on (affinity-mask aware on Linux,
-/// 1 elsewhere) — the modulus pin_current_thread applies.
+/// 1 elsewhere).
 [[nodiscard]] std::size_t pinnable_cpus();
 
 }  // namespace p4lru::replay

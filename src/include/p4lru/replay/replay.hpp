@@ -54,13 +54,10 @@
 // preemptive cancellation of a thread that may hold the target mid-write
 // cannot preserve bit-exactness.
 //
-// First-touch: when the cache was constructed with core::defer_init (its
-// storage planes are allocated but untouched), each threaded worker
-// initializes its own ShardPlan unit sub-range before applying runs, so
-// the slab pages backing a shard are faulted in — and, under a first-touch
-// NUMA policy, placed — by the thread that will own them.  The inline and
-// sequential paths materialize on the calling thread.  Results are
-// bit-identical either way.
+// Optional target planes (replay_target.hpp): the engine calls
+// prefetch_unit, scrub/scrub_all and inject_storage_faults only on targets
+// that have them, decided at compile time; a target without one pays
+// nothing for it.
 #pragma once
 
 #include <algorithm>
@@ -83,7 +80,8 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
 #include "p4lru/obs/metrics.hpp"
-#include "p4lru/replay/affinity.hpp"
+#include "p4lru/replay/affinity.hpp"  // pinnable_cpus(), for callers
+#include "p4lru/replay/replay_target.hpp"
 #include "p4lru/replay/shard_plan.hpp"
 
 namespace p4lru::replay {
@@ -202,10 +200,6 @@ struct RobustConfig {
     /// Continuous no-progress window after which the watchdog abandons the
     /// shard's worker and drains the shard inline.
     std::uint32_t stall_timeout_us = 50'000;
-    /// Master switch for the takeover path; with it off the dispatcher still
-    /// recovers from a worker that parked on its own but never abandons a
-    /// live worker.
-    bool watchdog = true;
     /// Ops between integrity scrub passes (0 = off).  Sequential and inline
     /// replay scrub the whole array on this cadence; threaded workers scrub
     /// their own shard's unit range, so no scrub ever races an update.
@@ -218,12 +212,6 @@ struct ShardedConfig {
     std::size_t queue_batches = 64; ///< ring: shards * this / 2 blocks
     Mode mode = Mode::kAuto;
     RobustConfig robust{};          ///< backpressure/watchdog/scrub knobs
-    /// Pin worker s to the s-th allowed core (affinity.hpp) before it
-    /// first-touches its shard's pages, so first-touch placement survives
-    /// scheduler migration.  Linux-only; a silent no-op elsewhere.
-    /// Off by default: on an oversubscribed machine pinning removes the
-    /// scheduler's freedom to dodge a busy core.
-    bool pin_workers = false;
     /// Live metrics sink (obs/metrics.hpp).  Null (the default) disables
     /// instrumentation entirely: instrument handles are never resolved and
     /// the hot paths pay one predicted pointer test per *block*, so the
@@ -246,7 +234,6 @@ struct BasicShardedReport {
     std::uint64_t park_wait_us = 0;   ///< total us slept awaiting park acks
     std::size_t drained_inline = 0;   ///< shards the dispatcher took over
     std::size_t abandoned_workers = 0;///< workers parked by the watchdog
-    std::size_t pinned_workers = 0;   ///< workers pinned (pin_workers set)
     core::ScrubReport scrub{};        ///< merged scrub counters (if enabled)
 
     [[nodiscard]] bool degraded() const noexcept {
@@ -367,14 +354,6 @@ class CacheReplayTarget {
             });
     }
 
-    // -- first-touch plane (deferred-init NUMA placement) ----------------
-    [[nodiscard]] bool materialized() const { return cache_->materialized(); }
-    void materialize() { cache_->materialize(); }
-    void first_touch_range(std::size_t lo, std::size_t hi) {
-        cache_->first_touch_range(lo, hi);
-    }
-    void mark_materialized() { cache_->mark_materialized(); }
-
     // -- integrity plane -------------------------------------------------
     core::ScrubReport scrub(std::size_t lo, std::size_t hi) {
         return cache_->scrub(lo, hi);
@@ -392,7 +371,6 @@ class CacheReplayTarget {
         cache_->storage().save_planes(out);
     }
     [[nodiscard]] bool load_state(std::span<const std::byte> in) {
-        cache_->materialize();  // load overwrites; planes must exist first
         return cache_->storage().load_planes(in);
     }
 
@@ -416,6 +394,16 @@ class CacheReplayTarget {
         std::remove_cvref_t<decltype(std::declval<const Cache&>().storage())>;
     Cache* cache_;
 };
+
+// The bare array has every optional plane (replay_target.hpp).
+namespace detail {
+using FlowArrayTarget = CacheReplayTarget<core::ParallelCache<
+    core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey, std::uint32_t>>;
+static_assert(ReplayTarget<FlowArrayTarget>);
+static_assert(PrefetchUnitTarget<FlowArrayTarget> &&
+              ScrubTarget<FlowArrayTarget> &&
+              StorageFaultTarget<FlowArrayTarget>);
+}  // namespace detail
 
 /// Everything a checkpoint sink needs to capture a consistent cut of a
 /// running sharded replay.  Invariant: the target holds exactly the effects
@@ -560,14 +548,8 @@ replay_sharded_stream_impl(Target& target, Source& source,
     struct alignas(64) PaddedStats {
         Stats s{};
         core::ScrubReport scrub;
-        char pinned = 0;  ///< worker pinned itself to a core
     };
     std::vector<PaddedStats> results(W);
-
-    // Deferred-init targets: threaded workers first-touch their own shard's
-    // unit sub-range below; every other path materializes right here.
-    const bool first_touch = !target.materialized() && threaded;
-    if (!first_touch) target.materialize();
 
     if (!threaded) {
         // Inline path: batched dispatch on the calling thread. Ops stay in
@@ -579,7 +561,7 @@ replay_sharded_stream_impl(Target& target, Source& source,
         // its cadence between blocks — both on the single owning thread.
         Batch block;
         block.reserve(batch_ops);
-        std::uint64_t until_scrub = scrub_every;
+        [[maybe_unused]] std::uint64_t until_scrub = scrub_every;
         std::uint64_t delivered = 0;
         std::uint64_t base = 0;
         while (base < remaining) {
@@ -599,36 +581,42 @@ replay_sharded_stream_impl(Target& target, Source& source,
             const std::size_t n = chunk.size();
             block.clear();
             for (std::size_t i = 0; i < n; ++i) {
-                const std::uint64_t idx = base + i;
-                if constexpr (Faults::kEnabled) {
-                    Op op = chunk[i];
-                    target.inject_storage_faults(faults, idx);
-                    target.inject_op_faults(faults, idx, op);
-                    const Routed r = target.route(op);
+                const Routed r = [&] {
+                    if constexpr (Faults::kEnabled) {
+                        const std::uint64_t idx = base + i;
+                        Op op = chunk[i];
+                        if constexpr (StorageFaultTarget<Target>) {
+                            target.inject_storage_faults(faults, idx);
+                        }
+                        target.inject_op_faults(faults, idx, op);
+                        return target.route(op);
+                    } else {
+                        return target.route(chunk[i]);
+                    }
+                }();
+                if constexpr (PrefetchUnitTarget<Target>) {
                     target.prefetch_unit(r.bucket);
-                    block.push_back(r);
-                } else {
-                    const Routed r = target.route(chunk[i]);
-                    target.prefetch_unit(r.bucket);
-                    block.push_back(r);
                 }
+                block.push_back(r);
             }
             apply_timed(std::span<const Routed>(block), results[0].s);
             ++delivered;
             base += n;
-            if (scrub_every != 0) {
-                // Carry the op remainder across blocks so the scrub fires
-                // on exactly the same op counts as the sequential path: a
-                // block of n ops may cross the cadence boundary several
-                // times (scrub_every < n) or not at all, and the leftover
-                // distance counts against the next block.
-                std::uint64_t left = n;
-                while (left >= until_scrub) {
-                    left -= until_scrub;
-                    results[0].scrub.merge(target.scrub_all());
-                    until_scrub = scrub_every;
+            if constexpr (ScrubTarget<Target>) {
+                if (scrub_every != 0) {
+                    // Carry the op remainder across blocks so the scrub
+                    // fires on exactly the same op counts as the sequential
+                    // path: a block of n ops may cross the cadence boundary
+                    // several times (scrub_every < n) or not at all, and the
+                    // leftover distance counts against the next block.
+                    std::uint64_t left = n;
+                    while (left >= until_scrub) {
+                        left -= until_scrub;
+                        results[0].scrub.merge(target.scrub_all());
+                        until_scrub = scrub_every;
+                    }
+                    until_scrub -= left;
                 }
-                until_scrub -= left;
             }
             if constexpr (Ckpt::kEnabled) {
                 if (base < remaining && ckpt.due(delivered)) {
@@ -842,8 +830,7 @@ replay_sharded_stream_impl(Target& target, Source& source,
                         last[s] = p;  // slow but alive: keep going
                         since[s] = now;
                         deadline = now + grace;
-                    } else if (cfg.robust.watchdog &&
-                               now - since[s] >= stall_timeout) {
+                    } else if (now - since[s] >= stall_timeout) {
                         ctl[s].abandon.store(true, std::memory_order_release);
                         ++report.abandoned_workers;
                         if (obs_abandoned != nullptr) obs_abandoned->add(1);
@@ -869,17 +856,9 @@ replay_sharded_stream_impl(Target& target, Source& source,
             workers.reserve(W);
             for (std::size_t s = 0; s < W; ++s) {
                 workers.emplace_back([&, s] {
-                    if (cfg.pin_workers) {
-                        // Pin before the first touch below so the shard's
-                        // pages fault in on — and stay local to — the core
-                        // that will apply them.
-                        results[s].pinned = pin_current_thread(s) ? 1 : 0;
-                    }
-                    const auto [lo, hi] = plan.range(s);
-                    if (first_touch) target.first_touch_range(lo, hi);
                     Scratch sc = make_scratch();
                     std::uint64_t k = 0;  // next block to apply
-                    std::uint64_t since_scrub = 0;
+                    [[maybe_unused]] std::uint64_t since_scrub = 0;
                     std::uint32_t idle = 0;
                     // Block-boundary checks first: cooperative abandon and
                     // injected stalls park the worker before block k.
@@ -905,12 +884,16 @@ replay_sharded_stream_impl(Target& target, Source& source,
                             }
                             const auto run = blk.run(s);
                             if (!run.empty()) apply_timed(run, results[s].s);
-                            since_scrub += run.size();
-                            if (scrub_every != 0 &&
-                                since_scrub >= scrub_every) {
-                                // Only this shard's own units: no race.
-                                results[s].scrub.merge(target.scrub(lo, hi));
-                                since_scrub = 0;
+                            if constexpr (ScrubTarget<Target>) {
+                                since_scrub += run.size();
+                                if (scrub_every != 0 &&
+                                    since_scrub >= scrub_every) {
+                                    // Only this shard's own units: no race.
+                                    const auto [lo, hi] = plan.range(s);
+                                    results[s].scrub.merge(
+                                        target.scrub(lo, hi));
+                                    since_scrub = 0;
+                                }
                             }
                             // Stats are in place before the cursor moves.
                             ctl[s].applied.store(++k,
@@ -998,14 +981,12 @@ replay_sharded_stream_impl(Target& target, Source& source,
             closed.store(true, std::memory_order_release);
         }  // jthreads join here
         if (!stream_error.is_ok()) return stream_error;
-        if (first_touch) target.mark_materialized();
         for (const auto& d : drained) report.stats.merge(d);
     }
 
     for (std::size_t s = 0; s < W; ++s) {
         report.stats.merge(results[s].s);
         report.scrub.merge(results[s].scrub);
-        report.pinned_workers += static_cast<std::size_t>(results[s].pinned);
     }
     return report;
 }
@@ -1021,7 +1002,6 @@ template <typename Target, typename Source>
 [[nodiscard]] Expected<typename Target::Stats>
 replay_target_sequential_stream(Target& target, Source& source,
                                 std::size_t pull_ops = kSequentialPullOps) {
-    target.materialize();
     typename Target::Stats stats{};
     for (;;) {
         auto pulled = source.next_batch(pull_ops ? pull_ops : 1);

@@ -31,24 +31,29 @@
 //                                     bucket arrival order, so a target is
 //                                     deterministic iff each op's effect
 //                                     depends only on its bucket's state
-//             prefetch_unit(b)        best-effort cache warm (may no-op)
-//             prefetch_batch(span)    likewise for a whole batch
-//   planes    materialized()/materialize()/first_touch_range(lo,hi)/
-//             mark_materialized()     deferred-init first-touch protocol
-//                                     (NUMA placement); eagerly-built
-//                                     targets return materialized()==true
-//             scrub(lo,hi)/scrub_all()-> core::ScrubReport integrity pass
-//                                     over a bucket range (may be empty)
+//             prefetch_batch(span)    best-effort cache warm of a whole
+//                                     batch (may no-op)
 //   snapshot  state_id()/state_fingerprint()  static layout guards
 //             save_state(out)         serialize the full mutable state
 //             load_state(span)->bool  restore it (shape mismatch -> false)
-//   faults    inject_op_faults(faults, idx, op&)      pre-route op
-//                                                     corruption hook
-//             inject_storage_faults(faults, idx)      plane corruption
-//                                                     hook; both run only
-//                                                     on single-owner
-//                                                     paths (sequential /
-//                                                     inline)
+//   faults    inject_op_faults(faults, idx, op&)  pre-route op corruption
+//                                                 hook (single-owner paths
+//                                                 only: sequential/inline)
+//
+// Optional planes — a target has one only if it has something to do there.
+// Each is a named concept; the engine tests it with `if constexpr` and
+// skips the call for a target without it, and each target static_asserts
+// the planes it means to have, so a misspelt signature fails the build
+// instead of silently dropping the plane:
+//
+//   PrefetchUnitTarget    prefetch_unit(b)   warm one bucket ahead of the
+//                                            inline path's apply
+//   ScrubTarget           scrub(lo,hi)/scrub_all() -> core::ScrubReport
+//                                            integrity pass over a bucket
+//                                            range (robust.scrub_every)
+//   StorageFaultTarget    inject_storage_faults(faults, idx)  plane
+//                                            corruption hook (single-owner
+//                                            paths only)
 //
 // Mergeability invariant: a target's Stats must be a sum of per-op
 // contributions where each contribution depends only on the op's own
@@ -67,7 +72,6 @@
 
 #include "p4lru/core/unit_storage.hpp"
 #include "p4lru/fault/fault_plan.hpp"
-#include "p4lru/replay/replay.hpp"
 
 namespace p4lru::replay {
 
@@ -91,33 +95,40 @@ concept ReplayTarget =
     requires(T t, const T ct, const typename T::Op& op,
              typename T::Op& mutable_op, const typename T::Routed& routed,
              std::span<const typename T::Routed> batch,
-             typename T::Stats& stats, std::size_t lo, std::size_t hi,
-             std::vector<std::byte>& out, std::span<const std::byte> in,
-             const fault::NoFaults& no_faults) {
+             typename T::Stats& stats, std::vector<std::byte>& out,
+             std::span<const std::byte> in, const fault::NoFaults& no_faults) {
         // routing
         { ct.unit_count() } -> std::convertible_to<std::size_t>;
         { ct.route(op) } -> std::same_as<typename T::Routed>;
         { routed.bucket } -> std::convertible_to<std::uint32_t>;
         // apply + prefetch
         t.apply_batch(batch, stats);
-        ct.prefetch_unit(std::uint32_t{0});
         ct.prefetch_batch(batch);
-        // first-touch plane
-        { ct.materialized() } -> std::convertible_to<bool>;
-        t.materialize();
-        t.first_touch_range(lo, hi);
-        t.mark_materialized();
-        // integrity plane
-        { t.scrub(lo, hi) } -> std::same_as<core::ScrubReport>;
-        { t.scrub_all() } -> std::same_as<core::ScrubReport>;
         // snapshot plane
         { T::state_id() } -> std::convertible_to<std::uint32_t>;
         { T::state_fingerprint() } -> std::convertible_to<std::uint64_t>;
         ct.save_state(out);
         { t.load_state(in) } -> std::convertible_to<bool>;
-        // fault hooks (checked on the NoFaults instantiation)
+        // op fault hook (checked on the NoFaults instantiation)
         t.inject_op_faults(no_faults, std::uint64_t{0}, mutable_op);
-        t.inject_storage_faults(no_faults, std::uint64_t{0});
     };
+
+/// Optional plane: warm one bucket's state ahead of its apply.
+template <typename T>
+concept PrefetchUnitTarget =
+    requires(const T ct) { ct.prefetch_unit(std::uint32_t{0}); };
+
+/// Optional plane: integrity scrub over a bucket range and over all of it.
+template <typename T>
+concept ScrubTarget = requires(T t, std::size_t lo, std::size_t hi) {
+    { t.scrub(lo, hi) } -> std::same_as<core::ScrubReport>;
+    { t.scrub_all() } -> std::same_as<core::ScrubReport>;
+};
+
+/// Optional plane: storage corruption hook (checked on NoFaults).
+template <typename T>
+concept StorageFaultTarget = requires(T t, const fault::NoFaults& no_faults) {
+    t.inject_storage_faults(no_faults, std::uint64_t{0});
+};
 
 }  // namespace p4lru::replay

@@ -1,8 +1,9 @@
-// Bounded single-producer/single-consumer queue used by the sharded replay
-// engine: the dispatcher thread pushes batches of routed operations, one
-// worker per shard pops them. Lock-free ring buffer with acquire/release
-// head/tail counters; capacity is rounded up to a power of two so the ring
-// index is a mask. close() lets the consumer drain and exit.
+// Bounded single-producer/single-consumer queue.  Its user is
+// trace::ChunkedFileSource: the background reader thread pushes decoded
+// trace chunks and the thread pulling ops from the source pops them.
+// Lock-free ring buffer with acquire/release head/tail counters; capacity is
+// rounded up to a power of two so the ring index is a mask. close() lets
+// the consumer drain and exit.
 //
 // Wraparound invariants (tested in spsc_queue_test.cpp):
 //   * head_ and tail_ are free-running u64 counters — they are never reduced
@@ -18,16 +19,15 @@
 //     other's counter with acquire and publishes its own with release, which
 //     orders the slot write/read against the counter movement.
 //
-// Backpressure: push() blocks (spin + yield) while the ring is full — the
-// legacy unbounded wait.  The hardened replay runtime uses try_push_for()
-// instead: a deadline-bounded spin → yield ladder that returns control to
-// the producer so it can detect a dead consumer (watchdog, replay.hpp)
-// rather than wedging forever.
+// Backpressure: push() blocks (spin + yield) while the ring is full.  The
+// chunked reader uses try_push_for() instead: a deadline-bounded spin →
+// yield ladder that returns control to the producer, so a stop request
+// (seek, destruction) is seen promptly even while the queue is full.
 //
 // Consumer handoff: the consumer role may be transferred to another thread
 // only through a release/acquire edge after the original consumer has
-// stopped popping forever (the replay engine's parked-worker protocol); the
-// queue itself does not arbitrate between two live consumers.
+// stopped popping forever; the queue itself does not arbitrate between two
+// live consumers.
 #pragma once
 
 #include <atomic>
@@ -44,8 +44,8 @@ namespace p4lru::replay {
 /// hyper-twin off the execution ports and avoids the memory-order
 /// mis-speculation flush when the awaited line finally changes; on ARM
 /// `yield` is the architectural equivalent.  Elsewhere it degrades to a
-/// compiler barrier so the spin still re-reads memory.  Used by every hot
-/// spin in the replay engine (SpscQueue push paths, worker snapshot waits).
+/// compiler barrier so the spin still re-reads memory.  Used by the
+/// SpscQueue push paths' hot spins.
 inline void cpu_relax() noexcept {
 #if defined(__i386__) || defined(__x86_64__)
     __builtin_ia32_pause();
@@ -100,8 +100,8 @@ class SpscQueue {
 
     /// Producer only. Deadline-bounded push: a short spin, then yielding,
     /// until the ring has room or `timeout` elapses.  Returns false on
-    /// timeout with v left intact — the caller decides whether to retry,
-    /// escalate to the watchdog, or drain the consumer's work itself.
+    /// timeout with v left intact — the caller decides whether to retry or
+    /// give up (the chunked reader checks its stop request in between).
     bool try_push_for(T& v, std::chrono::microseconds timeout) {
         // Cheap spin first: the common stall is the consumer being one batch
         // behind, resolved within a few hundred cycles.  The pause hint

@@ -36,7 +36,7 @@
 #include "p4lru/fault/status.hpp"
 #include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/durable_store.hpp"
-#include "p4lru/replay/replay_target.hpp"
+#include "p4lru/replay/replay.hpp"
 
 namespace p4lru::replay {
 

@@ -126,12 +126,6 @@ class LruIndexTarget {
             parts_.emplace_back(
                 cfg.levels, cfg.units_per_level,
                 cfg.seed + static_cast<std::uint32_t>(p) * 0x5bd1u);
-            // Materialize every level eagerly: the snapshot plane reads the
-            // level storage whether or not the partition saw traffic.
-            auto& series = parts_.back().series();
-            for (std::size_t i = 0; i < series.level_count(); ++i) {
-                series.level(i).materialize();
-            }
         }
     }
 
@@ -163,16 +157,9 @@ class LruIndexTarget {
         for (const auto& r : batch) apply_one(r, s);
     }
 
-    void prefetch_unit(std::uint32_t) const noexcept {}
     void prefetch_batch(std::span<const Routed>) const noexcept {}
 
-    // -- first-touch plane (materialized in the constructor) --------------
-    [[nodiscard]] bool materialized() const noexcept { return true; }
-    void materialize() noexcept {}
-    void first_touch_range(std::size_t, std::size_t) noexcept {}
-    void mark_materialized() noexcept {}
-
-    // -- integrity plane --------------------------------------------------
+    // -- integrity plane (optional; the series levels' state words) -------
     [[nodiscard]] core::ScrubReport scrub(std::size_t lo, std::size_t hi) {
         core::ScrubReport rep;
         for (std::size_t p = lo; p < hi && p < parts_.size(); ++p) {
@@ -240,8 +227,6 @@ class LruIndexTarget {
                           Op& op) const {
         faults.mutate_key(idx, op.key);
     }
-    template <typename Faults>
-    void inject_storage_faults(const Faults&, std::uint64_t) const noexcept {}
 
     // -- reporting --------------------------------------------------------
     [[nodiscard]] LruIndexReport report(const Stats& s) const {
@@ -311,5 +296,6 @@ class LruIndexTarget {
 };
 
 static_assert(replay::ReplayTarget<LruIndexTarget>);
+static_assert(replay::ScrubTarget<LruIndexTarget>);
 
 }  // namespace p4lru::systems::lruindex

@@ -44,7 +44,6 @@
 #include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/hash.hpp"
 #include "p4lru/common/types.hpp"
-#include "p4lru/core/unit_storage.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/replay/replay_target.hpp"
 #include "p4lru/systems/lrumon/analyzer.hpp"
@@ -167,21 +166,10 @@ class LruMonTarget {
         for (const auto& r : batch) apply_one(r, s);
     }
 
-    void prefetch_unit(std::uint32_t) const noexcept {}
     void prefetch_batch(std::span<const Routed>) const noexcept {}
 
-    // -- first-touch plane (eagerly built) --------------------------------
-    [[nodiscard]] bool materialized() const noexcept { return true; }
-    void materialize() noexcept {}
-    void first_touch_range(std::size_t, std::size_t) noexcept {}
-    void mark_materialized() noexcept {}
-
-    // -- integrity plane (the sketch/policy components own no raw planes
-    //    with embedded integrity metadata; nothing to scan) ---------------
-    [[nodiscard]] core::ScrubReport scrub(std::size_t, std::size_t) noexcept {
-        return {};
-    }
-    [[nodiscard]] core::ScrubReport scrub_all() noexcept { return {}; }
+    // No optional planes (replay_target.hpp): the sketch and policy
+    // components expose no raw storage planes to warm, scrub or corrupt.
 
     // -- snapshot plane ---------------------------------------------------
     [[nodiscard]] static constexpr std::uint32_t state_id() noexcept {
@@ -196,11 +184,7 @@ class LruMonTarget {
         w.u64(parts_.size());
         for (const auto& p : parts_) {
             p.filter->save_state(w);
-            std::vector<std::byte> pol;
-            const bool ok = p.policy->save_state(pol);
-            w.u8(ok ? 1 : 0);
-            w.u64(pol.size());
-            w.bytes(pol.data(), pol.size());
+            cache::save_policy_record(*p.policy, w);
             p.analyzer.save_state(w);
             // Sorted for a canonical image (see Analyzer::save_state).
             std::vector<std::pair<FlowKey, std::uint64_t>> rows(
@@ -223,13 +207,7 @@ class LruMonTarget {
         if (!r.u64(n) || n != parts_.size()) return false;
         for (auto& p : parts_) {
             if (!p.filter->load_state(r)) return false;
-            std::uint8_t has_policy = 0;
-            if (!r.u8(has_policy)) return false;
-            // A policy without state serialization cannot be restored.
-            if (!has_policy) return false;
-            std::span<const std::byte> pol;
-            if (!r.sub(pol)) return false;
-            if (!p.policy->load_state(pol)) return false;
+            if (!cache::load_policy_record(*p.policy, r)) return false;
             if (!p.analyzer.load_state(r)) return false;
             std::uint64_t flows = 0;
             if (!r.u64(flows)) return false;
@@ -249,10 +227,6 @@ class LruMonTarget {
     void inject_op_faults(const Faults& faults, std::uint64_t idx,
                           Op& op) const {
         faults.mutate_key(idx, op.flow);
-    }
-    template <typename Faults>
-    void inject_storage_faults(const Faults&, std::uint64_t) const noexcept {
-        // Partition components expose no raw storage planes to corrupt.
     }
 
     // -- reporting --------------------------------------------------------

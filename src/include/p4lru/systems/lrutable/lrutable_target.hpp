@@ -56,7 +56,6 @@
 #include "p4lru/common/byte_io.hpp"
 #include "p4lru/common/hash.hpp"
 #include "p4lru/common/types.hpp"
-#include "p4lru/core/unit_storage.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/replay/replay_target.hpp"
 
@@ -206,20 +205,10 @@ class LruTableTarget {
         for (const auto& r : batch) apply_one(r, s);
     }
 
-    void prefetch_unit(std::uint32_t) const noexcept {}
     void prefetch_batch(std::span<const Routed>) const noexcept {}
 
-    // -- first-touch plane (eagerly built) --------------------------------
-    [[nodiscard]] bool materialized() const noexcept { return true; }
-    void materialize() noexcept {}
-    void first_touch_range(std::size_t, std::size_t) noexcept {}
-    void mark_materialized() noexcept {}
-
-    // -- integrity plane --------------------------------------------------
-    [[nodiscard]] core::ScrubReport scrub(std::size_t, std::size_t) noexcept {
-        return {};
-    }
-    [[nodiscard]] core::ScrubReport scrub_all() noexcept { return {}; }
+    // No optional planes (replay_target.hpp): the policies and fill queues
+    // expose no raw storage planes to warm, scrub or corrupt.
 
     // -- snapshot plane ---------------------------------------------------
     [[nodiscard]] static constexpr std::uint32_t state_id() noexcept {
@@ -233,11 +222,7 @@ class LruTableTarget {
         io::ByteWriter w(out);
         w.u64(parts_.size());
         for (const auto& p : parts_) {
-            std::vector<std::byte> pol;
-            const bool ok = p.policy->save_state(pol);
-            w.u8(ok ? 1 : 0);
-            w.u64(pol.size());
-            w.bytes(pol.data(), pol.size());
+            cache::save_policy_record(*p.policy, w);
             w.u64(p.pending.size());
             for (const auto& f : p.pending) {
                 w.u64(f.ready_at);
@@ -253,12 +238,7 @@ class LruTableTarget {
         std::uint64_t n = 0;
         if (!r.u64(n) || n != parts_.size()) return false;
         for (auto& p : parts_) {
-            std::uint8_t has_policy = 0;
-            if (!r.u8(has_policy)) return false;
-            if (!has_policy) return false;
-            std::span<const std::byte> pol;
-            if (!r.sub(pol)) return false;
-            if (!p.policy->load_state(pol)) return false;
+            if (!cache::load_policy_record(*p.policy, r)) return false;
             std::uint64_t fills = 0;
             if (!r.u64(fills)) return false;
             p.pending.clear();
@@ -280,8 +260,6 @@ class LruTableTarget {
                           Op& op) const {
         faults.mutate_key(idx, op.flow);
     }
-    template <typename Faults>
-    void inject_storage_faults(const Faults&, std::uint64_t) const noexcept {}
 
     // -- reporting --------------------------------------------------------
     /// Build the figure-9 report from engine-merged statistics.

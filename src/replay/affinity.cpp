@@ -22,29 +22,4 @@ std::size_t pinnable_cpus() {
 #endif
 }
 
-bool pin_current_thread(std::size_t core) {
-#if defined(__linux__)
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    // pid 0 = the calling thread for both affinity syscalls.
-    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
-    const int count = CPU_COUNT(&allowed);
-    if (count <= 0) return false;
-    int want = static_cast<int>(core % static_cast<std::size_t>(count));
-    cpu_set_t target;
-    CPU_ZERO(&target);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-        if (!CPU_ISSET(cpu, &allowed)) continue;
-        if (want-- == 0) {
-            CPU_SET(cpu, &target);
-            return sched_setaffinity(0, sizeof(target), &target) == 0;
-        }
-    }
-    return false;
-#else
-    (void)core;
-    return false;
-#endif
-}
-
 }  // namespace p4lru::replay

@@ -118,7 +118,6 @@ TEST(ParallelCache, ExplicitAosStorageRoundTrip) {
     }
     EXPECT_GT(present, 60u);
     EXPECT_EQ(pc.size(), present);
-    EXPECT_TRUE(pc.materialized());  // AoS backing is always materialized
 }
 
 TEST(ParallelCache, UpdateAtMatchesUpdate) {

@@ -49,9 +49,10 @@ void fuzz_shape(Gen&& gen, int rounds) {
         for (auto& lane : row) lane = gen(rng() % 5);
         const Key probe = gen(rng() % 5);
         expect_kernels_agree<Key, Stride, N>(row, probe);
-        // Empty-unit shape: lanes hold Key{} (what first_touch writes) and
-        // the probe is Key{} — the mask reports lane equality; occupancy
-        // masking to zero is the caller's job, but pad lanes must not leak.
+        // Empty-unit shape: lanes hold Key{} (what the slab's constructor
+        // writes) and the probe is Key{} — the mask reports lane equality;
+        // occupancy masking to zero is the caller's job, but pad lanes must
+        // not leak.
         alignas(64) Key zeros[Stride] = {};
         expect_kernels_agree<Key, Stride, N>(zeros, Key{});
         expect_kernels_agree<Key, Stride, N>(zeros, probe);

@@ -7,9 +7,7 @@
 //     must emit the exact UpdateResult stream and final contents of a P4lru
 //     unit, for every N in 1..4 and every merge policy;
 //   * a whole ParallelCache on slab storage must match the AoS reference
-//     array op for op;
-//   * deferred first-touch initialization must converge to the same state as
-//     eager construction.
+//     array op for op.
 #include "p4lru/core/soa_slab.hpp"
 
 #include <gtest/gtest.h>
@@ -257,55 +255,6 @@ TEST(SoaVsAosArray, FlowKeyStreamBitIdentical) {
                            static_cast<std::size_t>(op));
     }
     ASSERT_EQ(soa.size(), aos.size());
-}
-
-// -- first-touch protocol ----------------------------------------------
-
-TEST(SoaFirstTouch, DeferredInitConvergesToEagerState) {
-    SoaCache eager(128, 0xD1);
-    SoaCache deferred(128, 0xD1, defer_init);
-    EXPECT_TRUE(eager.materialized());
-    EXPECT_FALSE(deferred.materialized());
-
-    // Cover [0, units) in disjoint chunks, as the replay workers do.
-    deferred.first_touch_range(0, 31);
-    deferred.first_touch_range(31, 100);
-    deferred.first_touch_range(100, 128);
-    deferred.mark_materialized();
-    EXPECT_TRUE(deferred.materialized());
-
-    const auto keys = testutil::random_keys(20'000, 1024, 0xD1D1, 0.5);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        expect_same_result(deferred.update(keys[i], keys[i] + 9),
-                           eager.update(keys[i], keys[i] + 9), i);
-    }
-    ASSERT_EQ(deferred.size(), eager.size());
-}
-
-TEST(SoaFirstTouch, FirstTouchNeverReinitializesLiveCache) {
-    SoaCache cache(16, 0x11);
-    cache.update(42, 7);
-    const std::size_t before = cache.size();
-    // A stray first_touch on a materialized cache must be a no-op.
-    cache.first_touch_range(0, 16);
-    EXPECT_EQ(cache.size(), before);
-    EXPECT_EQ(cache.find(42), std::optional<V>(7));
-}
-
-TEST(SoaFirstTouch, MaterializeCoversWholeDeferredSlab) {
-    SoaCache deferred(32, 0x22, defer_init);
-    deferred.materialize();
-    EXPECT_TRUE(deferred.materialized());
-    EXPECT_EQ(deferred.size(), 0u);
-    deferred.update(5, 50);
-    EXPECT_EQ(deferred.find(5), std::optional<V>(50));
-}
-
-TEST(SoaFirstTouch, AosStorageIsAlwaysMaterialized) {
-    AosCache aos(8, 0x33, defer_init);
-    EXPECT_TRUE(aos.materialized());
-    aos.update(1, 2);
-    EXPECT_EQ(aos.find(1), std::optional<V>(2));
 }
 
 // -- UnitView vocabulary -----------------------------------------------

@@ -217,8 +217,6 @@ int main() {
             return 1;
         }
         std::vector<std::byte> want, got;
-        seq_cache.materialize();
-        resumed.materialize();
         seq_cache.storage().save_planes(want);
         resumed.storage().save_planes(got);
         if (want != got) {
@@ -315,7 +313,6 @@ int main() {
             return 1;
         }
         Cache& survivor = lives.back();
-        survivor.materialize();
         got.clear();
         survivor.storage().save_planes(got);
         if (want != got) {

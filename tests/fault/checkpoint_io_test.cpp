@@ -315,7 +315,6 @@ TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
 /// the fingerprint check refuses it.
 TEST_F(CheckpointIoTest, MatchingSizeButWrongFingerprintRejected) {
     FlowCache soa(64, 0x9D);
-    soa.materialize();
     Checkpoint cp =
         sequential_checkpoint(FlowTarget<FlowCache>(soa), 0, ReplayStats{});
     cp.state_fingerprint ^= 1;  // geometry lie; state id and size intact

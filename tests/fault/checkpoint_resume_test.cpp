@@ -172,7 +172,6 @@ TEST(CheckpointResume, RejectsForgedEqualSizeCrossLayoutImage) {
         sequential_checkpoint(FlowTarget<AosFlowCache>(aos), 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
-    soa.materialize();
     std::vector<std::byte> soa_planes;
     soa.storage().save_planes(soa_planes);
     cp.state.resize(soa_planes.size());  // defeat the size guard

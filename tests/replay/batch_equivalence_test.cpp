@@ -253,36 +253,5 @@ TEST(BatchEquivalence, ForcedKernelReplayMatchesDispatched) {
     }
 }
 
-/// Pinned workers (ShardedConfig::pin_workers): same bits as sequential,
-/// and the report says how many workers actually pinned.
-TEST(BatchEquivalence, PinnedThreadedReplayMatchesSequential) {
-    const auto ops = zipf_ops();
-    FlowCache seq_cache(2048, 0xAB);
-    const auto seq = testutil::cache_sequential(seq_cache, ops);
-
-    FlowCache cache(2048, 0xAB);
-    ShardedConfig cfg;
-    cfg.shards = 4;
-    cfg.mode = Mode::kThreaded;
-    cfg.pin_workers = true;
-    const auto rep = testutil::cache_sharded(cache, ops, cfg);
-    EXPECT_EQ(rep.stats, seq);
-    expect_same_contents(seq_cache, cache);
-#if defined(__linux__)
-    EXPECT_EQ(rep.pinned_workers, rep.shards);
-#else
-    EXPECT_EQ(rep.pinned_workers, 0u);
-#endif
-
-    // Off by default, and inline runs never pin.
-    FlowCache plain(2048, 0xAB);
-    ShardedConfig off;
-    off.shards = 4;
-    off.mode = Mode::kThreaded;
-    const auto rep_off = testutil::cache_sharded(plain, ops, off);
-    EXPECT_EQ(rep_off.pinned_workers, 0u);
-    EXPECT_EQ(rep_off.stats, seq);
-}
-
 }  // namespace
 }  // namespace p4lru::replay

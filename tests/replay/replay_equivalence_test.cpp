@@ -173,42 +173,6 @@ TEST_P(CrossLayoutEquivalence, YcsbSoaMatchesAosReference) {
     }
 }
 
-/// First-touch: a defer_init cache whose slab ranges are faulted in by the
-/// threaded workers must replay to the same stats and contents as an eager
-/// one.
-TEST_P(CrossLayoutEquivalence, DeferredFirstTouchMatchesEager) {
-    const auto ops = zipf_ops();
-    FlowCache eager(1024, 0x1F7);
-    const auto ref = cache_sequential(eager, ops);
-
-    FlowCache deferred(1024, 0x1F7, core::defer_init);
-    EXPECT_FALSE(deferred.materialized());
-    ShardedConfig cfg;
-    cfg.shards = GetParam();
-    cfg.mode = Mode::kThreaded;
-    const auto rep = cache_sharded(deferred, ops, cfg);
-    EXPECT_TRUE(rep.threaded);
-    EXPECT_TRUE(deferred.materialized());
-    EXPECT_EQ(rep.stats, ref);
-    expect_same_contents(eager, deferred);
-}
-
-/// The inline fallback must materialize a deferred cache on the calling
-/// thread before processing.
-TEST(ReplayFirstTouch, InlineModeMaterializesDeferredCache) {
-    const auto ops = zipf_ops();
-    FlowCache eager(512, 0x2F8);
-    const auto ref = cache_sequential(eager, ops);
-
-    FlowCache deferred(512, 0x2F8, core::defer_init);
-    ShardedConfig cfg;
-    cfg.mode = Mode::kInline;
-    const auto rep = cache_sharded(deferred, ops, cfg);
-    EXPECT_TRUE(deferred.materialized());
-    EXPECT_EQ(rep.stats, ref);
-    expect_same_contents(eager, deferred);
-}
-
 INSTANTIATE_TEST_SUITE_P(Shards, CrossLayoutEquivalence,
                          ::testing::Values(1, 2, 8));
 

@@ -3,7 +3,10 @@
 // then check the merged statistics against sequential replay. Built as its
 // own binary (replay_tsan_smoke) so a `cmake -DP4LRU_SANITIZE=thread` build
 // has a minimal, fast race-detector target; it also runs in plain builds as
-// a cheap determinism check.
+// a cheap determinism check.  The odd rounds of the first set scrub on a
+// 4096-op cadence, so each worker's per-range scrub(lo, hi) — the one
+// target-plane call a worker makes besides apply and prefetch — runs
+// concurrently with the other shards' applies under the race detector.
 //
 // A second set of rounds runs with checkpoint emission on a tight cadence,
 // putting the snapshot quiesce protocol (snap_req/snap_ack/snap_release
@@ -80,22 +83,25 @@ int main() {
     cfg.mode = replay::Mode::kThreaded;
 
     for (int round = 0; round < 5; ++round) {
-        // Alternate eager and deferred-init rounds: the deferred ones also
-        // exercise the per-worker first-touch writes under the race detector
-        // (each worker initializes its own disjoint slab sub-range).
-        Cache cache = (round % 2 == 0)
-                          ? Cache(1024, 0x7A)
-                          : Cache(1024, 0x7A, core::defer_init);
-        const auto rep = testutil::cache_sharded(cache, span, cfg);
-        if (!(rep.stats == seq) || !cache.materialized()) {
+        // Odd rounds scrub: each worker validates its own shard's unit
+        // range while the other workers apply theirs.
+        replay::ShardedConfig round_cfg = cfg;
+        round_cfg.robust.scrub_every = (round % 2 == 0) ? 0 : 4096;
+        Cache cache(1024, 0x7A);
+        const auto rep = testutil::cache_sharded(cache, span, round_cfg);
+        const bool scrubbed = round % 2 == 0 || rep.scrub.scanned > 0;
+        if (!(rep.stats == seq) || !scrubbed || rep.scrub.corrupt != 0) {
             std::fprintf(stderr,
                          "round %d: sharded stats diverge from sequential "
-                         "(ops %llu/%llu hits %llu/%llu)\n",
+                         "(ops %llu/%llu hits %llu/%llu, scrubbed %llu "
+                         "units, %llu corrupt)\n",
                          round,
                          static_cast<unsigned long long>(rep.stats.ops),
                          static_cast<unsigned long long>(seq.ops),
                          static_cast<unsigned long long>(rep.stats.hits),
-                         static_cast<unsigned long long>(seq.hits));
+                         static_cast<unsigned long long>(seq.hits),
+                         static_cast<unsigned long long>(rep.scrub.scanned),
+                         static_cast<unsigned long long>(rep.scrub.corrupt));
             return 1;
         }
     }
@@ -313,7 +319,7 @@ int main() {
     }
 
     std::printf(
-        "replay_tsan_smoke: 5 threaded rounds (eager + first-touch) + 3 "
+        "replay_tsan_smoke: 5 threaded rounds (plain + scrubbing) + 3 "
         "checkpointed rounds (%zu quiesce snapshots) + 3 system-target "
         "rounds (LruMonTarget, %llu uploads, %zu-byte canonical state) + 1 "
         "supervised crash-recovery round (%zu attempts, %llu installs) + "

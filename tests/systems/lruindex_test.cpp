@@ -142,9 +142,6 @@ TEST(LruIndexTarget, CachedAddressOfAnotherRecordIsAWrongReply) {
     // every key's slot pointing at the next key's record: a valid address
     // the server serves without a tree walk, but the wrong one.
     SeriesIndexCache poisoned(cfg.levels, cfg.units_per_level, cfg.seed);
-    for (std::size_t i = 0; i < poisoned.series().level_count(); ++i) {
-        poisoned.series().level(i).materialize();
-    }
     for (DbKey k = 0; k < 8; ++k) {
         poisoned.reply(k, server.address_of(k + 1), CacheHeader{}, 0);
     }

@@ -7,7 +7,8 @@
 //   * threaded-sharded replay over random shard geometry,
 //   * a mid-stream kill-and-resume through the generic target checkpoint
 //     (in-memory and via the on-disk "P4LRUTGC" round trip), and
-//   * threaded replay under injected worker stalls / batch delays.
+//   * threaded replay under injected worker stalls / batch delays, and
+//   * inline and threaded replay with the integrity scrub cadence on.
 //
 // The properties hold because each target partitions its state into
 // disjoint units routed by content hash, the engine preserves per-unit
@@ -380,6 +381,60 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
 }
 
 // ---------------------------------------------------------------------------
+// Property 6: the integrity plane is optional.  With a scrub cadence on,
+// LruIndex (whose series levels hold slab state words) scrubs in every
+// mode and finds them clean, while LruMon and LruTable, which have no such
+// plane, report no scrub at all — and every run still matches sequential.
+
+template <typename Make, typename Op, typename CheckScrub>
+void check_scrub_cadence(Make make, const std::vector<Op>& ops,
+                         CheckScrub check_scrub) {
+    auto seq_target = make();
+    replay::SpanOpSource seq_source(ops);
+    const auto seq =
+        replay::replay_target_sequential_stream(seq_target, seq_source)
+            .value();
+    const std::vector<std::byte> seq_state = state_of(seq_target);
+
+    for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
+        ShardedConfig cfg;
+        cfg.shards = 3;
+        cfg.mode = mode;
+        cfg.robust.scrub_every = 1000;
+        auto t = make();
+        replay::SpanOpSource source(ops);
+        const auto rep =
+            replay::replay_target_sharded_stream(t, source, cfg).value();
+        const char* label = mode == Mode::kInline ? "inline" : "threaded";
+        EXPECT_EQ(rep.stats, seq) << label << " run diverged";
+        EXPECT_EQ(state_of(t), seq_state) << label << " state diverged";
+        check_scrub(rep.scrub, label);
+    }
+}
+
+TEST(SystemEngineEquivalence, ScrubCadenceLruIndex) {
+    check_scrub_cadence([] { return make_lruindex(); }, ycsb_ops(),
+                        [](const core::ScrubReport& r, const char* label) {
+                            EXPECT_GT(r.scanned, 0u) << label;
+                            EXPECT_EQ(r.corrupt, 0u) << label;
+                        });
+}
+
+TEST(SystemEngineEquivalence, ScrubCadenceLruMon) {
+    check_scrub_cadence([] { return make_lrumon(); }, zipf_trace(71),
+                        [](const core::ScrubReport& r, const char* label) {
+                            EXPECT_EQ(r, core::ScrubReport{}) << label;
+                        });
+}
+
+TEST(SystemEngineEquivalence, ScrubCadenceLruTable) {
+    check_scrub_cadence([] { return make_lrutable(); }, zipf_trace(73),
+                        [](const core::ScrubReport& r, const char* label) {
+                            EXPECT_EQ(r, core::ScrubReport{}) << label;
+                        });
+}
+
+// ---------------------------------------------------------------------------
 // Reports derive from merged statistics only — equal stats, equal reports.
 
 TEST(SystemEngineEquivalence, ReportsDeriveFromMergedStats) {
@@ -408,7 +463,7 @@ TEST(SystemEngineEquivalence, ReportsDeriveFromMergedStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Property 6: the engine is source-agnostic (DESIGN.md §14).  Pulling the
+// Property 7: the engine is source-agnostic (DESIGN.md §14).  Pulling the
 // same on-disk trace through VectorSource, MmapSource, or ChunkedFileSource
 // (chunk sized so batches straddle chunk boundaries) yields bit-identical
 // stats and state images in every engine mode — and a kill-and-resume may

@@ -171,7 +171,6 @@ int main() {
         return 1;
     }
     std::vector<std::byte> want;
-    seq_cache.materialize();
     seq_cache.storage().save_planes(want);
 
     // Threaded-sharded streamed replay of the same file.
@@ -196,7 +195,6 @@ int main() {
         return 1;
     }
     std::vector<std::byte> got;
-    thr_cache.materialize();
     thr_cache.storage().save_planes(got);
     if (got != want) {
         std::fprintf(stderr, "threaded plane bytes differ from sequential\n");
@@ -245,7 +243,6 @@ int main() {
         return 1;
     }
     got.clear();
-    res_cache.materialize();
     res_cache.storage().save_planes(got);
     if (got != want) {
         std::fprintf(stderr, "resumed plane bytes differ from sequential\n");
