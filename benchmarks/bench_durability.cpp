@@ -117,7 +117,7 @@ int main() {
                 target, source, cfg, cadence,
                 [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
                     const auto img = replay::serialize_target_checkpoint(cp);
-                    image_bytes = img.bytes.size();
+                    image_bytes = img.image.size();
                     ++cuts;
                 })
                 .value();
@@ -207,11 +207,12 @@ int main() {
         }
         ser_s = w.seconds() / kReps;
     }
+    const std::vector<std::byte> flat = image.image.flatten();
     {
         StopWatch w;
         for (int i = 0; i < kReps; ++i) {
             const auto r = replay::parse_target_checkpoint<
-                replay::ReplayStats>(image.bytes, "bench");
+                replay::ReplayStats>(flat, "bench");
             if (!r.is_ok()) return 1;
         }
         parse_s = w.seconds() / kReps;
@@ -219,7 +220,7 @@ int main() {
     {
         StopWatch w;
         for (int i = 0; i < kReps; ++i) {
-            if (!replay::verify_checkpoint_image(image.bytes, "bench")
+            if (!replay::verify_checkpoint_image(flat, "bench")
                      .is_ok()) {
                 return 1;
             }
@@ -249,7 +250,7 @@ int main() {
         scan_s = w.seconds() / kReps;
     }
 
-    const double mb = static_cast<double>(image.bytes.size()) / 1e6;
+    const double mb = static_cast<double>(flat.size()) / 1e6;
     ConsoleTable t({"series", "wall s", "Mops/s", "installs", "crashes",
                     "MB written"});
     for (const auto& r : rows) {
@@ -262,7 +263,7 @@ int main() {
                                      1)});
     }
     t.print("durability ladder: " + std::to_string(ops.size()) + " ops, " +
-            std::to_string(image.bytes.size()) + "-byte sealed images");
+            std::to_string(flat.size()) + "-byte sealed images");
     std::printf(
         "image ops: serialize %.1f MB/s, parse %.1f MB/s, verify %.1f "
         "MB/s, recovery scan %.1f us (4 generations)\n",
@@ -270,7 +271,7 @@ int main() {
 
     std::vector<bench::Metric> json = {
         {"ops", static_cast<double>(ops.size()), "count"},
-        {"image_bytes", static_cast<double>(image.bytes.size()), "B"},
+        {"image_bytes", static_cast<double>(flat.size()), "B"},
         {"serialize_mb_s", mb / ser_s, "MB/s"},
         {"parse_mb_s", mb / parse_s, "MB/s"},
         {"verify_mb_s", mb / verify_s, "MB/s"},

@@ -5,6 +5,14 @@
 #include <cstring>
 #include <sstream>
 
+// The folded CRC32 kernel is x86-64 only and compiled out entirely under
+// -DP4LRU_FORCE_SCALAR, leaving slice-by-8 as the one kernel.
+#if !defined(P4LRU_FORCE_SCALAR) && \
+    (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#define P4LRU_CRC_FOLD 1
+#include <immintrin.h>
+#endif
+
 namespace p4lru::hash {
 namespace {
 
@@ -75,12 +83,12 @@ std::uint64_t xx_merge(std::uint64_t acc, std::uint64_t val) noexcept {
 constinit const std::array<std::array<std::uint32_t, 256>, kCrcPosBytes>
     kCrcPos = make_crc_tables();
 
-std::uint32_t crc32(std::span<const std::uint8_t> data,
-                    std::uint32_t seed) noexcept {
-    std::uint32_t crc = ~seed;
-    const std::uint8_t* p = data.data();
-    std::size_t n = data.size();
+namespace {
 
+/// Slice-by-8 over the raw (un-inverted) CRC register: the portable and
+/// short-input path, and the tail of the folded kernel.
+std::uint32_t crc32_slice8_raw(const std::uint8_t* p, std::size_t n,
+                               std::uint32_t crc) noexcept {
     if constexpr (std::endian::native == std::endian::little) {
         // Slice-by-8 main loop, then a slice-by-4 step: a 13-byte FlowKey
         // costs one 8-byte fold, one 4-byte fold and one tail byte instead
@@ -112,8 +120,123 @@ std::uint32_t crc32(std::span<const std::uint8_t> data,
     for (; n != 0; ++p, --n) {
         crc = kCrcPos[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     }
-    return ~crc;
+    return crc;
 }
+
+#ifdef P4LRU_CRC_FOLD
+[[gnu::target("pclmul,sse4.1")]] inline __m128i load(const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Fold accumulator `x` forward by the distance `k` encodes onto `next`.
+[[gnu::target("pclmul,sse4.1")]] inline __m128i fold(__m128i x, __m128i k,
+                                                     __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         next);
+}
+
+/// Carry-less-multiply folding over the raw CRC register, for `n` >= 64 and
+/// a multiple of 16 (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ", Intel 2009).  Four 128-bit accumulators
+/// fold 64 bytes per step by x^512, then collapse into one by x^128, fold
+/// the remaining 16-byte blocks, and reduce 128 -> 64 -> 32 bits, the last
+/// step a Barrett reduction.  The constants are that paper's bit-reflected
+/// fold constants for 0xEDB88320: k1/k2 fold by 512 bits, k3/k4 by 128,
+/// k5 does the 64 -> 32 step, and `poly` holds the polynomial and its
+/// Barrett quotient.
+[[gnu::target("pclmul,sse4.1")]] std::uint32_t crc32_fold_raw(
+    const std::uint8_t* p, std::size_t n, std::uint32_t crc) noexcept {
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    __m128i x1 =
+        _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x2 = load(p + 16);
+    __m128i x3 = load(p + 32);
+    __m128i x4 = load(p + 48);
+    p += 64;
+    n -= 64;
+    while (n >= 64) {
+        x1 = fold(x1, k1k2, load(p));
+        x2 = fold(x2, k1k2, load(p + 16));
+        x3 = fold(x3, k1k2, load(p + 32));
+        x4 = fold(x4, k1k2, load(p + 48));
+        p += 64;
+        n -= 64;
+    }
+    x1 = fold(x1, k3k4, x2);
+    x1 = fold(x1, k3k4, x3);
+    x1 = fold(x1, k3k4, x4);
+    for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
+
+    // 128 -> 64 bits, then 64 -> 32 via k5, then the Barrett reduction.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5,
+                                            0x00));
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+/// Probed once: the folded kernel needs PCLMULQDQ (and SSE4.1's extract).
+bool fold_supported() noexcept {
+    static const bool ok = __builtin_cpu_supports("pclmul") != 0 &&
+                           __builtin_cpu_supports("sse4.1") != 0;
+    return ok;
+}
+#endif
+
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::uint8_t> data,
+                    std::uint32_t seed) noexcept {
+#ifdef P4LRU_CRC_FOLD
+    if (data.size() >= kCrcFoldMinBytes && fold_supported()) {
+        return detail::crc32_folded(data, seed);
+    }
+#endif
+    return detail::crc32_slice8(data, seed);
+}
+
+namespace detail {
+
+std::uint32_t crc32_slice8(std::span<const std::uint8_t> data,
+                           std::uint32_t seed) noexcept {
+    return ~crc32_slice8_raw(data.data(), data.size(), ~seed);
+}
+
+bool crc32_folded_available() noexcept {
+#ifdef P4LRU_CRC_FOLD
+    return fold_supported();
+#else
+    return false;
+#endif
+}
+
+std::uint32_t crc32_folded(std::span<const std::uint8_t> data,
+                           std::uint32_t seed) noexcept {
+    std::uint32_t crc = ~seed;
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+#ifdef P4LRU_CRC_FOLD
+    if (n >= 64 && fold_supported()) {
+        const std::size_t body = n & ~std::size_t{15};
+        crc = crc32_fold_raw(p, body, crc);
+        p += body;
+        n -= body;
+    }
+#endif
+    return ~crc32_slice8_raw(p, n, crc);
+}
+
+}  // namespace detail
 
 std::uint32_t murmur3_32(std::span<const std::uint8_t> data,
                          std::uint32_t seed) noexcept {

@@ -170,9 +170,9 @@ class ArrayPolicy final : public ReplacementPolicy<Key, Value> {
     }
 
     bool save_state(std::vector<std::byte>& out) const override {
-        std::vector<std::byte> planes;
-        array_.storage().save_planes(planes);
-        out.insert(out.end(), planes.begin(), planes.end());
+        for (const auto plane : array_.storage().planes()) {
+            out.insert(out.end(), plane.begin(), plane.end());
+        }
         return true;
     }
 

@@ -11,13 +11,20 @@
 // regions are memory images whose layout is guarded by the surrounding size
 // fields, the same contract as the stats records of a checkpoint image
 // (replay/checkpoint_io.hpp), which is framed with these helpers too.
+//
+// GatherImage is the image a snapshot plane fills: the same byte sequence
+// held as parts — small owned runs written through a ByteWriter, plus spans
+// borrowed from live memory such as a storage slab's planes — so a
+// checkpoint can be CRC'd and written straight from where the state lives.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace p4lru::io {
@@ -76,6 +83,115 @@ class ByteWriter {
 
   private:
     std::vector<std::byte>* out_;
+};
+
+/// A byte image as an ordered list of parts, each either owned by the
+/// image or borrowed from memory that must outlive every use of it.  The
+/// image's bytes are its parts concatenated; nothing is copied until a
+/// caller asks for flatten().  Moving an image keeps every part valid
+/// (owned parts move with it), and copying deep-copies the owned parts
+/// while sharing the borrowed ones.
+class GatherImage {
+  public:
+    GatherImage() = default;
+
+    /// The one-part image that owns `bytes`.
+    explicit GatherImage(std::vector<std::byte> bytes) {
+        own(std::move(bytes));
+    }
+
+    /// A writer appending to the image's trailing owned part, opened if the
+    /// last part is borrowed.  Valid until the next append of any kind.
+    [[nodiscard]] ByteWriter writer() {
+        if (parts_.empty() || parts_.back().owned == kBorrowed) {
+            parts_.push_back({{}, owned_.size()});
+            owned_.emplace_back();
+        }
+        return ByteWriter(owned_[parts_.back().owned]);
+    }
+
+    /// Append `bytes` as a borrowed part (an empty span adds nothing).
+    void borrow(std::span<const std::byte> bytes) {
+        if (!bytes.empty()) parts_.push_back({bytes, kBorrowed});
+    }
+
+    /// Append every part of `other` as borrowed parts.
+    void borrow(const GatherImage& other) {
+        for (std::size_t i = 0; i < other.part_count(); ++i) {
+            borrow(other.part(i));
+        }
+    }
+
+    /// Append `bytes` as an owned part, taking over its buffer.
+    void own(std::vector<std::byte> bytes) {
+        if (bytes.empty()) return;
+        parts_.push_back({{}, owned_.size()});
+        owned_.push_back(std::move(bytes));
+    }
+
+    /// Append every part of `other`, taking over what it owns.
+    void append(GatherImage&& other) {
+        const std::size_t base = owned_.size();
+        for (auto& buf : other.owned_) owned_.push_back(std::move(buf));
+        for (const Part& p : other.parts_) {
+            const bool borrowed = p.owned == kBorrowed;
+            parts_.push_back(
+                {p.borrowed, borrowed ? kBorrowed : base + p.owned});
+        }
+        other = GatherImage();
+    }
+
+    [[nodiscard]] std::size_t part_count() const noexcept {
+        return parts_.size();
+    }
+
+    [[nodiscard]] std::span<const std::byte> part(std::size_t i) const {
+        const Part& p = parts_[i];
+        if (p.owned == kBorrowed) return p.borrowed;
+        return owned_[p.owned];
+    }
+
+    /// Total bytes over all parts.
+    [[nodiscard]] std::size_t size() const {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < part_count(); ++i) n += part(i).size();
+        return n;
+    }
+
+    /// The first `n` bytes (all of them when `n` >= size()) as an image
+    /// borrowing this one's parts.
+    [[nodiscard]] GatherImage prefix(std::size_t n) const {
+        GatherImage g;
+        for (std::size_t i = 0; i < part_count() && n != 0; ++i) {
+            const std::span<const std::byte> s = part(i);
+            const std::size_t take = std::min(n, s.size());
+            g.borrow(s.first(take));
+            n -= take;
+        }
+        return g;
+    }
+
+    /// The image as one contiguous buffer (the one copy).
+    [[nodiscard]] std::vector<std::byte> flatten() const {
+        std::vector<std::byte> out;
+        out.reserve(size());
+        for (std::size_t i = 0; i < part_count(); ++i) {
+            const std::span<const std::byte> s = part(i);
+            out.insert(out.end(), s.begin(), s.end());
+        }
+        return out;
+    }
+
+  private:
+    static constexpr std::size_t kBorrowed = ~std::size_t{0};
+
+    struct Part {
+        std::span<const std::byte> borrowed;  ///< when owned == kBorrowed
+        std::size_t owned = kBorrowed;        ///< index into owned_
+    };
+
+    std::vector<Part> parts_;
+    std::vector<std::vector<std::byte>> owned_;
 };
 
 class ByteReader {

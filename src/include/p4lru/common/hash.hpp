@@ -17,8 +17,35 @@ namespace p4lru::hash {
 
 /// CRC32 (reflected, polynomial 0xEDB88320), the classic Ethernet CRC that
 /// Tofino hash engines expose. `seed` models per-table hash-salt configuration.
+/// Chaining holds: crc32(b, crc32(a, s)) == crc32(a ++ b, s).  Inputs of at
+/// least kCrcFoldMinBytes run the carry-less-multiply folded kernel when the
+/// CPU has PCLMULQDQ (probed once per process; x86-64 builds without
+/// P4LRU_FORCE_SCALAR only), everything else slice-by-8; both give the same
+/// value for every input.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
                                   std::uint32_t seed = 0) noexcept;
+
+/// Shortest input crc32() hands to the folded kernel: below it the fold's
+/// fixed 128 -> 32-bit reduction costs more than the table lookups it saves.
+inline constexpr std::size_t kCrcFoldMinBytes = 256;
+
+namespace detail {
+
+/// The slice-by-8 table kernel: crc32()'s short-input and portable path,
+/// and the reference the folded kernel is tested against.
+[[nodiscard]] std::uint32_t crc32_slice8(std::span<const std::uint8_t> data,
+                                         std::uint32_t seed = 0) noexcept;
+
+/// True when this build and CPU run the folded kernel.
+[[nodiscard]] bool crc32_folded_available() noexcept;
+
+/// The folded kernel over any length: 16-byte blocks are folded, a tail
+/// under 16 bytes (or a whole input under 64) goes through slice-by-8.
+/// Without the kernel this is crc32_slice8.
+[[nodiscard]] std::uint32_t crc32_folded(std::span<const std::uint8_t> data,
+                                         std::uint32_t seed = 0) noexcept;
+
+}  // namespace detail
 
 /// MurmurHash3 x86 32-bit finalization-complete implementation.
 [[nodiscard]] std::uint32_t murmur3_32(std::span<const std::uint8_t> data,

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <concepts>
 #include <cstddef>
@@ -363,22 +364,22 @@ class SoaSlab {
 
     // -- checkpoint ------------------------------------------------------
 
-    /// Snapshot the three planes (keys, values, meta, concatenated in that
-    /// order) as raw bytes.  With the op cursor this is a complete resume
-    /// point: restoring and replaying the remaining ops is bit-identical to
-    /// an uninterrupted run (replay/target_checkpoint.hpp, via
-    /// CacheReplayTarget's snapshot plane).
-    void save_planes(std::vector<std::byte>& out) const {
-        const std::size_t kb = units_ * kKeyStride * sizeof(Key);
-        const std::size_t vb = units_ * N * sizeof(Value);
-        const std::size_t mb = units_ * sizeof(MetaWord);
-        out.resize(kb + vb + mb);
-        std::memcpy(out.data(), keys_.get(), kb);
-        std::memcpy(out.data() + kb, vals_.get(), vb);
-        std::memcpy(out.data() + kb + vb, meta_.get(), mb);
+    /// The three planes as raw byte spans over the live slab — keys, values,
+    /// meta, the order a snapshot concatenates them in.  With the op cursor
+    /// they are a complete resume point: restoring them and replaying the
+    /// remaining ops is bit-identical to an uninterrupted run
+    /// (replay/target_checkpoint.hpp, via CacheReplayTarget's snapshot
+    /// plane).  Valid until the slab is next mutated or destroyed.
+    [[nodiscard]] std::array<std::span<const std::byte>, 3> planes() const {
+        const auto bytes = [](const auto* p, std::size_t n) {
+            return std::span<const std::byte>(
+                reinterpret_cast<const std::byte*>(p), n * sizeof(*p));
+        };
+        return {bytes(keys_.get(), units_ * kKeyStride),
+                bytes(vals_.get(), units_ * N), bytes(meta_.get(), units_)};
     }
 
-    /// Restore planes saved by save_planes on a slab of the same geometry;
+    /// Restore the concatenated planes() of a slab of the same geometry;
     /// false (and no mutation) on a size mismatch.
     [[nodiscard]] bool load_planes(std::span<const std::byte> in) {
         const std::size_t kb = units_ * kKeyStride * sizeof(Key);

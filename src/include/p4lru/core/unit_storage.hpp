@@ -19,6 +19,7 @@
 // (§2.3), which are allocated once with the program.
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -194,16 +195,14 @@ class AosStorage {
         return r;
     }
 
-    /// Snapshot/restore the whole unit array as raw bytes (checkpointing).
-    /// Only available when the unit is trivially copyable (true for P4lru
-    /// over trivially copyable keys/values).
-    void save_planes(std::vector<std::byte>& out) const
+    /// The whole unit array as one raw byte plane over the live storage
+    /// (checkpointing), valid until the storage is next mutated; load_planes
+    /// restores it.  Only available when the unit is trivially copyable
+    /// (true for P4lru over trivially copyable keys/values).
+    [[nodiscard]] std::array<std::span<const std::byte>, 1> planes() const
         requires std::is_trivially_copyable_v<Unit>
     {
-        out.resize(units_.size() * sizeof(Unit));
-        if (!units_.empty()) {
-            std::memcpy(out.data(), units_.data(), out.size());
-        }
+        return {std::as_bytes(std::span<const Unit>(units_))};
     }
     [[nodiscard]] bool load_planes(std::span<const std::byte> in)
         requires std::is_trivially_copyable_v<Unit>

@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "p4lru/common/byte_io.hpp"
 #include "p4lru/core/unit_storage.hpp"
 #include "p4lru/fault/status.hpp"
 
@@ -61,11 +62,15 @@ namespace p4lru::replay {
 
 /// A checkpoint rendered to its sealed byte image, plus the offsets at which
 /// each section ends — header, stats records, state bytes, seal footer.  The
-/// section ends are what the deterministic crash injector (fault::CrashPoint)
-/// cuts at: "a crash between section writes" is a prefix of `bytes` ending
-/// at one of them.
+/// image is gathered: it owns the header, the statistics records and the
+/// footer, and holds the state as the parts it was sealed from — borrowed
+/// (a target's live planes, a checkpoint the caller keeps) or taken over
+/// (a temporary checkpoint's buffer).  It is valid while everything it
+/// borrows is; flatten() it to keep it longer.  The section ends are what
+/// the deterministic crash injector (fault::CrashPoint) cuts at: "a crash
+/// between section writes" is a prefix of `image` ending at one of them.
 struct SerializedCheckpoint {
-    std::vector<std::byte> bytes;
+    io::GatherImage image;
     std::vector<std::uint64_t> section_ends;  ///< ascending; back()==size
 };
 
@@ -116,11 +121,13 @@ struct CheckpointFrame {
 
 /// Render a checkpoint to its sealed image: the header, `merged_record`,
 /// `shard_records` (S records of merged_record.size() bytes each), the
-/// state bytes, then the seal footer.  Each input byte is copied once.
+/// state parts, then the seal footer.  The header and records are copied
+/// into the image; the state bytes are read for the CRC (one crc32
+/// chained over the parts) and for the write, never copied — its parts
+/// become the image's.
 [[nodiscard]] SerializedCheckpoint seal_checkpoint_image(
     const CheckpointHeader& header, std::span<const std::byte> merged_record,
-    std::span<const std::byte> shard_records,
-    std::span<const std::byte> state);
+    std::span<const std::byte> shard_records, io::GatherImage state);
 
 /// Frame an image: magic, version and every size cross-check (kCorrupt /
 /// kTruncated carrying the byte offset where the image stopped making

@@ -39,8 +39,11 @@
 // state recovers.
 #pragma once
 
+#include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -91,14 +94,39 @@ struct InstallOutcome {
 [[nodiscard]] Expected<std::vector<std::byte>> read_file_bytes(
     const std::string& path);
 
-/// Write `bytes` to `path` atomically: temp file + (optional) fsync +
-/// rename + directory fsync.  On failure the temp file is removed and the
-/// final path is untouched.  A non-null `metrics` records the fsync time
-/// (file + directory) into histogram store_fsync_ns.
+/// Write `image` to `path` atomically: temp file + (optional) fsync +
+/// rename + directory fsync.  The parts go out through one writev loop
+/// (detail::write_gather), straight from where they live; a plain buffer
+/// is a one-part image.  On failure the temp file is removed and the final
+/// path is untouched.  A non-null `metrics` records the fsync time (file +
+/// directory) into histogram store_fsync_ns.
 [[nodiscard]] Status atomic_write_file(const std::string& path,
-                                       const std::vector<std::byte>& bytes,
+                                       const io::GatherImage& image,
                                        bool sync = true,
                                        obs::Registry* metrics = nullptr);
+
+namespace detail {
+
+/// Most parts one writev call takes (POSIX IOV_MAX; 1024 on Linux).
+#ifdef IOV_MAX
+inline constexpr std::size_t kMaxGatherParts = IOV_MAX;
+#else
+inline constexpr std::size_t kMaxGatherParts = 1024;
+#endif
+
+/// One writev-shaped call: write the parts in order and return the bytes
+/// written — possibly fewer than asked, even mid-part — or -1 with errno.
+using GatherWriteFn =
+    std::function<long(std::span<const std::span<const std::byte>>)>;
+
+/// The gather writer: every byte of `image`, in order, through `write` —
+/// at most kMaxGatherParts parts per call, a short count resumed mid-part,
+/// EINTR retried.  kIoError naming `path` on a failed or stalled call.
+[[nodiscard]] Status write_gather(const io::GatherImage& image,
+                                  const GatherWriteFn& write,
+                                  const std::string& path);
+
+}  // namespace detail
 
 class DurableStore {
   public:

@@ -367,8 +367,9 @@ class CacheReplayTarget {
     [[nodiscard]] static std::uint64_t state_fingerprint() {
         return Storage::plane_fingerprint();
     }
-    void save_state(std::vector<std::byte>& out) const {
-        cache_->storage().save_planes(out);
+    /// Lends the storage's live planes: no byte is copied.
+    void save_state(io::GatherImage& out) const {
+        for (const auto plane : cache_->storage().planes()) out.borrow(plane);
     }
     [[nodiscard]] bool load_state(std::span<const std::byte> in) {
         return cache_->storage().load_planes(in);

@@ -34,11 +34,21 @@
 //             prefetch_batch(span)    best-effort cache warm of a whole
 //                                     batch (may no-op)
 //   snapshot  state_id()/state_fingerprint()  static layout guards
-//             save_state(out)         serialize the full mutable state
+//             save_state(gather)      append the full mutable state to an
+//                                     io::GatherImage (see below)
 //             load_state(span)->bool  restore it (shape mismatch -> false)
 //   faults    inject_op_faults(faults, idx, op&)  pre-route op corruption
 //                                                 hook (single-owner paths
 //                                                 only: sequential/inline)
+//
+// The snapshot plane fills a gather image (common/byte_io.hpp), not a
+// buffer: a target appends small owned bytes (framing, serialized sketches
+// and tables) and lends spans of its live memory (storage planes), so the
+// checkpoint path CRCs and writes the state where it lives.  Lent spans
+// are valid only until the target's next apply (or load_state); a caller
+// that keeps the image past that must flatten() it first —
+// target_checkpoint.hpp's TargetSnapshot -> TargetCheckpoint conversion is
+// that one copy.  load_state reads the flattened image.
 //
 // Optional planes — a target has one only if it has something to do there.
 // Each is a named concept; the engine tests it with `if constexpr` and
@@ -68,8 +78,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
+#include "p4lru/common/byte_io.hpp"
 #include "p4lru/core/unit_storage.hpp"
 #include "p4lru/fault/fault_plan.hpp"
 
@@ -95,7 +105,7 @@ concept ReplayTarget =
     requires(T t, const T ct, const typename T::Op& op,
              typename T::Op& mutable_op, const typename T::Routed& routed,
              std::span<const typename T::Routed> batch,
-             typename T::Stats& stats, std::vector<std::byte>& out,
+             typename T::Stats& stats, io::GatherImage& out,
              std::span<const std::byte> in, const fault::NoFaults& no_faults) {
         // routing
         { ct.unit_count() } -> std::convertible_to<std::size_t>;

@@ -86,30 +86,34 @@ namespace detail {
 /// The supervisor's checkpoint sink: serialize, consult the crash plan at
 /// this install ordinal, drive the store's (possibly crashing) install,
 /// and — on a crash or an install IO failure — ask the dispatch loop to
-/// stop at the cut.
+/// stop at the cut.  It takes the cut's snapshot as is: the seal and the
+/// install read the target's planes in place while the cut is quiesced,
+/// and nothing borrowed outlives the call.
 template <typename Stats>
 class CrashingStoreSink {
   public:
+    static constexpr bool kTakesSnapshot = true;
+
     CrashingStoreSink(DurableStore& store, const fault::FaultPlan* plan,
                       std::uint64_t& ordinal,
                       obs::Histogram* serialize_ns = nullptr)
         : store_(&store), plan_(plan), ordinal_(&ordinal),
           serialize_ns_(serialize_ns) {}
 
-    void operator()(TargetCheckpoint<Stats>&& cp) {
+    void operator()(TargetSnapshot<Stats>&& cp) {
         const std::uint64_t ordinal = (*ordinal_)++;
         const fault::CrashEvent* crash =
             plan_ != nullptr ? plan_->crash_at(ordinal) : nullptr;
         SerializedCheckpoint image;
         if (serialize_ns_ != nullptr) {
             const auto t0 = std::chrono::steady_clock::now();
-            image = serialize_target_checkpoint(cp);
+            image = serialize_target_checkpoint(std::move(cp));
             serialize_ns_->record(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count()));
         } else {
-            image = serialize_target_checkpoint(cp);
+            image = serialize_target_checkpoint(std::move(cp));
         }
         Expected<InstallOutcome> out =
             store_->install_with_crash(image, crash);

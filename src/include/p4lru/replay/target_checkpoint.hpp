@@ -9,6 +9,15 @@
 // snapshot plane — `save_state` for the full mutable state,
 // `state_id`/`state_fingerprint` as the shape guards that stop a
 // checkpoint from being restored into a differently-configured target.
+// take_target_checkpoint returns a TargetSnapshot, whose state is the
+// gather image save_state filled: it may borrow the target's live planes,
+// so it is valid only until the target's next apply.  Sealing it
+// (serialize_target_checkpoint) and installing the seal read those planes
+// in place — once for the CRC, once for the write — and copy nothing.
+// Converting it to a TargetCheckpoint is the one flatten copy, made for
+// every sink that keeps checkpoints; a sink that declares
+// `static constexpr bool kTakesSnapshot = true` (the supervisor's store
+// sink) receives the snapshot itself and must be done with it on return.
 // Resuming is "load state, replay the suffix": the suffix may use any
 // shard geometry, because a cut is a clean op prefix and per-bucket
 // arrival order is all that bit-exactness needs.  A sequential checkpoint
@@ -50,17 +59,34 @@ template <typename Stats>
 struct TargetCheckpoint : CheckpointHeader {
     Stats stats{};                   ///< merged statistics over [0, cursor)
     std::vector<Stats> shard_stats;  ///< per-shard split of stats
-    std::vector<std::byte> state;    ///< target.save_state() image
+    std::vector<std::byte> state;    ///< target.save_state() image, flat
 };
 
-/// Materialize a quiesced dispatch cut into an owning checkpoint.  Runs on
-/// the dispatcher thread while every shard cursor sits at the cut and
-/// nothing new is published, so the state read is race-free.
+/// A TargetCheckpoint whose state is the target's gather image as
+/// save_state left it: owned framing plus spans of the target's live
+/// memory, valid until the target's next apply.  An rvalue converts
+/// (implicitly) to an owning TargetCheckpoint by flattening the state —
+/// the one copy.
+template <typename Stats>
+struct TargetSnapshot : CheckpointHeader {
+    Stats stats{};
+    std::vector<Stats> shard_stats;
+    io::GatherImage state;
+
+    operator TargetCheckpoint<Stats>() && {
+        return {{*this}, stats, std::move(shard_stats), state.flatten()};
+    }
+};
+
+/// Materialize a quiesced dispatch cut into a snapshot.  Runs on the
+/// dispatcher thread while every shard cursor sits at the cut and nothing
+/// new is published, so the state read is race-free; the borrowed state
+/// stays valid until the target applies its next op.
 template <typename Target>
-[[nodiscard]] TargetCheckpoint<typename Target::Stats>
-take_target_checkpoint(const Target& target,
-                       const BasicCheckpointCut<typename Target::Stats>& cut) {
-    TargetCheckpoint<typename Target::Stats> cp;
+[[nodiscard]] TargetSnapshot<typename Target::Stats> take_target_checkpoint(
+    const Target& target,
+    const BasicCheckpointCut<typename Target::Stats>& cut) {
+    TargetSnapshot<typename Target::Stats> cp;
     cp.cursor = cut.cursor;
     cp.stats = cut.stats;
     cp.unit_count = target.unit_count();
@@ -79,6 +105,22 @@ take_target_checkpoint(const Target& target,
 
 namespace detail {
 
+/// A sink that receives TargetSnapshot&& (borrowed state) instead of an
+/// owning TargetCheckpoint&&; it opts in with a static kTakesSnapshot.
+template <typename Sink>
+concept SnapshotSink = requires { requires Sink::kTakesSnapshot; };
+
+/// Hand a cut's snapshot to `sink`: as is for a SnapshotSink, else as an
+/// owning checkpoint (the one flatten copy).
+template <typename Sink, typename Stats>
+void deliver(Sink& sink, TargetSnapshot<Stats>&& snap) {
+    if constexpr (SnapshotSink<Sink>) {
+        sink(std::move(snap));
+    } else {
+        sink(TargetCheckpoint<Stats>(std::move(snap)));
+    }
+}
+
 /// A sink's cooperative stop request; a sink without `stop_requested()`
 /// never asks to stop.
 template <typename Sink>
@@ -92,7 +134,7 @@ template <typename Sink>
 
 /// The enabled counterpart of detail::NoCheckpoint (replay.hpp): trips the
 /// dispatch loop's trigger every `every` delivered batches and converts
-/// the quiesced cut into a TargetCheckpoint for the sink.  If the
+/// the quiesced cut into a snapshot for the sink (detail::deliver).  If the
 /// sink exposes `stop_requested()`, the dispatch loop polls it after every
 /// emitted checkpoint and winds down cooperatively — that is how the crash
 /// injector (fault::CrashPoint) and the supervisor stop a run at a cut
@@ -113,7 +155,7 @@ class TargetDispatchCheckpointer {
     void emit(const BasicCheckpointCut<typename Target::Stats>& cut) {
         // Re-arm relative to the actual cut.
         next_ = cut.delivered_batches + every_;
-        (*sink_)(take_target_checkpoint(*target_, cut));
+        deliver(*sink_, take_target_checkpoint(*target_, cut));
     }
 
     [[nodiscard]] bool stop_requested() const {
@@ -130,8 +172,9 @@ class TargetDispatchCheckpointer {
 }  // namespace detail
 
 /// Streaming sharded target replay that emits a TargetCheckpoint into
-/// `sink` every `every_batches` delivered batches (sink(TargetCheckpoint&&));
-/// 0 disables emission.  Checkpoint cursors are relative to the source's
+/// `sink` every `every_batches` delivered batches (sink(TargetCheckpoint&&),
+/// or sink(TargetSnapshot&&) for a detail::SnapshotSink); 0 disables
+/// emission.  Checkpoint cursors are relative to the source's
 /// position at entry.  Statistics and final target state stay bit-identical
 /// to replay_target_sharded_stream — the quiesce only decides *when* work
 /// happens, never what — and the fault hooks compose.  A sink exposing a
@@ -220,14 +263,21 @@ void merge_prefix(BasicShardedReport<Stats>& rep,
 /// the prefix cursor, stats/telemetry merged with the prefix's.  The shard
 /// slices are dropped (suffix-relative splits cannot be combined with the
 /// prefix's; validate_target_checkpoint skips the slice-sum check when
-/// empty), which keeps every rebased checkpoint itself resumable.
+/// empty), which keeps every rebased checkpoint itself resumable.  It takes
+/// snapshots exactly when the wrapped sink does.
 template <typename Stats, typename Sink>
 class RebasedTargetSink {
   public:
+    static constexpr bool kTakesSnapshot = SnapshotSink<Sink>;
+
     RebasedTargetSink(const TargetCheckpoint<Stats>& prefix, Sink& sink)
         : prefix_(&prefix), sink_(&sink) {}
 
-    void operator()(TargetCheckpoint<Stats>&& cp) {
+    /// `cp` is a TargetCheckpoint&&, or a TargetSnapshot&& when the wrapped
+    /// sink takes snapshots.
+    template <typename Checkpoint>
+        requires(!std::is_lvalue_reference_v<Checkpoint>)
+    void operator()(Checkpoint&& cp) {
         cp.cursor += prefix_->cursor;
         cp.stats.merge(prefix_->stats);
         cp.shard_stats.clear();
@@ -313,14 +363,56 @@ resume_target_sharded_stream(
 // ---------------------------------------------------------------------------
 // Disk persistence: TargetCheckpoint <-> sealed P4LRUTGC image.
 
-/// Render `cp` to its sealed on-disk image in memory.
+namespace detail {
+
+/// Seal `cp`'s header and statistics records around `state`.
+template <typename Checkpoint>
+[[nodiscard]] SerializedCheckpoint seal_target(const Checkpoint& cp,
+                                               io::GatherImage state) {
+    using Stats = decltype(cp.stats);
+    return seal_checkpoint_image(
+        cp, std::as_bytes(std::span<const Stats>(&cp.stats, 1)),
+        std::as_bytes(std::span<const Stats>(cp.shard_stats)),
+        std::move(state));
+}
+
+}  // namespace detail
+
+/// Render `cp` to its sealed on-disk image in memory, without copying the
+/// state bytes.  From an lvalue the image borrows cp's state, so `cp` must
+/// outlive it unchanged; from an rvalue the image takes over whatever `cp`
+/// owned.  A snapshot's spans of live target memory stay borrowed either
+/// way: such an image is valid until the target's next apply.
 template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] SerializedCheckpoint serialize_target_checkpoint(
     const TargetCheckpoint<Stats>& cp) {
-    return seal_checkpoint_image(
-        cp, std::as_bytes(std::span<const Stats>(&cp.stats, 1)),
-        std::as_bytes(std::span<const Stats>(cp.shard_stats)), cp.state);
+    io::GatherImage state;
+    state.borrow(cp.state);
+    return detail::seal_target(cp, std::move(state));
+}
+
+template <typename Stats>
+    requires std::is_trivially_copyable_v<Stats>
+[[nodiscard]] SerializedCheckpoint serialize_target_checkpoint(
+    TargetCheckpoint<Stats>&& cp) {
+    return detail::seal_target(cp, io::GatherImage(std::move(cp.state)));
+}
+
+template <typename Stats>
+    requires std::is_trivially_copyable_v<Stats>
+[[nodiscard]] SerializedCheckpoint serialize_target_checkpoint(
+    const TargetSnapshot<Stats>& cp) {
+    io::GatherImage state;
+    state.borrow(cp.state);
+    return detail::seal_target(cp, std::move(state));
+}
+
+template <typename Stats>
+    requires std::is_trivially_copyable_v<Stats>
+[[nodiscard]] SerializedCheckpoint serialize_target_checkpoint(
+    TargetSnapshot<Stats>&& cp) {
+    return detail::seal_target(cp, std::move(cp.state));
 }
 
 /// Parse a target checkpoint from an in-memory image: the frame parser
@@ -362,7 +454,7 @@ template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] Status write_target_checkpoint(
     const std::string& path, const TargetCheckpoint<Stats>& cp) {
-    return atomic_write_file(path, serialize_target_checkpoint(cp).bytes,
+    return atomic_write_file(path, serialize_target_checkpoint(cp).image,
                              /*sync=*/false);
 }
 

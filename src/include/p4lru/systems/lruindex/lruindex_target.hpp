@@ -182,17 +182,19 @@ class LruIndexTarget {
         return hash::mix64(0x4C5255494458'0000ull ^ sizeof(Stats));
     }
 
-    void save_state(std::vector<std::byte>& out) const {
-        io::ByteWriter w(out);
-        w.u64(parts_.size());
+    /// Each level's planes are lent between their length fields: the
+    /// image owns only the framing.
+    void save_state(io::GatherImage& out) const {
+        out.writer().u64(parts_.size());
         for (const auto& p : parts_) {
             const auto& series = p.series();
-            w.u64(series.level_count());
+            out.writer().u64(series.level_count());
             for (std::size_t i = 0; i < series.level_count(); ++i) {
-                std::vector<std::byte> planes;
-                series.level(i).storage().save_planes(planes);
-                w.u64(planes.size());
-                w.bytes(planes.data(), planes.size());
+                const auto planes = series.level(i).storage().planes();
+                std::uint64_t bytes = 0;
+                for (const auto plane : planes) bytes += plane.size();
+                out.writer().u64(bytes);
+                for (const auto plane : planes) out.borrow(plane);
             }
         }
     }

@@ -179,8 +179,9 @@ class LruMonTarget {
         return hash::mix64(0x4C52554D4F4E0000ull ^ sizeof(Stats));
     }
 
-    void save_state(std::vector<std::byte>& out) const {
-        io::ByteWriter w(out);
+    /// One owned part: the sketches, policies and tables are serialized.
+    void save_state(io::GatherImage& out) const {
+        io::ByteWriter w = out.writer();
         w.u64(parts_.size());
         for (const auto& p : parts_) {
             p.filter->save_state(w);

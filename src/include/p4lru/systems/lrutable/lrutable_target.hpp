@@ -218,8 +218,9 @@ class LruTableTarget {
         return hash::mix64(0x4C52555441420000ull ^ sizeof(Stats));
     }
 
-    void save_state(std::vector<std::byte>& out) const {
-        io::ByteWriter w(out);
+    /// One owned part: the policies and fill queues are serialized.
+    void save_state(io::GatherImage& out) const {
+        io::ByteWriter w = out.writer();
         w.u64(parts_.size());
         for (const auto& p : parts_) {
             cache::save_policy_record(*p.policy, w);

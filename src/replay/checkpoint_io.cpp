@@ -18,22 +18,25 @@ constexpr std::uint64_t kSealBytes = 16;  // 4 x CRC32
 constexpr std::uint64_t kOffVersion = 8;
 constexpr std::uint64_t kOffRecordBytes = 104;
 
-std::uint32_t crc_of(std::span<const std::byte> bytes) {
-    return hash::crc32(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+std::uint32_t crc_of(std::span<const std::byte> bytes,
+                     std::uint32_t seed = 0) {
+    return hash::crc32(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(bytes.data()),
+            bytes.size()),
+        seed);
 }
 
 }  // namespace
 
 SerializedCheckpoint seal_checkpoint_image(
     const CheckpointHeader& h, std::span<const std::byte> merged_record,
-    std::span<const std::byte> shard_records,
-    std::span<const std::byte> state) {
-    SerializedCheckpoint out;
-    auto& buf = out.bytes;
+    std::span<const std::byte> shard_records, io::GatherImage state) {
+    std::vector<std::byte> head;
     const std::uint64_t records = merged_record.size() + shard_records.size();
-    buf.reserve(kHeaderBytes + records + state.size() + kSealBytes);
-    io::ByteWriter w(buf);
+    const std::uint64_t state_bytes = state.size();
+    head.reserve(kHeaderBytes + records);
+    io::ByteWriter w(head);
     for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
     w.u32(kVersion);
     w.u32(h.state_id);
@@ -51,27 +54,32 @@ SerializedCheckpoint seal_checkpoint_image(
     w.u32(static_cast<std::uint32_t>(merged_record.size()));
     w.u32(static_cast<std::uint32_t>(shard_records.size() /
                                      merged_record.size()));
-    w.u64(state.size());
-    out.section_ends.push_back(buf.size());  // header
+    w.u64(state_bytes);
     w.bytes(merged_record.data(), merged_record.size());
     w.bytes(shard_records.data(), shard_records.size());
-    out.section_ends.push_back(buf.size());  // stats records
-    w.bytes(state.data(), state.size());
-    out.section_ends.push_back(buf.size());  // state image
 
     // Seal footer: one CRC per section, then a CRC over those three so a
-    // flipped bit inside the footer itself is caught too.
-    const std::span<const std::byte> image(buf);
-    const std::uint32_t crc_header = crc_of(image.first(kHeaderBytes));
-    const std::uint32_t crc_records =
-        crc_of(image.subspan(kHeaderBytes, records));
-    const std::uint32_t crc_state =
-        crc_of(image.subspan(kHeaderBytes + records, state.size()));
-    w.u32(crc_header);
-    w.u32(crc_records);
-    w.u32(crc_state);
-    w.u32(crc_of(std::span<const std::byte>(buf).last(12)));
-    out.section_ends.push_back(buf.size());  // footer == total
+    // flipped bit inside the footer itself is caught too.  The state CRC
+    // chains crc32 over the parts where they live.
+    const std::span<const std::byte> head_bytes(head);
+    std::uint32_t crc_state = 0;
+    for (std::size_t i = 0; i < state.part_count(); ++i) {
+        crc_state = crc_of(state.part(i), crc_state);
+    }
+    std::vector<std::byte> footer;
+    io::ByteWriter f(footer);
+    f.u32(crc_of(head_bytes.first(kHeaderBytes)));
+    f.u32(crc_of(head_bytes.subspan(kHeaderBytes)));
+    f.u32(crc_state);
+    f.u32(crc_of(footer));
+
+    SerializedCheckpoint out;
+    out.section_ends = {kHeaderBytes, kHeaderBytes + records,
+                        kHeaderBytes + records + state_bytes,
+                        kHeaderBytes + records + state_bytes + kSealBytes};
+    out.image.own(std::move(head));
+    out.image.append(std::move(state));
+    out.image.own(std::move(footer));
     return out;
 }
 

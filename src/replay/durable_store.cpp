@@ -1,6 +1,7 @@
 #include "p4lru/replay/durable_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +12,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #define P4LRU_POSIX_IO 1
 #endif
@@ -72,10 +74,10 @@ Status fsync_path(const std::string& path, bool directory,
 }
 #endif
 
-/// Write bytes to `path` (plain, non-atomic) — the torn-crash injector's
-/// tool and atomic_write_file's first phase.
+/// Write `image` to `path` (plain, non-atomic) — the torn-crash
+/// injector's tool and atomic_write_file's first phase.
 Status write_bytes_plain(const std::string& path,
-                         const std::vector<std::byte>& bytes, bool sync,
+                         const io::GatherImage& image, bool sync,
                          obs::Histogram* fsync_ns = nullptr) {
 #ifdef P4LRU_POSIX_IO
     errno = 0;
@@ -83,20 +85,20 @@ Status write_bytes_plain(const std::string& path,
     if (fd < 0) {
         return io_error_errno("durable_store: cannot open for write", path);
     }
-    const std::byte* p = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        errno = 0;
-        const ssize_t n = ::write(fd, p, left);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            const Status st =
-                io_error_errno("durable_store: write failed to", path);
-            ::close(fd);
-            return st;
+    const auto writev_fd = [fd](std::span<const std::span<const std::byte>>
+                                    parts) -> long {
+        std::array<iovec, detail::kMaxGatherParts> iov;
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            // writev only reads the buffers; iovec just has no const.
+            iov[i] = {const_cast<std::byte*>(parts[i].data()),
+                      parts[i].size()};
         }
-        p += n;
-        left -= static_cast<std::size_t>(n);
+        return ::writev(fd, iov.data(), static_cast<int>(parts.size()));
+    };
+    if (Status st = detail::write_gather(image, writev_fd, path);
+        !st.is_ok()) {
+        ::close(fd);
+        return st;
     }
     if (sync) {
         errno = 0;
@@ -123,8 +125,11 @@ Status write_bytes_plain(const std::string& path,
     if (!os) {
         return io_error_errno("durable_store: cannot open for write", path);
     }
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+    for (std::size_t i = 0; i < image.part_count(); ++i) {
+        const std::span<const std::byte> part = image.part(i);
+        os.write(reinterpret_cast<const char*>(part.data()),
+                 static_cast<std::streamsize>(part.size()));
+    }
     os.flush();
     if (!os) {
         return io_error_errno("durable_store: write failed to", path);
@@ -165,13 +170,46 @@ std::uint64_t parse_gen_seq(const std::string& name) {
 std::uint64_t torn_cut(const SerializedCheckpoint& image,
                        std::uint64_t section) {
     if (image.section_ends.size() < 2) {
-        return image.bytes.size() / 2;
+        return image.image.size() / 2;
     }
     const std::size_t cuts = image.section_ends.size() - 1;  // strict only
     return image.section_ends[static_cast<std::size_t>(section % cuts)];
 }
 
 }  // namespace
+
+namespace detail {
+
+Status write_gather(const io::GatherImage& image, const GatherWriteFn& write,
+                    const std::string& path) {
+    std::vector<std::span<const std::byte>> parts;
+    parts.reserve(image.part_count());
+    for (std::size_t i = 0; i < image.part_count(); ++i) {
+        if (!image.part(i).empty()) parts.push_back(image.part(i));
+    }
+    std::size_t next = 0;  // first part not yet fully written
+    while (next < parts.size()) {
+        const std::size_t count =
+            std::min(parts.size() - next, kMaxGatherParts);
+        errno = 0;
+        const long n = write(std::span(parts).subspan(next, count));
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+            if (n == 0) errno = EIO;  // no progress on a non-empty request
+            return io_error_errno("durable_store: write failed to", path);
+        }
+        // Skip the parts the call finished; trim a part it cut short.
+        auto left = static_cast<std::size_t>(n);
+        while (next < parts.size() && left >= parts[next].size()) {
+            left -= parts[next].size();
+            ++next;
+        }
+        if (left != 0) parts[next] = parts[next].subspan(left);
+    }
+    return Status::ok();
+}
+
+}  // namespace detail
 
 Expected<std::vector<std::byte>> read_file_bytes(const std::string& path) {
     errno = 0;
@@ -202,12 +240,12 @@ Expected<std::vector<std::byte>> read_file_bytes(const std::string& path) {
 }
 
 Status atomic_write_file(const std::string& path,
-                         const std::vector<std::byte>& bytes, bool sync,
+                         const io::GatherImage& image, bool sync,
                          obs::Registry* metrics) {
     obs::Histogram* fsync_ns =
         metrics != nullptr ? metrics->histogram("store_fsync_ns") : nullptr;
     const std::string tmp = path + kTmpSuffix;
-    if (Status st = write_bytes_plain(tmp, bytes, sync, fsync_ns);
+    if (Status st = write_bytes_plain(tmp, image, sync, fsync_ns);
         !st.is_ok()) {
         std::error_code ec;
         fs::remove(tmp, ec);
@@ -300,14 +338,14 @@ Expected<InstallOutcome> DurableStore::install_with_crash(
                 // rename/overwrite is not atomic).  Either way the next
                 // recovery must skip it.
                 const std::uint64_t cut = torn_cut(image, crash->arg);
-                std::vector<std::byte> prefix(
-                    image.bytes.begin(),
-                    image.bytes.begin() + static_cast<std::ptrdiff_t>(cut));
                 const std::string where =
                     crash->point == CrashPoint::kTornTemp
                         ? final_path + kTmpSuffix
                         : final_path;
-                if (Status st = write_bytes_plain(where, prefix, false);
+                if (Status st = write_bytes_plain(
+                        where,
+                        image.image.prefix(static_cast<std::size_t>(cut)),
+                        false);
                     !st.is_ok()) {
                     return st;
                 }
@@ -316,7 +354,7 @@ Expected<InstallOutcome> DurableStore::install_with_crash(
             case CrashPoint::kBeforeRename: {
                 // Full temp written and synced; the rename never happened.
                 if (Status st = write_bytes_plain(final_path + kTmpSuffix,
-                                                  image.bytes, cfg_.sync);
+                                                  image.image, cfg_.sync);
                     !st.is_ok()) {
                     return st;
                 }
@@ -324,7 +362,7 @@ Expected<InstallOutcome> DurableStore::install_with_crash(
             }
             case CrashPoint::kAfterInstall: {
                 // Generation installed; died before pruning.
-                if (Status st = atomic_write_file(final_path, image.bytes,
+                if (Status st = atomic_write_file(final_path, image.image,
                                                   cfg_.sync, cfg_.metrics);
                     !st.is_ok()) {
                     return st;
@@ -338,7 +376,7 @@ Expected<InstallOutcome> DurableStore::install_with_crash(
                 break;
         }
     }
-    if (Status st = atomic_write_file(final_path, image.bytes, cfg_.sync,
+    if (Status st = atomic_write_file(final_path, image.image, cfg_.sync,
                                       cfg_.metrics);
         !st.is_ok()) {
         return st;

@@ -6,8 +6,10 @@
 // sequentially" are spelled once here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
@@ -15,6 +17,24 @@
 #include "p4lru/replay/target_checkpoint.hpp"
 
 namespace p4lru::testutil {
+
+/// A storage's planes() concatenated: the flat image load_planes reads.
+template <typename Storage>
+std::vector<std::byte> plane_bytes(const Storage& storage) {
+    std::vector<std::byte> out;
+    for (const auto plane : storage.planes()) {
+        out.insert(out.end(), plane.begin(), plane.end());
+    }
+    return out;
+}
+
+/// A target's save_state image, flattened.
+template <typename Target>
+std::vector<std::byte> state_bytes(const Target& target) {
+    io::GatherImage image;
+    target.save_state(image);
+    return image.flatten();
+}
 
 /// The one-op-at-a-time reference replay of resident `ops` into `cache`.
 template <typename Cache, typename Ops>

@@ -18,6 +18,7 @@
 
 #include "p4lru/core/soa_slab.hpp"
 #include "../test_util.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::core::simd {
 namespace {
@@ -206,7 +207,7 @@ SlabTrace run_slab_trace() {
                 break;
         }
     }
-    slab.save_planes(t.planes);
+    t.planes = testutil::plane_bytes(slab);
     return t;
 }
 

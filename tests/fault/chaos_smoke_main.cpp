@@ -216,9 +216,9 @@ int main() {
                 static_cast<unsigned long long>(seed));
             return 1;
         }
-        std::vector<std::byte> want, got;
-        seq_cache.storage().save_planes(want);
-        resumed.storage().save_planes(got);
+        const std::vector<std::byte> want =
+            testutil::plane_bytes(seq_cache.storage());
+        std::vector<std::byte> got = testutil::plane_bytes(resumed.storage());
         if (want != got) {
             std::fprintf(stderr,
                          "\nchaos seed %llu: resumed plane bytes differ from "
@@ -313,8 +313,7 @@ int main() {
             return 1;
         }
         Cache& survivor = lives.back();
-        got.clear();
-        survivor.storage().save_planes(got);
+        got = testutil::plane_bytes(survivor.storage());
         if (want != got) {
             std::fprintf(stderr,
                          "\nchaos seed %llu: supervised plane bytes differ "

@@ -265,7 +265,8 @@ TEST_F(CheckpointIoTest, CrossLayoutResumeRejectedAfterDiskRoundTrip) {
 TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealRejected) {
     const SerializedCheckpoint image =
         serialize_target_checkpoint(sample_checkpoint());
-    std::vector<std::byte> v1(image.bytes.begin(), image.bytes.end() - 16);
+    std::vector<std::byte> v1 = image.image.flatten();
+    v1.resize(v1.size() - 16);
     const std::uint32_t version1 = 1;
     std::memcpy(v1.data() + 8, &version1, 4);
     std::ofstream os(path_, std::ios::binary);
@@ -299,7 +300,7 @@ TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
         {footer_begin + 1, footer_begin},    // a stored CRC itself
     };
     for (const auto& c : cases) {
-        std::vector<std::byte> bad = image.bytes;
+        std::vector<std::byte> bad = image.image.flatten();
         bad[static_cast<std::size_t>(c.flip_at)] ^= std::byte{0x10};
         const auto rd = parse_target_checkpoint<ReplayStats>(
             bad, "flip@" + std::to_string(c.flip_at));

@@ -172,9 +172,8 @@ TEST(CheckpointResume, RejectsForgedEqualSizeCrossLayoutImage) {
         sequential_checkpoint(FlowTarget<AosFlowCache>(aos), 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
-    std::vector<std::byte> soa_planes;
-    soa.storage().save_planes(soa_planes);
-    cp.state.resize(soa_planes.size());  // defeat the size guard
+    cp.state.resize(
+        testutil::plane_bytes(soa.storage()).size());  // defeat the size guard
 
     FlowTarget<FlowCache> target(soa);
     const auto r = resume_sequential(target, Ops(ops), cp);

@@ -75,7 +75,7 @@ const SerializedCheckpoint& cache_image() {
                 cps.push_back(std::move(cp));
             });
         EXPECT_FALSE(cps.empty());
-        return serialize_target_checkpoint(cps.front());
+        return serialize_target_checkpoint(std::move(cps.front()));
     }();
     return img;
 }
@@ -129,14 +129,14 @@ std::vector<ImageCase> image_cases() {
 
 TEST(DurableFuzz, EveryTruncationPrefixRejectedCacheAndSyntheticImages) {
     for (const auto& fc : image_cases()) {
-        const auto& img = *fc.image;
-        ASSERT_GE(img.bytes.size(), 100u) << fc.name;
+        const std::vector<std::byte> bytes = fc.image->image.flatten();
+        ASSERT_GE(bytes.size(), 100u) << fc.name;
         // Full image parses and verifies; every strict prefix must not.
-        ASSERT_TRUE(typed_parse(img.bytes).is_ok()) << fc.name;
-        ASSERT_TRUE(verify_checkpoint_image(img.bytes, fc.name).is_ok());
-        for (std::size_t cut = 0; cut < img.bytes.size(); ++cut) {
-            const std::vector<std::byte> prefix(img.bytes.begin(),
-                                                img.bytes.begin() + cut);
+        ASSERT_TRUE(typed_parse(bytes).is_ok()) << fc.name;
+        ASSERT_TRUE(verify_checkpoint_image(bytes, fc.name).is_ok());
+        for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+            const std::vector<std::byte> prefix(bytes.begin(),
+                                                bytes.begin() + cut);
             const Status st = typed_parse(prefix);
             ASSERT_FALSE(st.is_ok())
                 << fc.name << ": prefix of " << cut << " bytes parsed";
@@ -161,6 +161,7 @@ TEST(DurableFuzz,
     std::mt19937_64 rng(0xF1A9u);
     for (const auto& fc : image_cases()) {
         const auto& img = *fc.image;
+        const std::vector<std::byte> bytes = img.image.flatten();
         ASSERT_EQ(img.section_ends.size(), 4u) << fc.name;
         std::uint64_t begin = 0;
         for (std::size_t sec = 0; sec < img.section_ends.size(); ++sec) {
@@ -182,7 +183,7 @@ TEST(DurableFuzz,
                 }
             }
             for (const auto& [pos, bit] : flips) {
-                std::vector<std::byte> dam = img.bytes;
+                std::vector<std::byte> dam = bytes;
                 dam[pos] ^= static_cast<std::byte>(1u << bit);
                 const Status st = typed_parse(dam);
                 ASSERT_FALSE(st.is_ok())
@@ -218,7 +219,7 @@ TEST(DurableFuzz,
 // past its end.  Both readers must reject it as truncated or corrupt.
 
 TEST(DurableFuzz, WrappingSizeFieldsRejectedWithoutReadingPastImage) {
-    std::vector<std::byte> img = synthetic_image().bytes;
+    std::vector<std::byte> img = synthetic_image().image.flatten();
     const std::uint64_t size = img.size();
     const std::uint64_t record = sizeof(ReplayStats);
     const std::uint32_t shards = 1u << 30;
@@ -402,8 +403,11 @@ TEST(DurableStoreTest, RecoveryLadderSkipsDamageDownToNewestValid) {
     const fault::CrashEvent torn{0, fault::CrashPoint::kTornInstall, 2};
     ASSERT_TRUE(store.install_with_crash(synthetic_image(), &torn).is_ok());
     {
-        SerializedCheckpoint flipped = synthetic_image();
-        flipped.bytes[flipped.section_ends[1] + 7] ^= std::byte{0x10};
+        const SerializedCheckpoint& good = synthetic_image();
+        std::vector<std::byte> bytes = good.image.flatten();
+        bytes[good.section_ends[1] + 7] ^= std::byte{0x10};
+        const SerializedCheckpoint flipped{io::GatherImage(std::move(bytes)),
+                                           good.section_ends};
         ASSERT_TRUE(store.install(flipped).is_ok());
     }
     ASSERT_EQ(store.list().size(), 4u);
@@ -450,7 +454,7 @@ TEST(DurableStoreTest, IoFailuresCarryPathAndErrno) {
     EXPECT_NE(rd.status().message().find("errno"), std::string::npos);
 
     const auto wr = atomic_write_file("/nonexistent/dir/x.ckpt",
-                                      synthetic_image().bytes, /*sync=*/false);
+                                      synthetic_image().image, /*sync=*/false);
     ASSERT_FALSE(wr.is_ok());
     EXPECT_EQ(wr.code(), ErrorCode::kIoError);
     EXPECT_NE(wr.message().find("errno"), std::string::npos);
@@ -471,16 +475,17 @@ TEST(DurableStoreTest, ReadFileBytesRejectsNonRegularFileWithPath) {
 
 TEST(DurableStoreTest, FrameReportsSectionsAndRejectsLegacyFiles) {
     {
-        const auto frame =
-            parse_checkpoint_frame(cache_image().bytes, "cache");
+        const std::vector<std::byte> bytes = cache_image().image.flatten();
+        const auto frame = parse_checkpoint_frame(bytes, "cache");
         ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
         EXPECT_TRUE(frame.value().seal.is_ok());
         EXPECT_EQ(frame.value().record_bytes, sizeof(ReplayStats));
         for (const auto& s : frame.value().sections) EXPECT_TRUE(s.ok());
     }
     {
-        const auto frame =
-            parse_checkpoint_frame(synthetic_image().bytes, "synthetic");
+        const std::vector<std::byte> bytes =
+            synthetic_image().image.flatten();
+        const auto frame = parse_checkpoint_frame(bytes, "synthetic");
         ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
         const auto want = sample_checkpoint();
         EXPECT_EQ(frame.value().header.cursor, want.cursor);
@@ -494,7 +499,7 @@ TEST(DurableStoreTest, FrameReportsSectionsAndRejectsLegacyFiles) {
         // A damaged state byte: the header still frames (an inspector can
         // show it), the state section is the one that mismatches, and the
         // seal verdict names it.
-        std::vector<std::byte> dam = synthetic_image().bytes;
+        std::vector<std::byte> dam = synthetic_image().image.flatten();
         const std::uint64_t state_begin = synthetic_image().section_ends[1];
         dam[state_begin + 5] ^= std::byte{0x01};
         const auto frame = parse_checkpoint_frame(dam, "damaged");
@@ -507,7 +512,7 @@ TEST(DurableStoreTest, FrameReportsSectionsAndRejectsLegacyFiles) {
     }
     {
         // A v1 file: same image without the seal, version patched to 1.
-        std::vector<std::byte> legacy = synthetic_image().bytes;
+        std::vector<std::byte> legacy = synthetic_image().image.flatten();
         legacy.resize(legacy.size() - 16);
         legacy[8] = std::byte{1};
         const auto frame = parse_checkpoint_frame(legacy, "legacy");

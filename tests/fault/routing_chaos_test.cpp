@@ -25,6 +25,8 @@
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
 
+#include "../checkpoint_util.hpp"
+
 namespace p4lru::replay {
 namespace {
 
@@ -128,13 +130,6 @@ ShardedConfig chaos_config(obs::Registry& reg) {
     return cfg;
 }
 
-template <typename Target>
-std::vector<std::byte> state_of(const Target& t) {
-    std::vector<std::byte> out;
-    t.save_state(out);
-    return out;
-}
-
 /// Every block is routed exactly once: one route-time sample per block.
 void expect_every_block_routed(const obs::Registry& reg, std::size_t ops) {
     const auto snap = reg.snapshot();
@@ -154,7 +149,7 @@ void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
     SpanOpSource seq_source(ops);
     const auto seq =
         replay_target_sequential_stream(seq_target, seq_source).value();
-    const auto seq_state = state_of(seq_target);
+    const auto seq_state = testutil::state_bytes(seq_target);
     using Stats = std::remove_cvref_t<decltype(seq)>;
 
     fault::FaultPlan plan;
@@ -179,7 +174,7 @@ void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
             .value();
 
     EXPECT_EQ(rep.stats, seq) << "stalled run must stay bit-identical";
-    EXPECT_EQ(state_of(target), seq_state);
+    EXPECT_EQ(testutil::state_bytes(target), seq_state);
     EXPECT_GE(rep.drained_inline, 1u) << "parked shard never taken over";
     expect_every_block_routed(reg, ops.size());
     if (!cut) return;
@@ -201,7 +196,7 @@ void check_stalled_routing(Make make, const std::vector<Op>& ops, bool cut) {
         resumed, resume_source, first, chaos_config(resume_reg));
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resume from the mid-stall cut";
-    EXPECT_EQ(state_of(resumed), seq_state);
+    EXPECT_EQ(testutil::state_bytes(resumed), seq_state);
 }
 
 TEST(RoutingChaos, ArrayStalledWorkerLeavesBlocksUnrouted) {
@@ -259,7 +254,7 @@ TEST(RoutingChaos, DispatcherRoutesEverythingWhenAllWorkersPark) {
             .value();
 
     EXPECT_EQ(rep.stats, want);
-    EXPECT_EQ(state_of(run.view), state_of(seq.view));
+    EXPECT_EQ(testutil::state_bytes(run.view), testutil::state_bytes(seq.view));
     EXPECT_EQ(rep.drained_inline, 3u);
     expect_every_block_routed(reg, ops.size());
     const auto snap = reg.snapshot();

@@ -156,10 +156,9 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
     EXPECT_GE(res.value().abandoned_workers, cp.abandoned_workers);
     expect_same_contents(ref, resumed);
 
-    std::vector<std::byte> want, got;
-    ref.storage().save_planes(want);
-    resumed.storage().save_planes(got);
-    EXPECT_EQ(want, got) << "final plane bytes differ";
+    EXPECT_EQ(testutil::plane_bytes(ref.storage()),
+              testutil::plane_bytes(resumed.storage()))
+        << "final plane bytes differ";
 }
 
 template <typename Cache, typename Key, typename Value>

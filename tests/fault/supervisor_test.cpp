@@ -21,6 +21,7 @@
 #include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "../test_util.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -62,13 +63,6 @@ systems::lrumon::LruMonTarget make_lrumon() {
         cfg);
 }
 
-template <typename Target>
-std::vector<std::byte> state_of(const Target& t) {
-    std::vector<std::byte> out;
-    t.save_state(out);
-    return out;
-}
-
 ShardedConfig engine_config(Mode mode) {
     ShardedConfig cfg;
     cfg.shards = 3;
@@ -88,7 +82,7 @@ void check_supervised(Make make, const std::vector<Op>& ops, Mode mode,
     auto ref = make();
     SpanOpSource source(ops);
     const auto seq = replay_target_sequential_stream(ref, source).value();
-    const auto ref_state = state_of(ref);
+    const auto ref_state = testutil::state_bytes(ref);
     ASSERT_FALSE(ref_state.empty());
 
     testutil::ScopedTempDir tmp{"p4lru_sup"};
@@ -109,7 +103,7 @@ void check_supervised(Make make, const std::vector<Op>& ops, Mode mode,
     EXPECT_EQ(sv.value().crashes, expect_crashes);
     EXPECT_EQ(sv.value().attempts, expect_crashes + 1)
         << "every crash costs exactly one extra attempt";
-    EXPECT_EQ(state_of(lives.back()), ref_state)
+    EXPECT_EQ(testutil::state_bytes(lives.back()), ref_state)
         << "supervised state image diverged";
     if (expect_crashes > 0) {
         EXPECT_GT(sv.value().resumed_from_gen, 0u)

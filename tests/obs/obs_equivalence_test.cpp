@@ -58,10 +58,8 @@ void check_obs_equivalence(Mode mode) {
     // Obs-on is bit-identical to obs-off: statistics, report shape, and
     // the final plane bytes.
     check_report_equal(on, off);
-    std::vector<std::byte> want, got;
-    off_cache.storage().save_planes(want);
-    on_cache.storage().save_planes(got);
-    EXPECT_EQ(want, got);
+    EXPECT_EQ(testutil::plane_bytes(off_cache.storage()),
+              testutil::plane_bytes(on_cache.storage()));
 
     // And the instruments reconcile exactly: one batch-apply histogram
     // sample per counted batch, every op accounted for.
@@ -129,10 +127,7 @@ TEST(ObsReplayEquivalence, ThreadedStageInstrumentsAreInertOnSystemTarget) {
     SpanOpSource on_source(ops);
     const auto r_on = replay_target_sharded_stream(on, on_source, cfg).value();
     EXPECT_EQ(r_on.stats, r_off.stats);
-    std::vector<std::byte> s_off, s_on;
-    off.save_state(s_off);
-    on.save_state(s_on);
-    EXPECT_EQ(s_on, s_off);
+    EXPECT_EQ(testutil::state_bytes(on), testutil::state_bytes(off));
 
     const obs::Snapshot snap = reg.snapshot();
     const obs::HistogramSnapshot* route =

@@ -158,15 +158,14 @@ int main() {
     const auto seq_sys =
         replay::replay_target_sequential_stream(seq_target, seq_source)
             .value();
-    std::vector<std::byte> seq_image;
-    seq_target.save_state(seq_image);
+    const std::vector<std::byte> seq_image =
+        testutil::state_bytes(seq_target);
     for (int round = 0; round < 3; ++round) {
         LruMonTarget target = make_target();
         replay::SpanOpSource source(trace);
         const auto rep =
             replay::replay_target_sharded_stream(target, source, cfg).value();
-        std::vector<std::byte> image;
-        target.save_state(image);
+        const std::vector<std::byte> image = testutil::state_bytes(target);
         if (!(rep.stats == seq_sys) || image != seq_image) {
             std::fprintf(stderr,
                          "system round %d: threaded LruMonTarget diverged "

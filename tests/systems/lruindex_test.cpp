@@ -11,6 +11,8 @@
 #include "p4lru/systems/lruindex/index_cache.hpp"
 #include "p4lru/systems/lruindex/lruindex_target.hpp"
 
+#include "../checkpoint_util.hpp"
+
 namespace p4lru::systems::lruindex {
 namespace {
 
@@ -115,8 +117,8 @@ std::vector<std::byte> one_partition_state(const SeriesIndexCache& cache) {
     w.u64(1);
     w.u64(cache.series().level_count());
     for (std::size_t i = 0; i < cache.series().level_count(); ++i) {
-        std::vector<std::byte> planes;
-        cache.series().level(i).storage().save_planes(planes);
+        const std::vector<std::byte> planes =
+            testutil::plane_bytes(cache.series().level(i).storage());
         w.u64(planes.size());
         w.bytes(planes.data(), planes.size());
     }

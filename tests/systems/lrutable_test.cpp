@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "../test_util.hpp"
+#include "../checkpoint_util.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
@@ -105,8 +106,7 @@ TEST(LruTableTarget, LoadStateRefusedWhileTrackingSimilarity) {
     LruTableTarget nat(1, p4lru3_factory(30), tracking);
     LruTableStats s;
     step(nat, s, packet(1, 0));
-    std::vector<std::byte> image;
-    nat.save_state(image);
+    const std::vector<std::byte> image = testutil::state_bytes(nat);
     // The tracker is not in the image: a resumed run would score only the
     // suffix, so a tracking target refuses to restore ...
     LruTableTarget resumed(1, p4lru3_factory(30), tracking);

@@ -37,6 +37,7 @@
 #include "p4lru/trace/trace_source.hpp"
 #include "p4lru/trace/ycsb.hpp"
 #include "../test_util.hpp"
+#include "../checkpoint_util.hpp"
 
 namespace p4lru {
 namespace {
@@ -113,13 +114,6 @@ std::vector<systems::lruindex::LruIndexOp> ycsb_ops(
     return systems::lruindex::make_index_ops(cfg, count);
 }
 
-template <typename Target>
-std::vector<std::byte> state_of(const Target& t) {
-    std::vector<std::byte> out;
-    t.save_state(out);
-    return out;
-}
-
 // ---------------------------------------------------------------------------
 // Property 1: sequential == inline == threaded, over random shard geometry.
 
@@ -133,7 +127,7 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
     const Stats seq =
         replay::replay_target_sequential_stream(seq_target, seq_source)
             .value();
-    const std::vector<std::byte> seq_state = state_of(seq_target);
+    const std::vector<std::byte> seq_state = testutil::state_bytes(seq_target);
     ASSERT_FALSE(seq_state.empty());
 
     std::mt19937 rng(geometry_seed);
@@ -151,7 +145,7 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
             << "diverged at shards=" << cfg.shards
             << " batch=" << cfg.batch_ops << " mode="
             << (cfg.mode == Mode::kInline ? "inline" : "threaded");
-        EXPECT_EQ(state_of(t), seq_state)
+        EXPECT_EQ(testutil::state_bytes(t), seq_state)
             << "state image diverged at shards=" << cfg.shards;
     }
 }
@@ -185,7 +179,7 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     const Stats seq =
         replay::replay_target_sequential_stream(seq_target, seq_source)
             .value();
-    const std::vector<std::byte> seq_state = state_of(seq_target);
+    const std::vector<std::byte> seq_state = testutil::state_bytes(seq_target);
 
     // Checkpointed run: capture cuts every 8 delivered batches.
     auto live = make();
@@ -219,7 +213,8 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
         resumed, resume_source, cp, resume_cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resumed run diverged";
-    EXPECT_EQ(state_of(resumed), seq_state) << "resumed state diverged";
+    EXPECT_EQ(testutil::state_bytes(resumed), seq_state)
+        << "resumed state diverged";
     // The resumed report must carry the cut's degradation telemetry — it
     // reads as one uninterrupted run, never restarting counters from zero.
     EXPECT_GE(res.value().backpressure_waits, cp.backpressure_waits);
@@ -240,7 +235,7 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
         from_disk, disk_source, rd.value(), resume_cfg);
     ASSERT_TRUE(res2.is_ok()) << res2.status().to_string();
     EXPECT_EQ(res2.value().stats, seq) << "disk-resumed run diverged";
-    EXPECT_EQ(state_of(from_disk), seq_state)
+    EXPECT_EQ(testutil::state_bytes(from_disk), seq_state)
         << "disk-resumed state diverged";
     EXPECT_GE(res2.value().backpressure_waits, rd.value().backpressure_waits);
     EXPECT_GE(res2.value().park_wait_us, rd.value().park_wait_us);
@@ -277,7 +272,7 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     const Stats seq =
         replay::replay_target_sequential_stream(seq_target, seq_source)
             .value();
-    const std::vector<std::byte> seq_state = state_of(seq_target);
+    const std::vector<std::byte> seq_state = testutil::state_bytes(seq_target);
 
     fault::FaultPlan plan;
     plan.stall_worker(0, 2).delay_batch(1, 3, 120).delay_batch(2, 1, 60);
@@ -291,7 +286,7 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     const auto rep =
         replay::replay_target_sharded_stream(t, source, cfg, faults).value();
     EXPECT_EQ(rep.stats, seq) << "stalled run diverged";
-    EXPECT_EQ(state_of(t), seq_state) << "stalled state diverged";
+    EXPECT_EQ(testutil::state_bytes(t), seq_state) << "stalled state diverged";
     // The stalled worker must actually have been worked around.
     EXPECT_GT(rep.drained_inline + rep.abandoned_workers, 0u);
 }
@@ -329,7 +324,7 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
         const auto rep =
             replay::replay_target_sharded_stream(t, source, cfg, faults)
                 .value();
-        return std::pair{rep.stats, state_of(t)};
+        return std::pair{rep.stats, testutil::state_bytes(t)};
     };
     const auto [s1, st1] = run(1);
     const auto [s4, st4] = run(4);
@@ -341,7 +336,7 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
     replay::SpanOpSource clean_source(ops);
     ASSERT_TRUE(
         replay::replay_target_sequential_stream(clean, clean_source).is_ok());
-    EXPECT_NE(state_of(clean), st1);
+    EXPECT_NE(testutil::state_bytes(clean), st1);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +364,7 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
     const auto rep =
         replay::replay_target_sharded_stream(t, source, cfg).value();
     EXPECT_EQ(rep.stats, seq);
-    EXPECT_EQ(state_of(t), state_of(seq_target));
+    EXPECT_EQ(testutil::state_bytes(t), testutil::state_bytes(seq_target));
 
     // Exhausting max_attempts completes queries as failures.
     const fault::FlakyService stubborn(0xF1A6, 101, 64);
@@ -394,7 +389,7 @@ void check_scrub_cadence(Make make, const std::vector<Op>& ops,
     const auto seq =
         replay::replay_target_sequential_stream(seq_target, seq_source)
             .value();
-    const std::vector<std::byte> seq_state = state_of(seq_target);
+    const std::vector<std::byte> seq_state = testutil::state_bytes(seq_target);
 
     for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
         ShardedConfig cfg;
@@ -407,7 +402,8 @@ void check_scrub_cadence(Make make, const std::vector<Op>& ops,
             replay::replay_target_sharded_stream(t, source, cfg).value();
         const char* label = mode == Mode::kInline ? "inline" : "threaded";
         EXPECT_EQ(rep.stats, seq) << label << " run diverged";
-        EXPECT_EQ(state_of(t), seq_state) << label << " state diverged";
+        EXPECT_EQ(testutil::state_bytes(t), seq_state)
+            << label << " state diverged";
         check_scrub(rep.scrub, label);
     }
 }
@@ -525,7 +521,7 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
     const auto ref =
         replay::replay_target_sequential_stream(ref_target, ref_source)
             .value();
-    const std::vector<std::byte> ref_state = state_of(ref_target);
+    const std::vector<std::byte> ref_state = testutil::state_bytes(ref_target);
 
     ShardedConfig inline_cfg;
     inline_cfg.shards = 4;
@@ -548,7 +544,7 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
             << source_label(kind) << ": " << seq_run.status().to_string();
         EXPECT_EQ(seq_run.value(), ref)
             << source_label(kind) << " sequential diverged";
-        EXPECT_EQ(state_of(seq), ref_state)
+        EXPECT_EQ(testutil::state_bytes(seq), ref_state)
             << source_label(kind) << " sequential state diverged";
 
         ASSERT_TRUE(src->seek(0).is_ok());
@@ -559,7 +555,7 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
             << source_label(kind) << ": " << inl_run.status().to_string();
         EXPECT_EQ(inl_run.value().stats, ref)
             << source_label(kind) << " inline diverged";
-        EXPECT_EQ(state_of(inl), ref_state)
+        EXPECT_EQ(testutil::state_bytes(inl), ref_state)
             << source_label(kind) << " inline state diverged";
 
         ASSERT_TRUE(src->seek(0).is_ok());
@@ -570,7 +566,7 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
             << source_label(kind) << ": " << thr_run.status().to_string();
         EXPECT_EQ(thr_run.value().stats, ref)
             << source_label(kind) << " threaded diverged";
-        EXPECT_EQ(state_of(thr), ref_state)
+        EXPECT_EQ(testutil::state_bytes(thr), ref_state)
             << source_label(kind) << " threaded state diverged";
     }
 }
@@ -596,7 +592,7 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
     const Stats ref =
         replay::replay_target_sequential_stream(ref_target, ref_source)
             .value();
-    const std::vector<std::byte> ref_state = state_of(ref_target);
+    const std::vector<std::byte> ref_state = testutil::state_bytes(ref_target);
 
     // Checkpointed run over the background-reader source: cuts every 8
     // delivered batches, cursors are op indices into the stream.
@@ -638,7 +634,7 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
             << source_label(kind) << ": " << res.status().to_string();
         EXPECT_EQ(res.value().stats, ref)
             << source_label(kind) << " resume diverged";
-        EXPECT_EQ(state_of(resumed), ref_state)
+        EXPECT_EQ(testutil::state_bytes(resumed), ref_state)
             << source_label(kind) << " resume state diverged";
     }
 }

@@ -33,6 +33,7 @@
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 namespace {
@@ -170,8 +171,8 @@ int main() {
                      static_cast<unsigned long long>(records));
         return 1;
     }
-    std::vector<std::byte> want;
-    seq_cache.storage().save_planes(want);
+    const std::vector<std::byte> want =
+        testutil::plane_bytes(seq_cache.storage());
 
     // Threaded-sharded streamed replay of the same file.
     replay::ShardedConfig cfg;
@@ -194,8 +195,7 @@ int main() {
                      static_cast<unsigned long long>(seq.ops));
         return 1;
     }
-    std::vector<std::byte> got;
-    thr_cache.storage().save_planes(got);
+    std::vector<std::byte> got = testutil::plane_bytes(thr_cache.storage());
     if (got != want) {
         std::fprintf(stderr, "threaded plane bytes differ from sequential\n");
         return 1;
@@ -242,8 +242,7 @@ int main() {
                                  : res.status().to_string().c_str());
         return 1;
     }
-    got.clear();
-    res_cache.storage().save_planes(got);
+    got = testutil::plane_bytes(res_cache.storage());
     if (got != want) {
         std::fprintf(stderr, "resumed plane bytes differ from sequential\n");
         return 1;
