@@ -63,11 +63,10 @@ int main() {
             SeriesIndexCache p3(2, units, 0xC1);
             auto p1 = baseline(2 * units * 3);
             const auto cfg = driver_config(threads, items, queries / 2);
-            const auto r3 = run_driver(cfg, server, &p3);
-            const auto r1 = run_driver(cfg, server, p1.get());
-            auto naive_cfg = cfg;
-            naive_cfg.use_cache = false;
-            const auto rn = run_driver(naive_cfg, server, nullptr);
+            NaiveIndexCache naive;
+            const auto r3 = run_driver(cfg, server, p3);
+            const auto r1 = run_driver(cfg, server, *p1);
+            const auto rn = run_driver(cfg, server, naive);
             wrong_replies +=
                 r3.wrong_replies + r1.wrong_replies + rn.wrong_replies;
             t.add_row({std::to_string(threads),
@@ -91,11 +90,10 @@ int main() {
             SeriesIndexCache p3(2, units, 0xC2);
             auto p1 = baseline(2 * units * 3);
             const auto cfg = driver_config(8, items, queries / 2);
-            const auto r3 = run_driver(cfg, server, &p3);
-            const auto r1 = run_driver(cfg, server, p1.get());
-            auto naive_cfg = cfg;
-            naive_cfg.use_cache = false;
-            const auto rn = run_driver(naive_cfg, server, nullptr);
+            NaiveIndexCache naive;
+            const auto r3 = run_driver(cfg, server, p3);
+            const auto r1 = run_driver(cfg, server, *p1);
+            const auto rn = run_driver(cfg, server, naive);
             wrong_replies +=
                 r3.wrong_replies + r1.wrong_replies + rn.wrong_replies;
             t.add_row({std::to_string(items),
@@ -132,20 +130,19 @@ int main() {
 
         ConsoleTable t({"engine mode", "workers", "wall s", "Mops/s",
                         "miss %", "matches sequential"});
-        const auto miss_rate = [](const LruIndexStats& s) {
-            return static_cast<double>(s.misses) / static_cast<double>(s.ops);
-        };
         for (const auto& m : modes) {
             wrong_replies += m.stats.wrong_replies;
             t.add_row({m.mode, std::to_string(m.workers),
                        ConsoleTable::num(m.wall_s, 3),
-                       ConsoleTable::num(m.mops, 2), pct(miss_rate(m.stats)),
+                       ConsoleTable::num(m.mops, 2),
+                       pct(index_report(m.stats).miss_rate),
                        m.matches_sequential ? "yes" : "NO"});
         }
         t.print("Figure 10(c): LruIndex through the generic replay engine");
         all_match = append_mode_metrics(json, "YCSB/P4LRU3", modes);
         json.push_back({"YCSB/P4LRU3.miss_rate",
-                        miss_rate(modes.front().stats), "fraction"});
+                        index_report(modes.front().stats).miss_rate,
+                        "fraction"});
         std::printf(
             "Engine axis: inline + 2/4-worker sharded replays %s the\n"
             "sequential statistics bit for bit.\n",

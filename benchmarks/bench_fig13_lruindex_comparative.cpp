@@ -3,6 +3,9 @@
 //   (a) cache miss rate vs cache memory
 //   (b) cache miss rate vs query latency dT of the database server
 //
+// The bench exits 1 unless P4LRU3 misses less than Timeout, Elastic and Coco
+// in every row of both panels, or if any reply is wrong.
+//
 // Every cell drives its own closed-loop simulation against a shared
 // read-only DbServer (serve() is const), so cells are evaluated via
 // bench::run_series — concurrently on multicore machines — and per-series
@@ -35,7 +38,7 @@ double miss_rate(DbServer& server, std::unique_ptr<IndexCache> cache,
     cfg.workload.items = server.items();
     cfg.workload.zipf_alpha = 0.9;
     cfg.workload.seed = 130;
-    const auto r = run_driver(cfg, server, cache.get());
+    const auto r = run_driver(cfg, server, *cache);
     wrong_replies += r.wrong_replies;
     return r.miss_rate;
 }
@@ -92,9 +95,30 @@ std::vector<SeriesJob> row_jobs(DbServer& server, const std::string& label,
     };
 }
 
+/// The figure's shape, row by row: P4LRU3 misses less than Timeout,
+/// Elastic and Coco (LRU_IDEAL is the bound, which P4LRU3 may edge).
+bool p4lru3_beats_baselines(const std::vector<SeriesResult>& res,
+                            const char* panel) {
+    static constexpr const char* kBaselines[] = {"Timeout", "Elastic",
+                                                 "Coco"};
+    bool ok = true;
+    for (std::size_t r = 0; r * 5 < res.size(); ++r) {
+        for (std::size_t c = 1; c <= 3; ++c) {
+            if (res[r * 5].value < res[r * 5 + c].value) continue;
+            std::printf("\nSHAPE VIOLATED: Figure 13(%s) row %zu: P4LRU3 "
+                        "%s%% >= %s %s%%\n",
+                        panel, r, pct(res[r * 5].value).c_str(),
+                        kBaselines[c - 1], pct(res[r * 5 + c].value).c_str());
+            ok = false;
+        }
+    }
+    return ok;
+}
+
 }  // namespace
 
 int main() {
+    bool shape_ok = true;
     const std::uint64_t items = scaled(200'000);
     const std::size_t queries = scaled(100'000);
     const std::size_t base_entries = scaled(3 * (1u << 12));
@@ -125,6 +149,7 @@ int main() {
                        pct(res[r * 5 + 4].value)});
         }
         t.print("Figure 13(a): LruIndex miss rate vs memory");
+        shape_ok &= p4lru3_beats_baselines(res, "a");
         timing.print("Figure 13(a): per-series driver timings");
     }
 
@@ -160,6 +185,7 @@ int main() {
                        pct(res[r * 5 + 4].value)});
         }
         t.print("Figure 13(b): LruIndex miss rate vs query latency");
+        shape_ok &= p4lru3_beats_baselines(res, "b");
         timing.print("Figure 13(b): per-series driver timings");
     }
 
@@ -168,5 +194,5 @@ int main() {
         "miss rate by up to 33.3/23.6/10.4%% in (a) and 23.7/19.0/9.8%% in\n"
         "(b). Gains are smaller than LruTable's because YCSB keys have\n"
         "weaker temporal locality.\n");
-    return no_wrong_replies(wrong_replies.load()) ? 0 : 1;
+    return no_wrong_replies(wrong_replies.load()) && shape_ok ? 0 : 1;
 }

@@ -27,44 +27,28 @@ class TrackedSeries final : public IndexCache {
   public:
     TrackedSeries(std::size_t levels, std::size_t units, std::uint32_t seed,
                   std::size_t max_accesses)
-        : series_(levels, units, seed), tracker_(max_accesses) {}
+        : cache_(levels, units, seed), tracker_(max_accesses) {}
 
-    CacheHeader query(DbKey key) const override {
-        CacheHeader hdr;
-        const auto lk = series_.query(key);
-        if (lk.hit()) {
-            hdr.cached_flag = static_cast<std::uint32_t>(lk.level);
-            hdr.cached_index = lk.value;
-        }
-        return hdr;
-    }
+    CacheHeader query(DbKey key) const override { return cache_.query(key); }
 
     void reply(DbKey key, index::RecordAddress addr, const CacheHeader& hdr,
                TimeNs /*now*/) override {
         if (hdr.hit()) {
-            series_.reply_promote(key, addr, hdr.cached_flag);
+            cache_.series().reply_promote(key, addr, hdr.cached_flag);
             tracker_.on_access(key);
         } else {
-            const auto out = series_.reply_insert(key, addr);
+            const auto out = cache_.series().reply_insert(key, addr);
             tracker_.on_access(key);
             if (out) tracker_.on_evict(out->first);
         }
     }
 
-    std::size_t capacity_entries() const override {
-        return series_.capacity();
-    }
-    std::string name() const override {
-        return "P4LRU" + std::to_string(N);
-    }
     [[nodiscard]] double similarity() const {
         return tracker_.similarity();
     }
 
   private:
-    core::SeriesCache<core::P4lru<DbKey, index::RecordAddress, N>, DbKey,
-                      index::RecordAddress>
-        series_;
+    BasicSeriesIndexCache<N> cache_;
     mutable cache::SimilarityTracker<DbKey> tracker_;
 };
 
@@ -76,20 +60,26 @@ struct Outcome {
     double similarity = 0;
 };
 
-template <std::size_t N>
-Outcome run_series(DbServer& server, std::size_t levels,
-                   std::size_t units_per_level, std::size_t queries) {
-    TrackedSeries<N> cache(levels, units_per_level, 0x160,
-                           queries + levels + 8);
+/// One closed-loop run of the figure's workload; returns the miss rate.
+double drive(DbServer& server, IndexCache& cache, std::size_t queries) {
     DriverConfig cfg;
     cfg.threads = 8;
     cfg.queries = queries;
     cfg.workload.items = server.items();
     cfg.workload.zipf_alpha = 0.9;
     cfg.workload.seed = 160;
-    const auto r = run_driver(cfg, server, &cache);
+    const auto r = run_driver(cfg, server, cache);
     wrong_replies += r.wrong_replies;
-    return {r.miss_rate, cache.similarity()};
+    return r.miss_rate;
+}
+
+template <std::size_t N>
+Outcome run_series(DbServer& server, std::size_t levels,
+                   std::size_t units_per_level, std::size_t queries) {
+    TrackedSeries<N> cache(levels, units_per_level, 0x160,
+                           queries + levels + 8);
+    const double miss = drive(server, cache, queries);
+    return {miss, cache.similarity()};
 }
 
 double run_ideal(DbServer& server, std::size_t entries,
@@ -98,15 +88,7 @@ double run_ideal(DbServer& server, std::size_t entries,
         std::make_unique<cache::IdealLruPolicy<DbKey,
                                                index::RecordAddress>>(
             entries));
-    DriverConfig cfg;
-    cfg.threads = 8;
-    cfg.queries = queries;
-    cfg.workload.items = server.items();
-    cfg.workload.zipf_alpha = 0.9;
-    cfg.workload.seed = 160;
-    const auto r = run_driver(cfg, server, &cache);
-    wrong_replies += r.wrong_replies;
-    return r.miss_rate;
+    return drive(server, cache, queries);
 }
 
 }  // namespace
@@ -188,37 +170,30 @@ int main() {
         wl.zipf_alpha = 0.9;
         wl.seed = 161;
         ConsoleTable t({"mode", "hit %", "duplicate keys %"});
-        using Series =
-            core::SeriesCache<core::P4lru<DbKey, index::RecordAddress, 3>,
-                              DbKey, index::RecordAddress>;
         {
-            Series s(4, base_units, 0x161);
+            SeriesIndexCache s(4, base_units, 0x161);
             trace::YcsbWorkload w(wl);
             std::size_t hits = 0;
             for (std::size_t i = 0; i < queries; ++i) {
                 const DbKey k = w.next().key;
-                const auto lk = s.query(k);
-                if (lk.hit()) {
-                    ++hits;
-                    s.reply_promote(k, lk.value, lk.level);
-                } else {
-                    s.reply_insert(k, k + 1);
-                }
+                const CacheHeader hdr = s.query(k);
+                hits += hdr.hit() ? 1 : 0;
+                s.reply(k, k + 1, hdr, 0);
             }
             t.add_row({"round-trip (paper)",
                        pct(static_cast<double>(hits) / queries),
-                       pct(s.duplicate_fraction())});
+                       pct(s.series().duplicate_fraction())});
         }
         {
-            Series s(4, base_units, 0x161);
+            SeriesIndexCache s(4, base_units, 0x161);
             trace::YcsbWorkload w(wl);
             std::size_t hits = 0;
             for (std::size_t i = 0; i < queries; ++i) {
-                hits += s.naive_inject(w.next().key, 1).hit ? 1 : 0;
+                hits += s.series().naive_inject(w.next().key, 1).hit ? 1 : 0;
             }
             t.add_row({"naive single-pass",
                        pct(static_cast<double>(hits) / queries),
-                       pct(s.duplicate_fraction())});
+                       pct(s.series().duplicate_fraction())});
         }
         t.print(
             "Extension: series-connection ablation — the round-trip "

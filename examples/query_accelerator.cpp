@@ -8,6 +8,7 @@
 //   ./build/examples/example_query_accelerator [items] [queries] [threads]
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/driver.hpp"
@@ -16,7 +17,7 @@
 using namespace p4lru;
 using namespace p4lru::systems::lruindex;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const std::uint64_t items =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200'000;
     const std::size_t queries =
@@ -38,12 +39,11 @@ int main(int argc, char** argv) {
     // The paper's four-pipeline LruIndex: 4 series-connected P4LRU3 arrays.
     SeriesIndexCache cache(4, 1u << 12, 0x1D);
     std::printf("switch cache: 4 levels x %zu units x 3 = %zu indexes\n\n",
-                std::size_t{1} << 12, cache.capacity_entries());
+                std::size_t{1} << 12, cache.series().capacity());
 
-    const auto cached = run_driver(cfg, server, &cache);
-    auto naive_cfg = cfg;
-    naive_cfg.use_cache = false;
-    const auto naive = run_driver(naive_cfg, server, nullptr);
+    NaiveIndexCache no_cache;
+    const auto cached = run_driver(cfg, server, cache);
+    const auto naive = run_driver(cfg, server, no_cache);
 
     std::printf("with LruIndex : %8.1f KTPS  avg latency %6.1f us  miss %5.2f%%\n",
                 cached.throughput_ktps, cached.avg_latency_us,
@@ -55,4 +55,9 @@ int main(int argc, char** argv) {
                 cached.wrong_replies);
     // Exit nonzero if the server ever answered with another key's record.
     return cached.wrong_replies == 0 && naive.wrong_replies == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+    // A bad argument (zero items, queries or threads) is an error, not an
+    // abort.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -1,87 +1,51 @@
 // Closed-loop benchmark driver for LruIndex: `threads` client threads, each
-// with one outstanding YCSB query; the switch cache is consulted on the way
-// in (read-only) and updated by the reply on the way out. Thread scaling is
-// sublinear because index traversals contend on a serialized latch
-// (ServerCosts::index_lock_fraction) — which is also why index bypasses
-// (cache hits) buy more than their raw latency.
+// with one outstanding YCSB query.  The driver is a clock around the same
+// QueryStep LruIndexTarget runs (lruindex_target.hpp): it calls the query
+// pass, the server attempts, serve-and-check and the cache's reply pass at
+// their event times, and adds only time — net delay, backoff, the
+// serialized index latch (ServerCosts::index_lock_fraction) and latency.
+// Thread scaling is sublinear because index traversals contend on that
+// latch, which is also why index bypasses (cache hits) buy more than their
+// raw latency.
 //
 // Fault tolerance: a DriverConfig may carry a fault::FlakyService modelling
-// a db server that refuses some requests.  The driver then retries each
-// refused query with exponential backoff (RetryConfig) in simulated time;
-// queries that exhaust their attempts complete as failures and are counted
-// in DriverReport::failed_queries instead of wedging the closed loop.  With
-// no FlakyService attached the retry path is never entered and the report
-// matches the fault-free driver bit-for-bit.
+// a db server that refuses some requests.  A refused attempt is re-sent
+// after retry_backoff(retry, k) in simulated time; a query that exhausts
+// its attempts completes as a counted failure instead of wedging the
+// closed loop.  With no FlakyService attached the retry path is never
+// entered.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "p4lru/common/types.hpp"
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
+#include "p4lru/systems/lruindex/lruindex_target.hpp"
 #include "p4lru/trace/ycsb.hpp"
 
 namespace p4lru::systems::lruindex {
-
-/// Retry policy against a refusing server: attempt k (0-based) that fails is
-/// re-sent after min(backoff << k, max_backoff).  max_attempts counts total
-/// tries, so 4 means one original send plus up to three retries.
-struct RetryConfig {
-    std::uint32_t max_attempts = 4;
-    TimeNs backoff = 20 * kMicrosecond;  ///< doubles per attempt...
-    /// ...up to this ceiling.  The doubling must saturate: an uncapped
-    /// `backoff << k` is outright UB once k reaches the width of TimeNs
-    /// (a large max_attempts against a persistently refusing server) and
-    /// wraps to garbage delays long before that, wrecking the
-    /// simulated-time latency sums.  0 means "no explicit ceiling", which
-    /// still saturates at the largest representable doubling instead of
-    /// wrapping.
-    TimeNs max_backoff = 10 * kMillisecond;
-};
-
-/// The delay before re-sending attempt `attempt` (0-based, the attempt that
-/// just failed): backoff << attempt, saturating at cfg.max_backoff (or at
-/// the largest representable doubling when no ceiling is set).  Never
-/// wraps or shifts past the type width for any attempt/backoff combination.
-[[nodiscard]] constexpr TimeNs retry_backoff(const RetryConfig& cfg,
-                                             std::uint32_t attempt) noexcept {
-    const TimeNs base = cfg.backoff;
-    if (base == 0) return 0;
-    const TimeNs cap = cfg.max_backoff != 0
-                           ? cfg.max_backoff
-                           : std::numeric_limits<TimeNs>::max();
-    if (base >= cap) return cap;
-    // base << attempt would exceed cap (or the type) iff base > cap >> attempt;
-    // comparing in the shifted-down domain never wraps, and the attempt
-    // guard keeps both shifts below the width of TimeNs.
-    if (attempt >= 63 || base > (cap >> attempt)) return cap;
-    return base << attempt;
-}
 
 struct DriverConfig {
     std::size_t threads = 8;
     std::size_t queries = 200'000;            ///< total across all threads
     TimeNs net_delay = 3 * kMicrosecond;      ///< one-way client<->server
     trace::YcsbConfig workload{};             ///< keys, skew
-    bool use_cache = true;  ///< false = the paper's "Naive Solution"
     const fault::FlakyService* flaky = nullptr;  ///< optional injected faults
     RetryConfig retry{};    ///< consulted only when flaky != nullptr
 };
 
-struct DriverReport {
+/// The step's counters (index_report of its LruIndexStats) plus the time
+/// the closed loop adds.
+struct DriverReport : LruIndexReport {
     double throughput_ktps = 0.0;  ///< kilo transactions per second
-    double miss_rate = 0.0;        ///< query packets with cached_flag == 0
     double avg_latency_us = 0.0;
-    std::uint64_t queries = 0;
-    std::uint64_t wrong_replies = 0;  ///< correctness check: must be 0
-    std::uint64_t retries = 0;        ///< re-sends after a server refusal
-    std::uint64_t failed_queries = 0; ///< gave up after max_attempts
 };
 
-/// Run the closed loop against `cache` (may be null when use_cache=false).
+/// Run the closed loop against `cache`; NaiveIndexCache is the paper's
+/// "Naive Solution".
 [[nodiscard]] DriverReport run_driver(const DriverConfig& cfg,
-                                      DbServer& server, IndexCache* cache);
+                                      DbServer& server, IndexCache& cache);
 
 }  // namespace p4lru::systems::lruindex

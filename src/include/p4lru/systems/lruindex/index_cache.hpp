@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "p4lru/cache/policy.hpp"
 #include "p4lru/core/p4lru.hpp"
@@ -40,9 +39,15 @@ class IndexCache {
     /// authoritative index carried back by the server.
     virtual void reply(DbKey key, index::RecordAddress addr,
                        const CacheHeader& hdr, TimeNs now) = 0;
+};
 
-    [[nodiscard]] virtual std::size_t capacity_entries() const = 0;
-    [[nodiscard]] virtual std::string name() const = 0;
+/// The paper's "Naive Solution": no switch cache.  Every query misses and
+/// the reply pass changes nothing.
+class NaiveIndexCache final : public IndexCache {
+  public:
+    CacheHeader query(DbKey) const override { return {}; }
+    void reply(DbKey, index::RecordAddress, const CacheHeader&,
+               TimeNs) override {}
 };
 
 /// The paper's cache: `levels` series-connected arrays of P4LRU_N units
@@ -71,14 +76,6 @@ class BasicSeriesIndexCache final : public IndexCache {
         } else {
             series_.reply_insert(key, addr);
         }
-    }
-
-    std::size_t capacity_entries() const override {
-        return series_.capacity();
-    }
-    std::string name() const override {
-        return "P4LRU" + std::to_string(N) + "x" +
-               std::to_string(series_.level_count());
     }
 
     [[nodiscard]] const auto& series() const noexcept { return series_; }
@@ -118,11 +115,6 @@ class PolicyIndexCache final : public IndexCache {
                const CacheHeader& /*hdr*/, TimeNs now) override {
         policy_->access(key, addr, now);
     }
-
-    std::size_t capacity_entries() const override {
-        return policy_->capacity_entries();
-    }
-    std::string name() const override { return policy_->name(); }
 
   private:
     std::unique_ptr<cache::ReplacementPolicy<DbKey, index::RecordAddress>>

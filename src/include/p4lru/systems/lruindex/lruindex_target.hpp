@@ -2,14 +2,12 @@
 // partitioned by DB key so the sharded replay engine can drive it in every
 // mode with bit-identical reports.
 //
-// This target models the *switch + server correctness protocol* of the
-// closed-loop driver (driver.hpp) as an open-loop op stream: each op is one
-// YCSB query, applied as query-pass (read-only cache consult) -> serve ->
-// reply-pass (single cache mutation).  The latency/throughput dimension of
-// the driver needs the global event clock and stays in run_driver; what the
-// target preserves is everything integer-countable — hits, misses, retries,
-// failed queries, wrong replies — which is exactly what the equivalence and
-// fault suites check.
+// The per-query protocol (§3.2) lives here once, as QueryStep: the query
+// pass (read-only cache consult), the server attempts against an optional
+// flaky service, and serve-and-check.  The reply pass is the cache's own
+// reply().  LruIndexTarget runs the phases back to back on one partition;
+// the closed-loop driver (driver.hpp) runs the same phases at their event
+// times and adds only time — net delay, the index latch and latency.
 //
 // Partitioning: op -> partition mix64(key) % G; each partition owns an
 // independent series-connected P4LRU3 cache over the shared read-only
@@ -20,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/replay/replay_target.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
-#include "p4lru/systems/lruindex/driver.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
 #include "p4lru/trace/ycsb.hpp"
 
@@ -97,6 +95,136 @@ struct LruIndexReport {
     std::uint64_t wrong_replies = 0;  ///< must stay 0
 };
 
+/// The one stats -> report conversion (LruIndexTarget::report, run_driver).
+[[nodiscard]] inline LruIndexReport index_report(const LruIndexStats& s) {
+    const double miss_rate = s.ops == 0 ? 0.0
+                                        : static_cast<double>(s.misses) /
+                                              static_cast<double>(s.ops);
+    return {s.ops, s.hits, s.misses, miss_rate,
+            s.retries, s.failed_queries, s.wrong_replies};
+}
+
+/// Retry policy against a refusing server: attempt k (0-based) that fails is
+/// re-sent after min(backoff << k, max_backoff).  max_attempts counts total
+/// tries, so 4 means one original send plus up to three retries.
+struct RetryConfig {
+    std::uint32_t max_attempts = 4;
+    TimeNs backoff = 20 * kMicrosecond;  ///< doubles per attempt...
+    /// ...up to this ceiling.  The doubling must saturate: an uncapped
+    /// `backoff << k` is UB once k reaches the width of TimeNs and wraps to
+    /// garbage delays long before that.  0 means "no explicit ceiling",
+    /// which still saturates at the largest representable doubling.
+    TimeNs max_backoff = 10 * kMillisecond;
+};
+
+/// The delay before re-sending attempt `attempt` (0-based, the attempt that
+/// just failed): backoff << attempt, saturating at cfg.max_backoff (or at
+/// the largest representable doubling when no ceiling is set).  Never
+/// wraps or shifts past the type width for any attempt/backoff combination.
+[[nodiscard]] constexpr TimeNs retry_backoff(const RetryConfig& cfg,
+                                             std::uint32_t attempt) noexcept {
+    const TimeNs base = cfg.backoff;
+    if (base == 0) return 0;
+    const TimeNs cap = cfg.max_backoff != 0
+                           ? cfg.max_backoff
+                           : std::numeric_limits<TimeNs>::max();
+    if (base >= cap) return cap;
+    // base << attempt would exceed cap (or the type) iff base > cap >> attempt;
+    // comparing in the shifted-down domain never wraps, and the attempt
+    // guard keeps both shifts below the width of TimeNs.
+    if (attempt >= 63 || base > (cap >> attempt)) return cap;
+    return base << attempt;
+}
+
+/// What server attempt k of a query comes to: serve it, re-send it as
+/// attempt k + 1, or give up (the query completes as failed).
+enum class Attempt : std::uint8_t { kServe, kRetry, kGiveUp };
+
+/// The per-query protocol of LruIndex in three counted phases, each writing
+/// into the caller's LruIndexStats:
+///   query()   — ++ops plus a hit or a miss;
+///   attempt() — server attempt k: serve, retry or give up;
+///   serve()   — serve the query; a reply other than address_of(key) is a
+///               wrong reply.
+/// The reply pass is the cache's own reply(key, addr, hdr, now), skipped on
+/// give-up.  query() is templated on the cache so a final cache type
+/// (SeriesIndexCache) is called without a virtual dispatch.
+class QueryStep {
+  public:
+    QueryStep(const DbServer& server, const fault::FlakyService* flaky,
+              const RetryConfig& retry)
+        : server_(&server), flaky_(flaky), retry_(retry) {
+        if (flaky != nullptr && retry.max_attempts == 0) {
+            throw std::invalid_argument("LruIndex: zero retry attempts");
+        }
+    }
+
+    /// Attach live metrics (obs/metrics.hpp): counters
+    /// lruindex_hits/misses/retries/failed_queries.  Null detaches (the
+    /// default, zero overhead).
+    void set_metrics(obs::Registry* reg) {
+        m_ = {};
+        if (reg == nullptr) return;
+        m_.hits = reg->counter("lruindex_hits");
+        m_.misses = reg->counter("lruindex_misses");
+        m_.retries = reg->counter("lruindex_retries");
+        m_.failed = reg->counter("lruindex_failed_queries");
+    }
+
+    template <typename Cache>
+    [[nodiscard]] CacheHeader query(const Cache& cache, DbKey key,
+                                    LruIndexStats& s) const {
+        ++s.ops;
+        const CacheHeader hdr = cache.query(key);
+        if (hdr.hit()) {
+            ++s.hits;
+            if (m_.hits != nullptr) m_.hits->add(1);
+        } else {
+            ++s.misses;
+            if (m_.misses != nullptr) m_.misses->add(1);
+        }
+        return hdr;
+    }
+
+    /// Server attempt `k` (0-based) of query `seq`.
+    [[nodiscard]] Attempt attempt(std::uint64_t seq, std::uint32_t k,
+                                  LruIndexStats& s) const {
+        if (flaky_ == nullptr || !flaky_->fails(seq, k)) {
+            return Attempt::kServe;
+        }
+        if (k + 1 < retry_.max_attempts) {
+            ++s.retries;
+            if (m_.retries != nullptr) m_.retries->add(1);
+            return Attempt::kRetry;
+        }
+        ++s.failed_queries;
+        if (m_.failed != nullptr) m_.failed->add(1);
+        return Attempt::kGiveUp;
+    }
+
+    [[nodiscard]] ServeResult serve(DbKey key, const CacheHeader& hdr,
+                                    LruIndexStats& s) const {
+        const ServeResult res = server_->serve(key, hdr);
+        if (!res.valid || res.addr != server_->address_of(key)) {
+            ++s.wrong_replies;
+        }
+        return res;
+    }
+
+  private:
+    struct ObsHooks {
+        obs::Counter* hits = nullptr;
+        obs::Counter* misses = nullptr;
+        obs::Counter* retries = nullptr;
+        obs::Counter* failed = nullptr;
+    };
+
+    const DbServer* server_;
+    const fault::FlakyService* flaky_;
+    RetryConfig retry_;
+    ObsHooks m_{};
+};
+
 class LruIndexTarget {
   public:
     using Op = LruIndexOp;
@@ -113,13 +241,9 @@ class LruIndexTarget {
     };
 
     LruIndexTarget(const DbServer& server, const Config& cfg)
-        : server_(&server), cfg_(cfg) {
+        : step_(server, cfg.flaky, cfg.retry) {
         if (cfg.partitions == 0) {
             throw std::invalid_argument("LruIndexTarget: zero partitions");
-        }
-        if (cfg.flaky != nullptr && cfg.retry.max_attempts == 0) {
-            throw std::invalid_argument(
-                "LruIndexTarget: zero retry attempts");
         }
         parts_.reserve(cfg.partitions);
         for (std::size_t p = 0; p < cfg.partitions; ++p) {
@@ -129,17 +253,8 @@ class LruIndexTarget {
         }
     }
 
-    /// Attach live metrics (obs/metrics.hpp): counters
-    /// lruindex_hits/misses/retries/failed_queries.  Null detaches (the
-    /// default, zero overhead).
-    void set_metrics(obs::Registry* reg) {
-        m_ = {};
-        if (reg == nullptr) return;
-        m_.hits = reg->counter("lruindex_hits");
-        m_.misses = reg->counter("lruindex_misses");
-        m_.retries = reg->counter("lruindex_retries");
-        m_.failed = reg->counter("lruindex_failed_queries");
-    }
+    /// Attach live metrics: QueryStep::set_metrics.
+    void set_metrics(obs::Registry* reg) { step_.set_metrics(reg); }
 
     // -- routing ----------------------------------------------------------
     [[nodiscard]] std::size_t unit_count() const noexcept {
@@ -232,17 +347,7 @@ class LruIndexTarget {
 
     // -- reporting --------------------------------------------------------
     [[nodiscard]] LruIndexReport report(const Stats& s) const {
-        LruIndexReport r;
-        r.queries = s.ops;
-        r.cache_hits = s.hits;
-        r.misses = s.misses;
-        r.miss_rate = s.ops == 0 ? 0.0
-                                 : static_cast<double>(s.misses) /
-                                       static_cast<double>(s.ops);
-        r.retries = s.retries;
-        r.failed_queries = s.failed_queries;
-        r.wrong_replies = s.wrong_replies;
-        return r;
+        return index_report(s);
     }
 
     [[nodiscard]] const SeriesIndexCache& partition(std::size_t p) const {
@@ -252,49 +357,18 @@ class LruIndexTarget {
   private:
     void apply_one(const Routed& r, Stats& s) {
         SeriesIndexCache& cache = parts_[r.bucket];
-        ++s.ops;
-        const CacheHeader hdr = cache.query(r.key);
-        if (hdr.hit()) {
-            ++s.hits;
-            if (m_.hits != nullptr) m_.hits->add(1);
-        } else {
-            ++s.misses;
-            if (m_.misses != nullptr) m_.misses->add(1);
+        const CacheHeader hdr = step_.query(cache, r.key, s);
+        for (std::uint32_t k = 0;; ++k) {
+            const Attempt a = step_.attempt(r.seq, k, s);
+            if (a == Attempt::kGiveUp) return;  // the reply pass never runs
+            if (a == Attempt::kServe) break;
         }
-        // Retry against a refusing server: attempt k that fails is re-sent
-        // until max_attempts, then the query completes as failed (the reply
-        // pass never runs, mirroring the driver's give-up path).
-        if (cfg_.flaky != nullptr) {
-            std::uint32_t attempt = 0;
-            while (cfg_.flaky->fails(r.seq, attempt)) {
-                if (attempt + 1 >= cfg_.retry.max_attempts) {
-                    ++s.failed_queries;
-                    if (m_.failed != nullptr) m_.failed->add(1);
-                    return;
-                }
-                ++s.retries;
-                if (m_.retries != nullptr) m_.retries->add(1);
-                ++attempt;
-            }
-        }
-        const ServeResult res = server_->serve(r.key, hdr);
-        if (!res.valid || res.addr != server_->address_of(r.key)) {
-            ++s.wrong_replies;
-        }
+        const ServeResult res = step_.serve(r.key, hdr, s);
         cache.reply(r.key, res.addr, hdr, 0);
     }
 
-    struct ObsHooks {
-        obs::Counter* hits = nullptr;
-        obs::Counter* misses = nullptr;
-        obs::Counter* retries = nullptr;
-        obs::Counter* failed = nullptr;
-    };
-
-    const DbServer* server_;
-    Config cfg_;
+    QueryStep step_;
     std::vector<SeriesIndexCache> parts_;
-    ObsHooks m_{};
 };
 
 static_assert(replay::ReplayTarget<LruIndexTarget>);

@@ -1,9 +1,7 @@
 #include "p4lru/systems/lruindex/driver.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "p4lru/common/stats.hpp"
 #include "p4lru/sim/event_queue.hpp"
@@ -11,137 +9,91 @@
 namespace p4lru::systems::lruindex {
 
 DriverReport run_driver(const DriverConfig& cfg, DbServer& server,
-                        IndexCache* cache) {
+                        IndexCache& cache) {
     if (cfg.threads == 0 || cfg.queries == 0) {
         throw std::invalid_argument("run_driver: zero threads/queries");
     }
-    if (cfg.use_cache && cache == nullptr) {
-        throw std::invalid_argument("run_driver: cache required");
-    }
-    if (cfg.flaky != nullptr && cfg.retry.max_attempts == 0) {
-        throw std::invalid_argument("run_driver: zero retry attempts");
-    }
-
-    sim::EventQueue q;
-    trace::YcsbWorkload workload(cfg.workload);
-    const TimeNs half = cfg.net_delay / 2;
-
-    struct Shared {
-        std::uint64_t issued = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t wrong = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t failed = 0;
-        TimeNs last_done = 0;
-        TimeNs lock_free_at = 0;
-        stats::Running latency_us;
-    };
-    auto shared = std::make_shared<Shared>();
 
     // One in-flight query per client thread; completion chains the next.
-    // std::function recursion via a held callable.
-    struct Issuer {
-        const DriverConfig* cfg;
-        DbServer* server;
-        IndexCache* cache;
-        sim::EventQueue* q;
-        trace::YcsbWorkload* workload;
-        std::shared_ptr<Shared> sh;
+    // Every count comes from the step; the loop keeps only time.
+    struct Loop {
+        const DriverConfig& cfg;
+        IndexCache& cache;
+        const QueryStep step;
+        trace::YcsbWorkload workload;
         TimeNs half;
+        sim::EventQueue q{};
+        LruIndexStats counts{};
+        std::uint64_t issued = 0;
+        TimeNs last_done = 0;
+        TimeNs lock_free_at = 0;
+        stats::Running latency_us{};
 
         void issue(TimeNs now) {
-            if (sh->issued >= cfg->queries) return;
-            const std::uint64_t seq = sh->issued++;
-            const DbKey key = workload->next().key;
-            const TimeNs t0 = now;
-            // Client -> switch.
-            q->schedule(now + half, [this, key, t0, seq] {
-                const TimeNs t_sw = q->now();
-                CacheHeader hdr;
-                if (cfg->use_cache) hdr = cache->query(key);
-                if (!hdr.hit()) ++sh->misses;
-                // Switch -> server.
-                serve_at(t_sw + half, key, t0, hdr, seq, 0);
+            if (issued >= cfg.queries) return;
+            const std::uint64_t seq = issued++;
+            const DbKey key = workload.next().key;
+            // Client -> switch: the query pass; switch -> server.
+            q.schedule(now + half, [this, key, t0 = now, seq] {
+                const CacheHeader hdr = step.query(cache, key, counts);
+                serve_at(q.now() + half, key, t0, hdr, seq, 0);
             });
         }
 
-        /// One server attempt for query `seq`.  A refusal (flaky service)
-        /// re-sends after retry_backoff(retry, attempt) — exponential,
-        /// clamped at retry.max_backoff — until max_attempts, then the
-        /// query completes as failed — the closed loop never wedges on a
-        /// dead dependency.
+        /// Server attempt `k` of query `seq`: a refusal re-sends after
+        /// retry_backoff(retry, k), a give-up completes the query.
         void serve_at(TimeNs when, DbKey key, TimeNs t0, CacheHeader hdr,
-                      std::uint64_t seq, std::uint32_t attempt) {
-            q->schedule(when, [this, key, t0, hdr, seq, attempt] {
-                const TimeNs arrive = q->now();
-                if (cfg->flaky != nullptr && cfg->flaky->fails(seq, attempt)) {
-                    if (attempt + 1 < cfg->retry.max_attempts) {
-                        ++sh->retries;
-                        const TimeNs backoff =
-                            retry_backoff(cfg->retry, attempt);
-                        serve_at(arrive + backoff, key, t0, hdr, seq,
-                                 attempt + 1);
-                    } else {
-                        ++sh->failed;
-                        complete(arrive + half, t0);
-                    }
+                      std::uint64_t seq, std::uint32_t k) {
+            q.schedule(when, [this, key, t0, hdr, seq, k] {
+                const TimeNs arrive = q.now();
+                const Attempt a = step.attempt(seq, k, counts);
+                if (a == Attempt::kRetry) {
+                    serve_at(arrive + retry_backoff(cfg.retry, k), key, t0,
+                             hdr, seq, k + 1);
                     return;
                 }
-                const ServeResult res = server->serve(key, hdr);
+                if (a == Attempt::kGiveUp) return complete(arrive + half, t0);
+                const ServeResult res = step.serve(key, hdr, counts);
                 TimeNs done;
                 if (res.used_index && res.lock_time > 0) {
-                    const TimeNs start = std::max(arrive, sh->lock_free_at);
-                    sh->lock_free_at = start + res.lock_time;
+                    const TimeNs start = std::max(arrive, lock_free_at);
+                    lock_free_at = start + res.lock_time;
                     done = start + res.lock_time + res.service_time;
                 } else {
                     done = arrive + res.service_time;
                 }
-                if (!res.valid || res.addr != server->address_of(key)) {
-                    ++sh->wrong;
-                }
-                // Server -> switch (reply pass updates the cache).
-                q->schedule(done + half, [this, key, t0, hdr, res] {
-                    const TimeNs t_sw2 = q->now();
-                    if (cfg->use_cache) {
-                        cache->reply(key, res.addr, hdr, t_sw2);
-                    }
-                    complete(t_sw2 + half, t0);
+                // Server -> switch: the reply pass updates the cache.
+                q.schedule(done + half, [this, key, t0, hdr, res] {
+                    cache.reply(key, res.addr, hdr, q.now());
+                    complete(q.now() + half, t0);
                 });
             });
         }
 
         /// Switch -> client; completion issues the next query.
         void complete(TimeNs when, TimeNs t0) {
-            q->schedule(when, [this, t0] {
-                const TimeNs t_end = q->now();
-                ++sh->completed;
-                sh->last_done = std::max(sh->last_done, t_end);
-                sh->latency_us.add(static_cast<double>(t_end - t0) / 1000.0);
+            q.schedule(when, [this, t0] {
+                const TimeNs t_end = q.now();
+                last_done = std::max(last_done, t_end);
+                latency_us.add(static_cast<double>(t_end - t0) / 1000.0);
                 issue(t_end);
             });
         }
     };
 
-    Issuer issuer{&cfg, &server, cache, &q, &workload, shared, half};
-    for (std::size_t c = 0; c < cfg.threads; ++c) {
-        issuer.issue(0);
-    }
-    q.run();
+    Loop loop{.cfg = cfg,
+              .cache = cache,
+              .step = QueryStep(server, cfg.flaky, cfg.retry),
+              .workload = trace::YcsbWorkload(cfg.workload),
+              .half = cfg.net_delay / 2};
+    for (std::size_t c = 0; c < cfg.threads; ++c) loop.issue(0);
+    loop.q.run();
 
-    DriverReport r;
-    r.queries = shared->completed;
-    r.miss_rate = shared->completed == 0
-                      ? 0.0
-                      : static_cast<double>(shared->misses) /
-                            static_cast<double>(shared->issued);
-    r.avg_latency_us = shared->latency_us.mean();
-    r.wrong_replies = shared->wrong;
-    r.retries = shared->retries;
-    r.failed_queries = shared->failed;
-    if (shared->last_done > 0) {
-        r.throughput_ktps = static_cast<double>(shared->completed) /
-                            (static_cast<double>(shared->last_done) / 1e9) /
+    DriverReport r{index_report(loop.counts)};
+    r.avg_latency_us = loop.latency_us.mean();
+    if (loop.last_done > 0) {
+        r.throughput_ktps = static_cast<double>(loop.counts.ops) /
+                            (static_cast<double>(loop.last_done) / 1e9) /
                             1e3;
     }
     return r;

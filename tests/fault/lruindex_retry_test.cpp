@@ -26,13 +26,13 @@ DriverConfig base_config() {
 TEST(DriverRetry, NoFlakyServiceMatchesLegacyDriverExactly) {
     DbServer server_a(10'000, ServerCosts{});
     SeriesIndexCache cache_a(4, 256, 0x21);
-    const auto a = run_driver(base_config(), server_a, &cache_a);
+    const auto a = run_driver(base_config(), server_a, cache_a);
 
     DbServer server_b(10'000, ServerCosts{});
     SeriesIndexCache cache_b(4, 256, 0x21);
     auto cfg = base_config();
     cfg.retry.max_attempts = 2;  // retry knobs are inert without a service
-    const auto b = run_driver(cfg, server_b, &cache_b);
+    const auto b = run_driver(cfg, server_b, cache_b);
 
     EXPECT_EQ(a.queries, b.queries);
     EXPECT_EQ(a.wrong_replies, b.wrong_replies);
@@ -51,7 +51,7 @@ TEST(DriverRetry, TransientRefusalsAreRetriedToCompletion) {
     auto cfg = base_config();
     cfg.flaky = &flaky;
     cfg.retry.max_attempts = 4;
-    const auto r = run_driver(cfg, server, &cache);
+    const auto r = run_driver(cfg, server, cache);
 
     EXPECT_EQ(r.queries, cfg.queries);
     EXPECT_EQ(r.failed_queries, 0u);
@@ -74,7 +74,7 @@ TEST(DriverRetry, PersistentRefusalsFailCleanlyWithoutWedging) {
     auto cfg = base_config();
     cfg.flaky = &flaky;
     cfg.retry.max_attempts = 3;
-    const auto r = run_driver(cfg, server, &cache);
+    const auto r = run_driver(cfg, server, cache);
 
     std::uint64_t incidents = 0;
     for (std::uint64_t seq = 0; seq < cfg.queries; ++seq) {
@@ -90,7 +90,7 @@ TEST(DriverRetry, PersistentRefusalsFailCleanlyWithoutWedging) {
 TEST(DriverRetry, BackoffShowsUpInLatency) {
     DbServer server_a(10'000, ServerCosts{});
     SeriesIndexCache cache_a(4, 256, 0x21);
-    const auto clean = run_driver(base_config(), server_a, &cache_a);
+    const auto clean = run_driver(base_config(), server_a, cache_a);
 
     const fault::FlakyService flaky(17, 4, 2);
     DbServer server_b(10'000, ServerCosts{});
@@ -98,7 +98,7 @@ TEST(DriverRetry, BackoffShowsUpInLatency) {
     auto cfg = base_config();
     cfg.flaky = &flaky;
     cfg.retry.backoff = 100 * kMicrosecond;
-    const auto flaky_run = run_driver(cfg, server_b, &cache_b);
+    const auto flaky_run = run_driver(cfg, server_b, cache_b);
 
     EXPECT_GT(flaky_run.avg_latency_us, clean.avg_latency_us)
         << "retried queries pay their backoff in simulated time";
@@ -174,7 +174,7 @@ TEST(DriverRetry, DeepRetryLadderStaysFiniteUnderSaturation) {
     cfg.queries = 2'000;
     cfg.flaky = &flaky;
     cfg.retry.max_attempts = 64;  // 63 resends: would shift far past 2^62
-    const auto r = run_driver(cfg, server, &cache);
+    const auto r = run_driver(cfg, server, cache);
 
     EXPECT_EQ(r.queries, cfg.queries) << "closed loop wedged";
     EXPECT_GT(r.failed_queries, 0u);
@@ -193,7 +193,7 @@ TEST(DriverRetry, ZeroAttemptsRejected) {
     auto cfg = base_config();
     cfg.flaky = &flaky;
     cfg.retry.max_attempts = 0;
-    EXPECT_THROW(run_driver(cfg, server, &cache), std::invalid_argument);
+    EXPECT_THROW(run_driver(cfg, server, cache), std::invalid_argument);
 }
 
 }  // namespace

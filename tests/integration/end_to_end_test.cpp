@@ -163,7 +163,7 @@ TEST_F(EndToEnd, LruIndexServesBitExactRecordsUnderCaching) {
     cfg.threads = 4;
     cfg.queries = 20'000;
     cfg.workload.items = 20'000;
-    const auto r = run_driver(cfg, server, &cache);
+    const auto r = run_driver(cfg, server, cache);
     EXPECT_EQ(r.wrong_replies, 0u);
     EXPECT_EQ(r.queries, 20'000u);
 }

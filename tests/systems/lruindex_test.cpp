@@ -174,11 +174,9 @@ TEST(SeriesIndexCache, QueryReplyProtocol) {
 TEST(Driver, RejectsBadConfig) {
     DbServer server(100, quick_costs());
     DriverConfig cfg;
+    NaiveIndexCache cache;
     cfg.threads = 0;
-    EXPECT_THROW(run_driver(cfg, server, nullptr), std::invalid_argument);
-    cfg = DriverConfig{};
-    cfg.use_cache = true;
-    EXPECT_THROW(run_driver(cfg, server, nullptr), std::invalid_argument);
+    EXPECT_THROW(run_driver(cfg, server, cache), std::invalid_argument);
 }
 
 DriverConfig small_driver(std::size_t threads, std::size_t queries,
@@ -194,7 +192,7 @@ DriverConfig small_driver(std::size_t threads, std::size_t queries,
 TEST(Driver, CompletesAllQueriesCorrectly) {
     DbServer server(10'000, quick_costs());
     SeriesIndexCache cache(4, 256, 0x21);
-    const auto r = run_driver(small_driver(4, 5'000, 10'000), server, &cache);
+    const auto r = run_driver(small_driver(4, 5'000, 10'000), server, cache);
     EXPECT_EQ(r.queries, 5'000u);
     EXPECT_EQ(r.wrong_replies, 0u);
     EXPECT_GT(r.throughput_ktps, 0.0);
@@ -206,9 +204,9 @@ TEST(Driver, CacheBeatsNaiveThroughput) {
     DbServer server(50'000, quick_costs());
     SeriesIndexCache cache(4, 1u << 10, 0x31);
     auto cfg = small_driver(8, 20'000, 50'000);
-    const auto cached = run_driver(cfg, server, &cache);
-    cfg.use_cache = false;
-    const auto naive = run_driver(cfg, server, nullptr);
+    const auto cached = run_driver(cfg, server, cache);
+    NaiveIndexCache no_cache;
+    const auto naive = run_driver(cfg, server, no_cache);
     EXPECT_GT(cached.throughput_ktps, naive.throughput_ktps);
     EXPECT_LT(cached.avg_latency_us, naive.avg_latency_us);
 }
@@ -217,8 +215,7 @@ TEST(Driver, ThroughputScalesWithThreads) {
     DbServer server(20'000, quick_costs());
     const auto at = [&](std::size_t threads) {
         SeriesIndexCache cache(2, 512, 0x41);
-        return run_driver(small_driver(threads, 10'000, 20'000), server,
-                          &cache)
+        return run_driver(small_driver(threads, 10'000, 20'000), server, cache)
             .throughput_ktps;
     };
     const double t1 = at(1);
@@ -234,7 +231,7 @@ TEST(Driver, SkewMakesCachingEffective) {
     SeriesIndexCache cache(4, 1u << 10, 0x51);
     auto cfg = small_driver(4, 20'000, 100'000);
     cfg.workload.zipf_alpha = 0.99;
-    const auto skewed = run_driver(cfg, server, &cache);
+    const auto skewed = run_driver(cfg, server, cache);
     // Cache entries = 4 * 1024 * 3 = 12288 of 100k items, but the hot keys
     // dominate: miss rate must be far below the uniform expectation.
     EXPECT_LT(skewed.miss_rate, 0.75);
@@ -243,7 +240,7 @@ TEST(Driver, SkewMakesCachingEffective) {
 TEST(Driver, SeriesCacheStaysDuplicateFreeUnderLoad) {
     DbServer server(5'000, quick_costs());
     SeriesIndexCache cache(3, 128, 0x61);
-    run_driver(small_driver(4, 10'000, 5'000), server, &cache);
+    run_driver(small_driver(4, 10'000, 5'000), server, cache);
     for (DbKey k = 0; k < 5'000; k += 13) {
         ASSERT_TRUE(cache.series().duplicate_free(k)) << k;
     }
@@ -254,8 +251,7 @@ TEST(PolicyIndexCache, RunsTheProtocolThroughAnyPolicy) {
     auto cache = std::make_unique<PolicyIndexCache>(
         std::make_unique<cache::IdealLruPolicy<DbKey,
                                                index::RecordAddress>>(2048));
-    const auto r = run_driver(small_driver(2, 5'000, 5'000), server,
-                              cache.get());
+    const auto r = run_driver(small_driver(2, 5'000, 5'000), server, *cache);
     EXPECT_EQ(r.wrong_replies, 0u);
     EXPECT_LT(r.miss_rate, 1.0);
 }

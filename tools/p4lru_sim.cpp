@@ -219,10 +219,9 @@ int cmd_lruindex(const Flags& f) {
     cfg.queries = f.num("queries", 100'000);
     cfg.workload.items = server.items();
     cfg.workload.zipf_alpha = f.real("alpha", 0.9);
-    const auto with = run_driver(cfg, server, &cache);
-    auto naive_cfg = cfg;
-    naive_cfg.use_cache = false;
-    const auto naive = run_driver(naive_cfg, server, nullptr);
+    systems::lruindex::NaiveIndexCache no_cache;
+    const auto with = run_driver(cfg, server, cache);
+    const auto naive = run_driver(cfg, server, no_cache);
     std::printf(
         "cached %.1f KTPS (miss %.2f%%, latency %.1f us)  naive %.1f KTPS\n"
         "speedup %.3fx  wrong replies %lu\n",
