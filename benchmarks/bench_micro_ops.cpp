@@ -345,16 +345,14 @@ bool run_replay_throughput() {
              return Run{rep.stats, batches ? *batches : 0};
          }},
     });
-    for (const std::string source : {"vector", "mmap", "chunked"}) {
+    for (const std::string source : {"vector", "mmap"}) {
         rows.push_back({"source", source, "", [&, source] {
             std::unique_ptr<trace::TraceSource> src;
             if (source == "vector") {
                 src = std::make_unique<trace::VectorSource>(
                     std::span<const PacketRecord>(trace));
-            } else if (source == "mmap") {
-                src = trace::MmapSource::open(trace_path).value();
             } else {
-                src = trace::ChunkedFileSource::open(trace_path).value();
+                src = trace::MmapSource::open(trace_path).value();
             }
             auto stream = replay::packet_op_source(*src);
             SoaCache cache(units, kSeed);

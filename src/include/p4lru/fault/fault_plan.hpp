@@ -56,24 +56,6 @@ struct FaultEvent {
     friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// I/O faults injected into streaming trace readers (trace_source.hpp).
-/// Addressed by *chunk index* — the ordinal of the chunk the background
-/// reader is about to read, counted from the last seek — so a plan replays
-/// identically for a given (trace, chunk size, seek history).
-enum class IoFaultKind : std::uint8_t {
-    kShortRead,   ///< first read() of chunk `at` returns only half the bytes
-    kEintrRead,   ///< chunk `at`'s read is interrupted `arg` times (EINTR)
-    kSlowReader,  ///< reader sleeps `arg` microseconds before chunk `at`
-};
-
-struct IoFaultEvent {
-    IoFaultKind kind = IoFaultKind::kShortRead;
-    std::uint64_t at = 0;   ///< chunk index (since the reader's last seek)
-    std::uint64_t arg = 0;  ///< retry count or delay in microseconds
-
-    friend bool operator==(const IoFaultEvent&, const IoFaultEvent&) = default;
-};
-
 /// Where a deterministic crash cuts a supervised run (supervisor.hpp /
 /// durable_store.hpp).  The first four model a process death inside the
 /// store's atomic-install protocol, ordered by how far the install got;
@@ -152,25 +134,6 @@ class FaultPlan {
     }
     FaultPlan& corrupt_op(std::uint64_t at_op, std::uint64_t xor_mask) {
         push_op({FaultKind::kCorruptOp, at_op, 0, 0, xor_mask});
-        return *this;
-    }
-    /// First read of chunk `at_chunk` comes back short (half the requested
-    /// bytes): the reader must finish the chunk with a follow-up read, as a
-    /// real kernel short read requires.
-    FaultPlan& short_read(std::uint64_t at_chunk) {
-        io_.push_back({IoFaultKind::kShortRead, at_chunk, 0});
-        return *this;
-    }
-    /// Chunk `at_chunk`'s read is interrupted `retries` times before the
-    /// data arrives (the EINTR retry loop's prey).
-    FaultPlan& eintr_read(std::uint64_t at_chunk, std::uint64_t retries) {
-        io_.push_back({IoFaultKind::kEintrRead, at_chunk, retries});
-        return *this;
-    }
-    /// Reader sleeps `micros` before chunk `at_chunk` — starves the consumer
-    /// so its stall accounting and bounded-queue behavior are exercised.
-    FaultPlan& slow_reader(std::uint64_t at_chunk, std::uint64_t micros) {
-        io_.push_back({IoFaultKind::kSlowReader, at_chunk, micros});
         return *this;
     }
     /// Crash at install ordinal `at_install` (0-based, cumulative across
@@ -256,43 +219,8 @@ class FaultPlan {
         }
         return nullptr;
     }
-    [[nodiscard]] const std::vector<IoFaultEvent>& io_events()
-        const noexcept {
-        return io_;
-    }
-    /// True when chunk `chunk`'s first read should come back short.
-    [[nodiscard]] bool io_short_read(std::uint64_t chunk) const noexcept {
-        for (const auto& e : io_) {
-            if (e.kind == IoFaultKind::kShortRead && e.at == chunk) {
-                return true;
-            }
-        }
-        return false;
-    }
-    /// Injected EINTR interruptions before chunk `chunk`'s read succeeds.
-    [[nodiscard]] std::uint64_t io_eintr_retries(
-        std::uint64_t chunk) const noexcept {
-        std::uint64_t n = 0;
-        for (const auto& e : io_) {
-            if (e.kind == IoFaultKind::kEintrRead && e.at == chunk) {
-                n += e.arg;
-            }
-        }
-        return n;
-    }
-    /// Injected reader sleep (microseconds) before chunk `chunk`.
-    [[nodiscard]] std::uint64_t io_slow_us(std::uint64_t chunk) const noexcept {
-        std::uint64_t us = 0;
-        for (const auto& e : io_) {
-            if (e.kind == IoFaultKind::kSlowReader && e.at == chunk) {
-                us += e.arg;
-            }
-        }
-        return us;
-    }
     [[nodiscard]] bool empty() const noexcept {
-        return worker_.empty() && ops_.empty() && crashes_.empty() &&
-               io_.empty();
+        return worker_.empty() && ops_.empty() && crashes_.empty();
     }
 
   private:
@@ -308,7 +236,6 @@ class FaultPlan {
     std::vector<FaultEvent> worker_;
     std::vector<FaultEvent> ops_;  ///< sorted by .at
     std::vector<CrashEvent> crashes_;
-    std::vector<IoFaultEvent> io_;
 };
 
 /// The disabled hook set: an empty type whose queries are constexpr no-ops.

@@ -1028,7 +1028,7 @@ replay_target_sequential_stream(Target& target, Source& source,
 /// owns the target).  The engine pulls `cfg.batch_ops`-record chunks, so
 /// its footprint is O(batch) and an on-disk trace far larger than RAM
 /// replays through a bounded-memory source (op_source.hpp over
-/// trace::ChunkedFileSource).  Covers the ops [source.tell(),
+/// trace::MmapSource).  Covers the ops [source.tell(),
 /// source.size()); statistics and final target state are bit-identical to
 /// replay_target_sequential_stream for any shard geometry.  Fails when the
 /// source fails mid-stream; the target is then left in a valid but partial

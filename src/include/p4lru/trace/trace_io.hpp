@@ -23,9 +23,9 @@
 
 namespace p4lru::trace {
 
-/// On-disk geometry of the P4LRUTRC format, shared by the whole-file reader
-/// below and the streaming sources (trace_source.hpp): record `i` lives at
-/// byte offset kTraceHeaderBytes + i * kTraceRecordBytes.
+/// On-disk geometry of the P4LRUTRC format, shared by the writer below and
+/// the file reader (MmapSource, trace_source.hpp): record `i` lives at byte
+/// offset kTraceHeaderBytes + i * kTraceRecordBytes.
 inline constexpr std::size_t kTraceRecordBytes = 8 + 4 + 4 + 2 + 2 + 1 + 3 + 4;
 inline constexpr std::size_t kTraceHeaderBytes = 8 + 4 + 8;
 
@@ -47,9 +47,8 @@ struct TraceHeaderInfo {
 
 /// Validate the 20-byte header `hdr` of a trace file of `file_size` bytes:
 /// magic, version, and the count-vs-file-size cross-check that stops a
-/// corrupt count field from driving a multi-gigabyte reserve.  Shared by
-/// read_trace_checked and every TraceSource open path, so all readers
-/// reject rot identically.
+/// corrupt count field from driving a multi-gigabyte reserve.  MmapSource
+/// checks every file it opens through it.
 [[nodiscard]] Expected<TraceHeaderInfo> validate_trace_header(
     const std::uint8_t* hdr, std::uint64_t file_size,
     const std::string& path);
@@ -58,9 +57,10 @@ struct TraceHeaderInfo {
 void write_trace(const std::string& path,
                  const std::vector<PacketRecord>& records);
 
-/// Read a trace from `path`; the typed-error path.  On failure the Status
-/// names the cause and, for corruption/truncation, the byte offset at which
-/// the file stopped making sense (Status::offset).
+/// Read a trace from `path`; the typed-error path.  Drains one MmapSource
+/// into a vector, so it rejects exactly what the streaming reader rejects.
+/// On failure the Status names the cause and, for corruption/truncation,
+/// the byte offset at which the file stopped making sense (Status::offset).
 [[nodiscard]] Expected<std::vector<PacketRecord>> read_trace_checked(
     const std::string& path);
 

@@ -4,8 +4,8 @@
 // std::vector<PacketRecord> before the first op ran, capping trace size at
 // available RAM.  TraceSource replaces the full span with a pull-based
 // batch contract over the P4LRUTRC on-disk format (trace_io.hpp), so the
-// engine's resident set is O(batch) — or, for the background-reader source,
-// O(chunk x queue depth) — regardless of trace length.
+// engine's resident set is O(batch) plus, for the file source, one mapping
+// window — regardless of trace length.
 //
 // Contract:
 //   * next_batch(max) returns exactly min(max, size() - tell()) records
@@ -22,26 +22,15 @@
 //   * size() is the total record count from the validated header; tell()
 //     is the index of the next record next_batch() would return.
 //
-// All three implementations validate the header identically to
-// read_trace_checked (shared validate_trace_header), so a corrupt count
-// field cannot drive a multi-gigabyte reserve — and the same cap applies
-// per-chunk in ChunkedFileSource: no single allocation exceeds the
-// configured chunk, whatever the header claims.
-//
 // Implementations:
-//   * VectorSource — zero-change wrapper over an in-memory vector (or a
-//     borrowed span); the migration default and the equivalence oracle.
-//   * MmapSource — maps the file once (madvise(SEQUENTIAL) on POSIX; plain
-//     buffered reads elsewhere) and decodes batches straight from the
-//     mapping: no read syscalls, no double buffering.  The file shrinking
-//     while mapped is detected by re-checking the on-disk size before each
-//     batch decode, returning kTruncated instead of dying on SIGBUS.
-//   * ChunkedFileSource — a background reader thread streams fixed-size
-//     chunks through a bounded SPSC queue (double-buffered by default), so
-//     decode and replay overlap and peak memory is chunk x queue depth.
-//     fault::FaultPlan's I/O events (short_read / eintr_read / slow_reader)
-//     inject into the reader; obs counters (trace_bytes_read,
-//     trace_chunks_queued, trace_reader_stalls, ...) expose its health.
+//   * VectorSource — wrapper over an in-memory vector (or a borrowed span);
+//     the equivalence oracle.
+//   * MmapSource — the one file reader (read_trace_checked drains it too).
+//     It validates the header through validate_trace_header, so a corrupt
+//     count field cannot drive a multi-gigabyte reserve, and maps the file
+//     through one bounded window of kMmapWindowBytes, so a trace far larger
+//     than the address space streams as well as one that fits.  Off POSIX
+//     it degrades to plain buffered reads with identical semantics.
 #pragma once
 
 #include <algorithm>
@@ -51,23 +40,29 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "p4lru/common/types.hpp"
-#include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
 #include "p4lru/obs/metrics.hpp"
-#include "p4lru/replay/spsc_queue.hpp"
 #include "p4lru/trace/trace_io.hpp"
 
 namespace p4lru::trace {
 
 /// Upper bound on the records any single next_batch() call hands out (and
-/// therefore on the decode buffer behind it): the whole-file reader's
-/// reserve cap, applied per batch.  16 MiB of PacketRecords.
+/// therefore on the decode buffer behind it): 16 MiB of PacketRecords.
 inline constexpr std::size_t kMaxBatchRecords =
     (16u << 20) / sizeof(PacketRecord);
+
+/// Bytes of the file MmapSource maps at once.  A batch that leaves the
+/// current window remaps at the batch's page-aligned start, so the window
+/// must hold the largest batch plus the alignment slack of one page (64 KiB
+/// bounds every common base page).  A trace that fits in one window is
+/// mapped once, at its first batch.
+inline constexpr std::size_t kMmapWindowBytes = std::size_t{64} << 20;
+static_assert(kMmapWindowBytes >= kMaxBatchRecords * kTraceRecordBytes +
+                                      (std::size_t{64} << 10),
+              "a batch must always fit inside one mapping window");
 
 /// Pull-based record stream over a packet trace (contract in the file
 /// header).
@@ -137,12 +132,16 @@ struct MmapSourceOptions {
     obs::Registry* metrics = nullptr;
 };
 
-/// mmap-backed source: the file is mapped once, advised sequential, and
-/// batches are decoded straight from the mapping into a reusable buffer
-/// (the on-disk record is 28 packed bytes, the in-memory PacketRecord 32
-/// aligned ones, so a zero-copy reinterpret is impossible — but the input
-/// side is zero-copy: no read syscalls after open).  Off POSIX the mapping
-/// degrades to plain buffered reads with identical semantics.
+/// The P4LRUTRC file reader: batches are decoded straight from a read-only
+/// mapping of at most kMmapWindowBytes into a reusable buffer (the on-disk
+/// record is 28 packed bytes, the in-memory PacketRecord 32 aligned ones, so
+/// a zero-copy reinterpret is impossible — but the input side is: no read
+/// syscalls after open).  The window slides forward (or back, after a seek)
+/// to whichever part of the file the next batch needs, advised sequential.
+/// The file shrinking under the reader is detected by re-checking the
+/// on-disk size before each decode, returning kTruncated instead of dying
+/// on SIGBUS.  Off POSIX the mapping degrades to one buffered read per
+/// batch.
 class MmapSource final : public TraceSource {
   public:
     [[nodiscard]] static Expected<std::unique_ptr<MmapSource>> open(
@@ -162,104 +161,27 @@ class MmapSource final : public TraceSource {
   private:
     MmapSource() = default;
 
+    /// Current on-disk size, for shrink detection.
+    [[nodiscard]] Expected<std::uint64_t> file_size() const;
+    /// Pointer to file bytes [begin, end): slides the window on POSIX,
+    /// reads them into raw_ elsewhere.  Null with error_ set on failure.
+    const std::uint8_t* bytes(std::uint64_t begin, std::uint64_t end);
+    void unmap() noexcept;
+
     std::string path_;
     std::uint64_t count_ = 0;
     std::uint64_t cursor_ = 0;
+    std::uint64_t mapped_size_ = 0;     ///< file size validated at open
     Status error_ = Status::ok();       ///< sticky mid-stream failure
     std::vector<PacketRecord> batch_;   ///< reusable decode buffer
-    const std::uint8_t* map_ = nullptr; ///< mapped body (POSIX path)
-    std::uint64_t map_len_ = 0;
-    int fd_ = -1;                       ///< kept open for shrink detection
+    const std::uint8_t* win_ = nullptr; ///< mapped window (POSIX path)
+    std::uint64_t win_off_ = 0;         ///< file offset of win_[0]
+    std::uint64_t win_len_ = 0;
+    std::uint64_t page_ = 0;            ///< mmap offset granularity
+    int fd_ = -1;                       ///< kept open for remaps + fstat
     std::FILE* file_ = nullptr;         ///< non-POSIX fallback
+    std::vector<std::uint8_t> raw_;     ///< non-POSIX read buffer
     obs::Counter* obs_bytes_ = nullptr;
-};
-
-struct ChunkedSourceOptions {
-    /// Records per reader chunk; the per-chunk allocation cap.  Clamped to
-    /// [1, kMaxBatchRecords] and to the file's record count.
-    std::size_t chunk_records = 1u << 16;
-    /// Bounded chunk-queue depth (double buffering by default).  Peak
-    /// resident trace bytes ~= chunk_records x (queue_chunks + 2) x
-    /// sizeof(PacketRecord) — one chunk in flight with the reader, the
-    /// queue, and the chunk the consumer is draining.
-    std::size_t queue_chunks = 2;
-    /// Live metrics sink; null disables instrumentation.  Counters:
-    /// trace_bytes_read, trace_chunks_queued, trace_reader_stalls (consumer
-    /// found the queue empty), trace_reader_eintr_retries,
-    /// trace_reader_short_reads.
-    obs::Registry* metrics = nullptr;
-    /// I/O fault injection (FaultPlan::short_read / eintr_read /
-    /// slow_reader), consulted per chunk index since the last seek.  The
-    /// plan must outlive the source.  Null = no faults.
-    const fault::FaultPlan* faults = nullptr;
-};
-
-/// Double-buffered background-thread reader: a dedicated thread freads
-/// fixed-size chunks, decodes them, and hands them through a bounded SPSC
-/// queue; next_batch() serves subspans of the chunk it is draining and
-/// stitches across chunk boundaries when a batch straddles two.  All
-/// errors — including the file shrinking mid-read — surface as typed
-/// Status at the batch boundary.
-class ChunkedFileSource final : public TraceSource {
-  public:
-    [[nodiscard]] static Expected<std::unique_ptr<ChunkedFileSource>> open(
-        const std::string& path, const ChunkedSourceOptions& opts = {});
-
-    ~ChunkedFileSource() override;
-    ChunkedFileSource(const ChunkedFileSource&) = delete;
-    ChunkedFileSource& operator=(const ChunkedFileSource&) = delete;
-
-    [[nodiscard]] Expected<std::span<const PacketRecord>> next_batch(
-        std::size_t max) override;
-    [[nodiscard]] Status seek(std::uint64_t record_index) override;
-    [[nodiscard]] std::uint64_t size() const override { return count_; }
-    [[nodiscard]] std::uint64_t tell() const override { return cursor_; }
-    [[nodiscard]] const char* name() const override { return "chunked"; }
-
-    /// Effective chunk size after clamping (tests size their queues by it).
-    [[nodiscard]] std::size_t chunk_records() const noexcept {
-        return chunk_records_;
-    }
-
-  private:
-    /// One reader->consumer handoff: a decoded chunk, a terminal error, or
-    /// the end-of-stream sentinel (`last` with empty records).
-    struct Chunk {
-        std::vector<PacketRecord> recs;
-        Status st = Status::ok();
-        bool last = false;
-    };
-
-    ChunkedFileSource() = default;
-
-    void start_reader(std::uint64_t from_record);
-    void stop_reader();
-    void reader_main(const std::stop_token& tok, std::uint64_t rec);
-    bool push_chunk(Chunk&& c, const std::stop_token& tok);
-    void pop_chunk();
-
-    std::string path_;
-    std::uint64_t count_ = 0;
-    std::uint64_t cursor_ = 0;
-    std::size_t chunk_records_ = 0;
-    std::FILE* file_ = nullptr;  ///< reader-thread-owned while running
-    const fault::FaultPlan* faults_ = nullptr;
-
-    std::unique_ptr<replay::SpscQueue<Chunk>> queue_;
-    std::jthread reader_;
-
-    // Consumer-side staging.
-    Chunk current_;
-    std::size_t current_off_ = 0;
-    std::vector<PacketRecord> stitch_;  ///< batches straddling chunks
-    bool done_ = false;
-    Status error_ = Status::ok();  ///< sticky mid-stream failure
-
-    obs::Counter* obs_bytes_ = nullptr;
-    obs::Counter* obs_chunks_ = nullptr;
-    obs::Counter* obs_stalls_ = nullptr;
-    obs::Counter* obs_eintr_ = nullptr;
-    obs::Counter* obs_short_ = nullptr;
 };
 
 }  // namespace p4lru::trace

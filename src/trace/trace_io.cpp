@@ -4,7 +4,11 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <stdexcept>
+
+#include "p4lru/trace/trace_source.hpp"
 
 namespace p4lru::trace {
 namespace {
@@ -123,45 +127,18 @@ void write_trace(const std::string& path,
 
 Expected<std::vector<PacketRecord>> read_trace_checked(
     const std::string& path) {
-    errno = 0;
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is) {
-        return io_error_errno("read_trace: cannot open", path);
-    }
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
-    is.seekg(0);
-
-    std::array<std::uint8_t, kTraceHeaderBytes> hdr{};
-    if (file_size >= kTraceHeaderBytes) {
-        errno = 0;
-        is.read(reinterpret_cast<char*>(hdr.data()),
-                static_cast<std::streamsize>(hdr.size()));
-        if (!is) {
-            return io_error_errno("read_trace: header read failed on", path);
-        }
-    }
-    Expected<TraceHeaderInfo> info =
-        validate_trace_header(hdr.data(), file_size, path);
-    if (!info.is_ok()) return info.status();
-    const std::uint64_t count = info.value().count;
-
+    Expected<std::unique_ptr<MmapSource>> src = MmapSource::open(path);
+    if (!src.is_ok()) return src.status();
+    MmapSource& in = *src.value();
     std::vector<PacketRecord> out;
-    out.reserve(count);
-    std::array<std::uint8_t, kTraceRecordBytes> buf{};
-    for (std::uint64_t i = 0; i < count; ++i) {
-        is.read(reinterpret_cast<char*>(buf.data()),
-                static_cast<std::streamsize>(buf.size()));
-        if (is.gcount() != static_cast<std::streamsize>(buf.size())) {
-            return Status(
-                ErrorCode::kTruncated,
-                "record " + std::to_string(i) + " of " +
-                    std::to_string(count) + " cut short",
-                kTraceHeaderBytes + i * kTraceRecordBytes +
-                    static_cast<std::uint64_t>(is.gcount()));
-        }
-        out.push_back(decode_trace_record(buf.data()));
+    out.reserve(static_cast<std::size_t>(in.size()));
+    for (;;) {
+        Expected<std::span<const PacketRecord>> batch =
+            in.next_batch(kMaxBatchRecords);
+        if (!batch.is_ok()) return batch.status();
+        if (batch.value().empty()) return out;
+        out.insert(out.end(), batch.value().begin(), batch.value().end());
     }
-    return out;
 }
 
 std::vector<PacketRecord> read_trace(const std::string& path) {

@@ -1,8 +1,6 @@
 #include "p4lru/trace/trace_source.hpp"
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,135 +14,130 @@
 #endif
 
 namespace p4lru::trace {
-namespace {
 
-/// Open `path`, read its 20-byte header and validate it against the actual
-/// on-disk size — the shared open path of both file-backed sources.
-Expected<TraceHeaderInfo> read_and_validate_header(std::FILE* f,
-                                                   const std::string& path) {
+Expected<std::unique_ptr<MmapSource>> MmapSource::open(
+    const std::string& path, const MmapSourceOptions& opts) {
+    // Owned from the first handle on: every early return below closes it
+    // through the destructor.
+    std::unique_ptr<MmapSource> src(new MmapSource());
+    src->path_ = path;
     errno = 0;
-    if (std::fseek(f, 0, SEEK_END) != 0) {
-        return io_error_errno("trace_source: seek failed on", path);
+#if P4LRU_TRACE_HAVE_MMAP
+    src->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (src->fd_ < 0) {
+        return io_error_errno("trace_source: cannot open", path);
     }
-    const long fsize = std::ftell(f);
-    if (fsize < 0) {
-        return io_error_errno("trace_source: tell failed on", path);
+    src->page_ = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+#else
+    src->file_ = std::fopen(path.c_str(), "rb");
+    if (src->file_ == nullptr) {
+        return io_error_errno("trace_source: cannot open", path);
     }
-    std::rewind(f);
+#endif
+    const Expected<std::uint64_t> size = src->file_size();
+    if (!size.is_ok()) return size.status();
     std::uint8_t hdr[kTraceHeaderBytes] = {};
-    const auto file_size = static_cast<std::uint64_t>(fsize);
-    if (file_size >= kTraceHeaderBytes) {
+    if (size.value() >= kTraceHeaderBytes) {
         errno = 0;
-        if (std::fread(hdr, 1, sizeof(hdr), f) != sizeof(hdr)) {
+#if P4LRU_TRACE_HAVE_MMAP
+        const bool read_ok =
+            ::pread(src->fd_, hdr, sizeof(hdr), 0) ==
+            static_cast<ssize_t>(sizeof(hdr));
+#else
+        const bool read_ok =
+            std::fseek(src->file_, 0, SEEK_SET) == 0 &&
+            std::fread(hdr, 1, sizeof(hdr), src->file_) == sizeof(hdr);
+#endif
+        if (!read_ok) {
             return io_error_errno("trace_source: header read failed on",
                                   path);
         }
     }
-    return validate_trace_header(hdr, file_size, path);
-}
+    const Expected<TraceHeaderInfo> info =
+        validate_trace_header(hdr, size.value(), path);
+    if (!info.is_ok()) return info.status();
 
-/// Current on-disk size of an already-open file, for shrink detection.
-Expected<std::uint64_t> current_file_size(int fd, std::FILE* f,
-                                          const std::string& path) {
-#if P4LRU_TRACE_HAVE_MMAP
-    if (fd >= 0) {
-        struct stat st{};
-        errno = 0;
-        if (::fstat(fd, &st) != 0) {
-            return io_error_errno("trace_source: fstat failed on", path);
-        }
-        return static_cast<std::uint64_t>(st.st_size);
-    }
-#else
-    (void)fd;
-#endif
-    errno = 0;
-    const long pos = std::ftell(f);
-    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) {
-        return io_error_errno("trace_source: size probe failed on", path);
-    }
-    const long end = std::ftell(f);
-    if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) {
-        return io_error_errno("trace_source: size probe failed on", path);
-    }
-    return static_cast<std::uint64_t>(end);
-}
-
-Status seek_out_of_range(std::uint64_t record_index, std::uint64_t count) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "seek to record " + std::to_string(record_index) +
-                      " past trace of " + std::to_string(count));
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// MmapSource
-
-Expected<std::unique_ptr<MmapSource>> MmapSource::open(
-    const std::string& path, const MmapSourceOptions& opts) {
-    errno = 0;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        return io_error_errno("trace_source: cannot open", path);
-    }
-    Expected<TraceHeaderInfo> info = read_and_validate_header(f, path);
-    if (!info.is_ok()) {
-        std::fclose(f);
-        return info.status();
-    }
-
-    std::unique_ptr<MmapSource> src(new MmapSource());
-    src->path_ = path;
     src->count_ = info.value().count;
+    src->mapped_size_ = info.value().file_size;
     if (opts.metrics != nullptr) {
         src->obs_bytes_ = opts.metrics->counter("trace_bytes_read");
     }
-
-#if P4LRU_TRACE_HAVE_MMAP
-    errno = 0;
-    src->fd_ = ::open(path.c_str(), O_RDONLY);
-    if (src->fd_ < 0) {
-        const Status st = io_error_errno("trace_source: cannot open", path);
-        std::fclose(f);
-        return st;
-    }
-    std::fclose(f);
-    src->map_len_ = info.value().file_size;
-    if (src->map_len_ > 0) {
-        errno = 0;
-        void* m = ::mmap(nullptr, static_cast<std::size_t>(src->map_len_),
-                         PROT_READ, MAP_PRIVATE, src->fd_, 0);
-        if (m == MAP_FAILED) {
-            const Status st = io_error_errno("trace_source: mmap failed on",
-                                             path);
-            ::close(src->fd_);
-            src->fd_ = -1;
-            return st;
-        }
-        src->map_ = static_cast<const std::uint8_t*>(m);
-        // Advisory only: a kernel that ignores it just readaheads less
-        // aggressively.
-        (void)::madvise(m, static_cast<std::size_t>(src->map_len_),
-                        MADV_SEQUENTIAL);
-    }
-#else
-    // No-mmap fallback: keep the stdio handle and serve batches with plain
-    // buffered reads at the same offsets.
-    src->file_ = f;
-#endif
     return Expected<std::unique_ptr<MmapSource>>(std::move(src));
 }
 
 MmapSource::~MmapSource() {
+    unmap();
 #if P4LRU_TRACE_HAVE_MMAP
-    if (map_ != nullptr) {
-        ::munmap(const_cast<std::uint8_t*>(map_),
-                 static_cast<std::size_t>(map_len_));
-    }
     if (fd_ >= 0) ::close(fd_);
 #endif
     if (file_ != nullptr) std::fclose(file_);
+}
+
+void MmapSource::unmap() noexcept {
+#if P4LRU_TRACE_HAVE_MMAP
+    if (win_ != nullptr) {
+        ::munmap(const_cast<std::uint8_t*>(win_),
+                 static_cast<std::size_t>(win_len_));
+    }
+#endif
+    win_ = nullptr;
+    win_off_ = 0;
+    win_len_ = 0;
+}
+
+Expected<std::uint64_t> MmapSource::file_size() const {
+    errno = 0;
+#if P4LRU_TRACE_HAVE_MMAP
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0) {
+        return io_error_errno("trace_source: fstat failed on", path_);
+    }
+    return static_cast<std::uint64_t>(st.st_size);
+#else
+    if (std::fseek(file_, 0, SEEK_END) != 0) {
+        return io_error_errno("trace_source: size probe failed on", path_);
+    }
+    const long end = std::ftell(file_);
+    if (end < 0) {
+        return io_error_errno("trace_source: size probe failed on", path_);
+    }
+    return static_cast<std::uint64_t>(end);
+#endif
+}
+
+const std::uint8_t* MmapSource::bytes(std::uint64_t begin,
+                                      std::uint64_t end) {
+    errno = 0;
+#if P4LRU_TRACE_HAVE_MMAP
+    if (win_ == nullptr || begin < win_off_ || end > win_off_ + win_len_) {
+        unmap();
+        // kMmapWindowBytes holds a whole batch plus the alignment slack,
+        // so [begin, end) lies inside the new window.
+        const std::uint64_t off = begin - begin % page_;
+        const std::uint64_t len =
+            std::min<std::uint64_t>(kMmapWindowBytes, mapped_size_ - off);
+        void* m = ::mmap(nullptr, static_cast<std::size_t>(len), PROT_READ,
+                         MAP_PRIVATE, fd_, static_cast<off_t>(off));
+        if (m == MAP_FAILED) {
+            error_ = io_error_errno("trace_source: mmap failed on", path_);
+            return nullptr;
+        }
+        // Advisory only: a kernel that ignores it just reads ahead less.
+        (void)::madvise(m, static_cast<std::size_t>(len), MADV_SEQUENTIAL);
+        win_ = static_cast<const std::uint8_t*>(m);
+        win_off_ = off;
+        win_len_ = len;
+    }
+    return win_ + (begin - win_off_);
+#else
+    raw_.resize(static_cast<std::size_t>(end - begin));
+    if (std::fseek(file_, static_cast<long>(begin), SEEK_SET) != 0 ||
+        std::fread(raw_.data(), 1, raw_.size(), file_) != raw_.size()) {
+        error_ = io_error_errno("trace_source: read failed on", path_);
+        return nullptr;
+    }
+    return raw_.data();
+#endif
 }
 
 Expected<std::span<const PacketRecord>> MmapSource::next_batch(
@@ -160,11 +153,11 @@ Expected<std::span<const PacketRecord>> MmapSource::next_batch(
         kTraceHeaderBytes + cursor_ * kTraceRecordBytes;
     const std::uint64_t end = begin + n * kTraceRecordBytes;
 
-    // The mapping outlives the file contents: if the file shrank since
-    // open, touching pages past the new EOF raises SIGBUS.  Re-check the
-    // on-disk size before every decode and turn a shrink into a typed
-    // error at the batch boundary.
-    Expected<std::uint64_t> sz = current_file_size(fd_, file_, path_);
+    // A mapping outlives the file contents: if the file shrank since open,
+    // touching pages past the new EOF raises SIGBUS.  Re-check the on-disk
+    // size before every decode and turn a shrink into a typed error at the
+    // batch boundary.
+    const Expected<std::uint64_t> sz = file_size();
     if (!sz.is_ok()) {
         error_ = sz.status();
         return error_;
@@ -177,25 +170,11 @@ Expected<std::span<const PacketRecord>> MmapSource::next_batch(
         return error_;
     }
 
+    const std::uint8_t* p = bytes(begin, end);
+    if (p == nullptr) return error_;
     batch_.resize(n);
-    if (map_ != nullptr) {
-        const std::uint8_t* p = map_ + begin;
-        for (std::size_t i = 0; i < n; ++i) {
-            batch_[i] = decode_trace_record(p + i * kTraceRecordBytes);
-        }
-    } else {
-        // Fallback path (no mmap): one buffered read per batch.
-        std::vector<std::uint8_t> raw(n * kTraceRecordBytes);
-        errno = 0;
-        if (std::fseek(file_, static_cast<long>(begin), SEEK_SET) != 0 ||
-            std::fread(raw.data(), 1, raw.size(), file_) != raw.size()) {
-            error_ = io_error_errno("trace_source: read failed on", path_);
-            return error_;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            batch_[i] = decode_trace_record(raw.data() +
-                                            i * kTraceRecordBytes);
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        batch_[i] = decode_trace_record(p + i * kTraceRecordBytes);
     }
     cursor_ += n;
     if (obs_bytes_ != nullptr) {
@@ -207,267 +186,12 @@ Expected<std::span<const PacketRecord>> MmapSource::next_batch(
 
 Status MmapSource::seek(std::uint64_t record_index) {
     if (record_index > count_) {
-        return seek_out_of_range(record_index, count_);
+        return Status(ErrorCode::kInvalidArgument,
+                      "seek to record " + std::to_string(record_index) +
+                          " past trace of " + std::to_string(count_));
     }
     cursor_ = record_index;
     error_ = Status::ok();
-    return Status::ok();
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedFileSource
-
-Expected<std::unique_ptr<ChunkedFileSource>> ChunkedFileSource::open(
-    const std::string& path, const ChunkedSourceOptions& opts) {
-    errno = 0;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        return io_error_errno("trace_source: cannot open", path);
-    }
-    Expected<TraceHeaderInfo> info = read_and_validate_header(f, path);
-    if (!info.is_ok()) {
-        std::fclose(f);
-        return info.status();
-    }
-
-    std::unique_ptr<ChunkedFileSource> src(new ChunkedFileSource());
-    src->path_ = path;
-    src->count_ = info.value().count;
-    src->file_ = f;
-    src->faults_ = opts.faults;
-    // Per-chunk reserve cap: whatever the header promises, no chunk
-    // allocation exceeds the configured (and kMaxBatchRecords-clamped)
-    // chunk size — the whole-file reader's cap, applied per chunk.
-    std::size_t chunk = std::clamp<std::size_t>(opts.chunk_records, 1,
-                                                kMaxBatchRecords);
-    if (src->count_ > 0) {
-        chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk, src->count_));
-    }
-    src->chunk_records_ = chunk;
-    src->queue_ = std::make_unique<replay::SpscQueue<Chunk>>(
-        std::max<std::size_t>(opts.queue_chunks, 2));
-    if (opts.metrics != nullptr) {
-        src->obs_bytes_ = opts.metrics->counter("trace_bytes_read");
-        src->obs_chunks_ = opts.metrics->counter("trace_chunks_queued");
-        src->obs_stalls_ = opts.metrics->counter("trace_reader_stalls");
-        src->obs_eintr_ =
-            opts.metrics->counter("trace_reader_eintr_retries");
-        src->obs_short_ = opts.metrics->counter("trace_reader_short_reads");
-    }
-    if (src->count_ == 0) {
-        src->done_ = true;
-    } else {
-        src->start_reader(0);
-    }
-    return Expected<std::unique_ptr<ChunkedFileSource>>(std::move(src));
-}
-
-ChunkedFileSource::~ChunkedFileSource() {
-    stop_reader();
-    if (file_ != nullptr) std::fclose(file_);
-}
-
-void ChunkedFileSource::start_reader(std::uint64_t from_record) {
-    reader_ = std::jthread([this, from_record](const std::stop_token& tok) {
-        reader_main(tok, from_record);
-    });
-}
-
-void ChunkedFileSource::stop_reader() {
-    if (reader_.joinable()) {
-        reader_.request_stop();
-        reader_.join();
-    }
-}
-
-bool ChunkedFileSource::push_chunk(Chunk&& c, const std::stop_token& tok) {
-    Chunk tmp = std::move(c);
-    // Bounded-queue backpressure: retry in short slices so a stop request
-    // (seek / destruction) is observed promptly even with a full queue.
-    while (!queue_->try_push_for(tmp, std::chrono::microseconds(500))) {
-        if (tok.stop_requested()) return false;
-    }
-    return true;
-}
-
-void ChunkedFileSource::reader_main(const std::stop_token& tok,
-                                    std::uint64_t rec) {
-    errno = 0;
-    if (std::fseek(file_,
-                   static_cast<long>(kTraceHeaderBytes +
-                                     rec * kTraceRecordBytes),
-                   SEEK_SET) != 0) {
-        Chunk err;
-        err.st = io_error_errno("trace_source: seek failed on", path_);
-        err.last = true;
-        push_chunk(std::move(err), tok);
-        return;
-    }
-    std::uint64_t chunk_idx = 0;
-    std::vector<std::uint8_t> raw;
-    while (!tok.stop_requested() && rec < count_) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk_records_, count_ - rec));
-        if (faults_ != nullptr) {
-            if (const std::uint64_t us = faults_->io_slow_us(chunk_idx)) {
-                std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-            if (const std::uint64_t k =
-                    faults_->io_eintr_retries(chunk_idx)) {
-                // Simulated EINTR: the read is interrupted k times before
-                // any data lands; each interruption re-enters the retry
-                // loop a real reader needs around read(2).
-                if (obs_eintr_ != nullptr) obs_eintr_->add(k);
-            }
-        }
-        raw.resize(n * kTraceRecordBytes);
-        // A short first read (injected, or a genuinely partial fread) must
-        // be completed by a follow-up read — fread already loops for us, so
-        // the injection splits the request in two to prove the chunk still
-        // assembles correctly.
-        std::size_t first = raw.size();
-        if (faults_ != nullptr && faults_->io_short_read(chunk_idx)) {
-            first = std::max<std::size_t>(n / 2, 1) * kTraceRecordBytes;
-            if (obs_short_ != nullptr) obs_short_->add(1);
-        }
-        errno = 0;
-        std::size_t got = std::fread(raw.data(), 1, first, file_);
-        if (got == first && first < raw.size()) {
-            got += std::fread(raw.data() + first, 1, raw.size() - first,
-                              file_);
-        }
-        if (got != raw.size()) {
-            // The header promised more records than the file now holds:
-            // the file shrank (or rotted) under the reader.
-            Chunk err;
-            err.st = Status(
-                ErrorCode::kTruncated,
-                "record " + std::to_string(rec + got / kTraceRecordBytes) +
-                    " of " + std::to_string(count_) + " cut short ('" +
-                    path_ + "')",
-                kTraceHeaderBytes + rec * kTraceRecordBytes + got);
-            err.last = true;
-            push_chunk(std::move(err), tok);
-            return;
-        }
-        Chunk c;
-        c.recs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            c.recs.push_back(
-                decode_trace_record(raw.data() + i * kTraceRecordBytes));
-        }
-        if (obs_bytes_ != nullptr) {
-            obs_bytes_->add(static_cast<std::uint64_t>(raw.size()));
-        }
-        if (!push_chunk(std::move(c), tok)) return;
-        if (obs_chunks_ != nullptr) obs_chunks_->add(1);
-        rec += n;
-        ++chunk_idx;
-    }
-    if (tok.stop_requested()) return;
-    Chunk end;
-    end.last = true;
-    push_chunk(std::move(end), tok);
-}
-
-void ChunkedFileSource::pop_chunk() {
-    Chunk c;
-    bool stalled = false;
-    while (!queue_->try_pop(c)) {
-        stalled = true;
-        std::this_thread::yield();
-    }
-    if (stalled && obs_stalls_ != nullptr) obs_stalls_->add(1);
-    if (!c.st.is_ok()) {
-        error_ = c.st;
-        done_ = true;
-        current_ = Chunk{};
-        current_off_ = 0;
-        return;
-    }
-    if (c.last) {
-        done_ = true;
-        current_ = Chunk{};
-        current_off_ = 0;
-        return;
-    }
-    current_ = std::move(c);
-    current_off_ = 0;
-}
-
-Expected<std::span<const PacketRecord>> ChunkedFileSource::next_batch(
-    std::size_t max) {
-    if (!error_.is_ok()) return error_;
-    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        std::min(max, kMaxBatchRecords), count_ - cursor_));
-    if (n == 0) {
-        return Expected<std::span<const PacketRecord>>(
-            std::span<const PacketRecord>{});
-    }
-    if (current_off_ == current_.recs.size() && !done_) {
-        pop_chunk();
-        if (!error_.is_ok()) return error_;
-    }
-    const std::size_t avail = current_.recs.size() - current_off_;
-    if (avail >= n) {
-        // Fast path: the batch is a subspan of the chunk being drained —
-        // no copy.  Valid until the next call, which may pop a new chunk.
-        const std::span<const PacketRecord> out(
-            current_.recs.data() + current_off_, n);
-        current_off_ += n;
-        cursor_ += n;
-        return Expected<std::span<const PacketRecord>>(out);
-    }
-    // Straddle path: assemble the batch across chunk boundaries.
-    stitch_.clear();
-    stitch_.reserve(n);
-    while (stitch_.size() < n) {
-        const std::size_t have = current_.recs.size() - current_off_;
-        if (have == 0) {
-            if (done_) {
-                // The reader delivered fewer records than the validated
-                // header promised without reporting why — treat as
-                // truncation (defensive; the reader normally reports it).
-                error_ = Status(ErrorCode::kTruncated,
-                                "trace stream ended at record " +
-                                    std::to_string(cursor_ + stitch_.size()) +
-                                    " of " + std::to_string(count_) + " ('" +
-                                    path_ + "')");
-                return error_;
-            }
-            pop_chunk();
-            if (!error_.is_ok()) return error_;
-            continue;
-        }
-        const std::size_t take = std::min(have, n - stitch_.size());
-        stitch_.insert(stitch_.end(),
-                       current_.recs.begin() +
-                           static_cast<std::ptrdiff_t>(current_off_),
-                       current_.recs.begin() +
-                           static_cast<std::ptrdiff_t>(current_off_ + take));
-        current_off_ += take;
-    }
-    cursor_ += n;
-    return Expected<std::span<const PacketRecord>>(
-        std::span<const PacketRecord>(stitch_.data(), n));
-}
-
-Status ChunkedFileSource::seek(std::uint64_t record_index) {
-    if (record_index > count_) {
-        return seek_out_of_range(record_index, count_);
-    }
-    stop_reader();
-    // Fresh queue: anything the old reader had in flight belongs to the old
-    // position.
-    queue_ = std::make_unique<replay::SpscQueue<Chunk>>(queue_->capacity());
-    current_ = Chunk{};
-    current_off_ = 0;
-    stitch_.clear();
-    error_ = Status::ok();
-    cursor_ = record_index;
-    done_ = record_index == count_;
-    if (!done_) start_reader(record_index);
     return Status::ok();
 }
 

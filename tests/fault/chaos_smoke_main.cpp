@@ -14,9 +14,8 @@
 // three deterministic crashes (torn temp, torn install, lost rename)
 // injected mid-stream, which must restart from the newest valid generation
 // each time and still finish bit-identical to sequential.  A fourth,
-// streamed round replays the same trace through a ChunkedFileSource whose
-// background reader is faulted (short reads, EINTR storms, stalls) on top
-// of the engine chaos plan.
+// streamed round replays the same trace from disk through an MmapSource
+// under the engine chaos plan.
 //
 // The supervised round runs fully instrumented (obs/metrics.hpp): one
 // Registry wired through supervisor, engine and durable store, sampled on a
@@ -119,10 +118,8 @@ int main() {
     const char* store_env = std::getenv("P4LRU_CHAOS_STORE_DIR");
     const std::string store_base = store_env != nullptr ? store_env : "";
 
-    // On-disk copy of the trace for the streamed I/O-fault rounds: each
-    // seed replays it through a ChunkedFileSource whose reader is fed
-    // seed-chosen short reads, EINTR storms and stalls on top of the
-    // engine's own chaos plan.
+    // On-disk copy of the trace for the streamed rounds: each seed replays
+    // it through an MmapSource under the engine's chaos plan.
     const std::string trace_path = scratch.file("trace.bin");
     trace::write_trace(trace_path, trace);
 
@@ -391,25 +388,17 @@ int main() {
             }
         }
 
-        // Streamed I/O-fault round: the same engine chaos plan, but the ops
-        // now arrive through a chunked background reader whose freads are
-        // themselves faulted with seed-chosen short reads, EINTR storms and
-        // stalls.  Neither layer's misbehavior may move one bit of the
-        // statistics — and the obs counters must prove the faults fired.
+        // Streamed round: the same engine chaos plan, but the ops now
+        // arrive decoded from the file.  The stalls and delays may not move
+        // one bit of the statistics, and the source's obs counter must show
+        // that every record was read from disk exactly once.
         {
-            trace::ChunkedSourceOptions sopts;
-            sopts.chunk_records = 4'096 + seed % 4'099;
-            fault::FaultPlan io_plan;
-            io_plan.short_read(seed % 8)
-                .eintr_read((seed >> 4) % 8, 1 + seed % 3)
-                .slow_reader((seed >> 8) % 8, 50 + seed % 200);
-            sopts.faults = &io_plan;
             obs::Registry io_reg;
+            trace::MmapSourceOptions sopts;
             sopts.metrics = &io_reg;
-            auto src = trace::ChunkedFileSource::open(trace_path, sopts);
+            auto src = trace::MmapSource::open(trace_path, sopts);
             if (!src.is_ok()) {
-                std::fprintf(stderr,
-                             "\nchaos seed %llu: chunked open: %s\n",
+                std::fprintf(stderr, "\nchaos seed %llu: mmap open: %s\n",
                              static_cast<unsigned long long>(seed),
                              src.status().to_string().c_str());
                 return 1;
@@ -422,8 +411,8 @@ int main() {
             if (!io_rep.is_ok() || !(io_rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,
-                    "\nchaos seed %llu: streamed I/O-fault round %s "
-                    "(ops %llu/%llu); re-run with P4LRU_CHAOS_SEEDS=%llu\n",
+                    "\nchaos seed %llu: streamed round %s (ops %llu/%llu); "
+                    "re-run with P4LRU_CHAOS_SEEDS=%llu\n",
                     static_cast<unsigned long long>(seed),
                     io_rep.is_ok() ? "diverged from sequential"
                                    : io_rep.status().to_string().c_str(),
@@ -434,19 +423,17 @@ int main() {
                 return 1;
             }
             const auto io_snap = io_reg.snapshot();
-            const std::uint64_t* shorts =
-                io_snap.counter("trace_reader_short_reads");
-            const std::uint64_t* eintrs =
-                io_snap.counter("trace_reader_eintr_retries");
-            if (shorts == nullptr || *shorts == 0 || eintrs == nullptr ||
-                *eintrs == 0) {
-                std::fprintf(
-                    stderr,
-                    "\nchaos seed %llu: injected reader faults never fired "
-                    "(short_reads=%llu eintr_retries=%llu)\n",
-                    static_cast<unsigned long long>(seed),
-                    static_cast<unsigned long long>(shorts ? *shorts : 0),
-                    static_cast<unsigned long long>(eintrs ? *eintrs : 0));
+            const std::uint64_t* read = io_snap.counter("trace_bytes_read");
+            const std::uint64_t want_bytes =
+                static_cast<std::uint64_t>(trace.size()) *
+                trace::kTraceRecordBytes;
+            if (read == nullptr || *read != want_bytes) {
+                std::fprintf(stderr,
+                             "\nchaos seed %llu: streamed round read %llu "
+                             "of %llu trace bytes\n",
+                             static_cast<unsigned long long>(seed),
+                             static_cast<unsigned long long>(read ? *read : 0),
+                             static_cast<unsigned long long>(want_bytes));
                 return 1;
             }
         }
@@ -467,7 +454,7 @@ int main() {
         "fault_chaos_smoke: %zu seeds, %zu degraded rounds, %zu injected "
         "crashes survived, all bit-identical to sequential incl. "
         "disk-checkpoint resume, supervised crash recovery and streamed "
-        "I/O-fault replay (%llu ops, %llu hits)\n",
+        "mmap replay (%llu ops, %llu hits)\n",
         seeds.size(), degraded_rounds, crashes_survived,
         static_cast<unsigned long long>(seq.ops),
         static_cast<unsigned long long>(seq.hits));

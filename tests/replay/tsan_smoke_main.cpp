@@ -31,10 +31,10 @@
 // and one fully instrumented threaded replay whose report must stay
 // bit-identical to the uninstrumented rounds.
 //
-// The streamed-source rounds feed the threaded engine from a
-// ChunkedFileSource: every op crosses two thread boundaries (background
-// reader -> consumer over the chunk SPSC queue, then dispatcher -> shard
-// workers), so the trace-ingestion handoff races with the engine's own.
+// The streamed-source rounds feed the threaded engine from one MmapSource,
+// rewound between rounds: the dispatcher decodes each batch from the
+// mapping and hands it to the shard workers, so the decode buffer the
+// source reuses across batches is raced against the workers' reads.
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -281,19 +281,20 @@ int main() {
         }
     }
 
-    // --- streamed-source rounds (chunked reader under the race detector) --
+    // --- streamed-source rounds (mmap reader under the race detector) -----
     {
         const std::string trace_path = scratch.file("trace.bin");
         trace::write_trace(trace_path, trace);
+        auto src = trace::MmapSource::open(trace_path);
+        if (!src.is_ok()) {
+            std::fprintf(stderr, "streamed rounds: open: %s\n",
+                         src.status().to_string().c_str());
+            return 1;
+        }
         for (int round = 0; round < 3; ++round) {
-            trace::ChunkedSourceOptions sopts;
-            // Chunk sizes that never divide the batch size: most batches
-            // straddle a chunk boundary and go through the stitch buffer.
-            sopts.chunk_records = 1'000 + 513 * static_cast<std::size_t>(round);
-            auto src = trace::ChunkedFileSource::open(trace_path, sopts);
-            if (!src.is_ok()) {
-                std::fprintf(stderr, "streamed round %d: open: %s\n", round,
-                             src.status().to_string().c_str());
+            if (!src.value()->seek(0).is_ok()) {
+                std::fprintf(stderr, "streamed round %d: seek failed\n",
+                             round);
                 return 1;
             }
             auto stream = replay::packet_op_source(*src.value());
@@ -304,7 +305,7 @@ int main() {
             if (!rep.is_ok() || !(rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,
-                    "streamed round %d: chunked-source threaded replay %s "
+                    "streamed round %d: mmap-source threaded replay %s "
                     "(ops %llu/%llu)\n",
                     round,
                     rep.is_ok() ? "diverged from sequential"
@@ -323,7 +324,7 @@ int main() {
         "rounds (LruMonTarget, %llu uploads, %zu-byte canonical state) + 1 "
         "supervised crash-recovery round (%zu attempts, %llu installs) + "
         "obs rounds (%llu hammered adds exact, instrumented replay inert) + "
-        "3 streamed chunked-source rounds, 8 shards, stats identical to "
+        "3 streamed mmap-source rounds, 8 shards, stats identical to "
         "sequential (%llu ops, %llu hits, %llu evictions)\n",
         snapshots, static_cast<unsigned long long>(seq_sys.uploads),
         seq_image.size(), sv.value().attempts,

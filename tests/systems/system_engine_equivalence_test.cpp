@@ -460,21 +460,19 @@ TEST(SystemEngineEquivalence, ReportsDeriveFromMergedStats) {
 
 // ---------------------------------------------------------------------------
 // Property 7: the engine is source-agnostic (DESIGN.md §14).  Pulling the
-// same on-disk trace through VectorSource, MmapSource, or ChunkedFileSource
-// (chunk sized so batches straddle chunk boundaries) yields bit-identical
-// stats and state images in every engine mode — and a kill-and-resume may
-// switch sources between the cut and the resume without a trace.
+// same trace from memory (VectorSource) or from disk (MmapSource) yields
+// bit-identical stats and state images in every engine mode — and a
+// kill-and-resume may switch sources between the cut and the resume
+// without a trace.
 
-enum class SourceKind { kVector, kMmap, kChunked };
+enum class SourceKind { kVector, kMmap };
 
-constexpr SourceKind kAllSources[] = {SourceKind::kVector, SourceKind::kMmap,
-                                      SourceKind::kChunked};
+constexpr SourceKind kAllSources[] = {SourceKind::kVector, SourceKind::kMmap};
 
 const char* source_label(SourceKind k) {
     switch (k) {
         case SourceKind::kVector: return "vector";
         case SourceKind::kMmap: return "mmap";
-        case SourceKind::kChunked: return "chunked";
     }
     return "?";
 }
@@ -490,16 +488,6 @@ std::unique_ptr<trace::TraceSource> open_source(
             auto src = trace::MmapSource::open(path);
             if (!src.is_ok()) {
                 ADD_FAILURE() << "mmap open: " << src.status().to_string();
-                return nullptr;
-            }
-            return std::move(src).value();
-        }
-        case SourceKind::kChunked: {
-            trace::ChunkedSourceOptions opts;
-            opts.chunk_records = 777;  // no batch size divides it: stitching
-            auto src = trace::ChunkedFileSource::open(path, opts);
-            if (!src.is_ok()) {
-                ADD_FAILURE() << "chunked open: " << src.status().to_string();
                 return nullptr;
             }
             return std::move(src).value();
@@ -594,11 +582,11 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
             .value();
     const std::vector<std::byte> ref_state = testutil::state_bytes(ref_target);
 
-    // Checkpointed run over the background-reader source: cuts every 8
-    // delivered batches, cursors are op indices into the stream.
-    auto chunked = open_source(SourceKind::kChunked, path, trace);
-    ASSERT_NE(chunked, nullptr);
-    replay::PacketTraceOpSource ops(*chunked);
+    // Checkpointed run over the file source: cuts every 8 delivered
+    // batches, cursors are op indices into the stream.
+    auto mapped = open_source(SourceKind::kMmap, path, trace);
+    ASSERT_NE(mapped, nullptr);
+    replay::PacketTraceOpSource ops(*mapped);
     std::vector<replay::TargetCheckpoint<Stats>> cps;
     auto sink = [&cps](replay::TargetCheckpoint<Stats>&& cp) {
         cps.push_back(std::move(cp));
@@ -611,7 +599,7 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
     const auto full = replay::replay_target_checkpointed_stream(
         live, ops, run_cfg, 8, sink);
     ASSERT_TRUE(full.is_ok()) << full.status().to_string();
-    EXPECT_EQ(full.value().stats, ref) << "checkpointed chunked run diverged";
+    EXPECT_EQ(full.value().stats, ref) << "checkpointed mmap run diverged";
     ASSERT_FALSE(cps.empty());
     const auto& cp = cps[cps.size() / 2];
     ASSERT_GT(cp.cursor, 0u);

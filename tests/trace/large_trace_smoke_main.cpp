@@ -1,15 +1,15 @@
 // Standalone bounded-memory smoke for streaming trace ingestion
 // (trace_source.hpp / op_source.hpp): writes a trace to disk in bounded
 // slices — the full record vector is never materialized — then replays it
-// through a ChunkedFileSource sequentially, threaded-sharded, and across a
+// through MmapSource sequentially, threaded-sharded, and across a
 // mid-stream kill-and-resume, demanding bit-identical statistics and plane
 // bytes throughout.  Peak RSS is reported (and optionally enforced) so CI
 // can run the replay under a hard `ulimit -v` far below the trace size:
-// resident memory stays O(chunk x queue depth), not O(trace).
+// each source maps one kMmapWindowBytes window at a time, so resident and
+// virtual memory stay O(window), not O(trace).
 //
 // Knobs (environment):
 //   P4LRU_LARGE_TRACE_RECORDS   total records          (default 1'000'000)
-//   P4LRU_LARGE_TRACE_CHUNK     reader chunk records   (default 32'768)
 //   P4LRU_LARGE_TRACE_FILE      trace path; reused if it already holds the
 //                               requested count (default: fresh temp dir)
 //   P4LRU_LARGE_TRACE_MAX_RSS_KB  fail if ru_maxrss exceeds this
@@ -115,8 +115,6 @@ int main() {
         std::max<std::uint64_t>(env_u64("P4LRU_LARGE_TRACE_RECORDS",
                                         1'000'000),
                                 1'000);
-    const std::size_t chunk = static_cast<std::size_t>(
-        env_u64("P4LRU_LARGE_TRACE_CHUNK", 32'768));
 
     testutil::ScopedTempDir scratch{"p4lru_large_trace"};
     const char* file_env = std::getenv("P4LRU_LARGE_TRACE_FILE");
@@ -126,33 +124,27 @@ int main() {
 
     // Reuse a pre-generated file only if it already promises the requested
     // count — lets CI split generation (uncapped) from replay (capped).
-    // The probe opens the chunked source (header read only): an MmapSource
-    // probe would map the whole file, which is exactly what a tight
-    // address-space cap forbids.
+    // Opening a source reads and validates the header only; nothing is
+    // mapped before the first batch.
     bool have_file = false;
     if (file_env != nullptr) {
-        trace::ChunkedSourceOptions probe_opts;
-        probe_opts.chunk_records = 1;
-        if (auto probe = trace::ChunkedFileSource::open(path, probe_opts);
-            probe.is_ok()) {
+        if (auto probe = trace::MmapSource::open(path); probe.is_ok()) {
             have_file = probe.value()->size() == records;
         }
     }
     if (!have_file && !write_sliced_trace(path, records)) return 1;
 
-    trace::ChunkedSourceOptions sopts;
-    sopts.chunk_records = chunk;
-    const auto open_chunked = [&]() {
-        auto src = trace::ChunkedFileSource::open(path, sopts);
+    const auto open_mmap = [&]() {
+        auto src = trace::MmapSource::open(path);
         if (!src.is_ok()) {
-            std::fprintf(stderr, "chunked open: %s\n",
+            std::fprintf(stderr, "mmap open: %s\n",
                          src.status().to_string().c_str());
         }
-        return std::move(src);
+        return src;
     };
 
     // Sequential streamed reference.
-    auto seq_src = open_chunked();
+    auto seq_src = open_mmap();
     if (!seq_src.is_ok()) return 1;
     auto seq_stream = replay::packet_op_source(*seq_src.value());
     Cache seq_cache(1024, 0x7A);
@@ -173,13 +165,16 @@ int main() {
     }
     const std::vector<std::byte> want =
         testutil::plane_bytes(seq_cache.storage());
+    // Each source is closed once its phase is done, so one mapping window
+    // at most is live at a time.
+    seq_src.value().reset();
 
     // Threaded-sharded streamed replay of the same file.
     replay::ShardedConfig cfg;
     cfg.shards = 4;
     cfg.batch_ops = 512;
     cfg.mode = replay::Mode::kThreaded;
-    auto thr_src = open_chunked();
+    auto thr_src = open_mmap();
     if (!thr_src.is_ok()) return 1;
     auto thr_stream = replay::packet_op_source(*thr_src.value());
     Cache thr_cache(1024, 0x7A);
@@ -200,11 +195,12 @@ int main() {
         std::fprintf(stderr, "threaded plane bytes differ from sequential\n");
         return 1;
     }
+    thr_src.value().reset();
 
     // Kill-and-resume: checkpointed threaded run, cut in the middle, fresh
     // cache resumed from a fresh source — the resume seeks, it never
     // re-reads the prefix.
-    auto ck_src = open_chunked();
+    auto ck_src = open_mmap();
     if (!ck_src.is_ok()) return 1;
     auto ck_stream = replay::packet_op_source(*ck_src.value());
     using Target = replay::CacheReplayTarget<Cache, FlowKey, std::uint32_t>;
@@ -226,8 +222,9 @@ int main() {
                      cps.size());
         return 1;
     }
+    ck_src.value().reset();
     const auto& cp = cps[cps.size() / 2];
-    auto res_src = open_chunked();
+    auto res_src = open_mmap();
     if (!res_src.is_ok()) return 1;
     auto res_stream = replay::packet_op_source(*res_src.value());
     Cache res_cache(1024, 0x7A);
@@ -282,15 +279,16 @@ int main() {
     }
 
     std::printf(
-        "large_trace_smoke: %llu records (%.1f MiB on disk), chunk %zu "
-        "records, sequential + threaded + kill-and-resume streamed replays "
+        "large_trace_smoke: %llu records (%.1f MiB on disk), %zu MiB mmap "
+        "window, sequential + threaded + kill-and-resume streamed replays "
         "bit-identical (%llu ops, %llu hits, %llu evictions), peak RSS "
         "%ld KiB\n",
         static_cast<unsigned long long>(records),
         static_cast<double>(trace::kTraceHeaderBytes +
                             records * trace::kTraceRecordBytes) /
             (1024.0 * 1024.0),
-        sopts.chunk_records, static_cast<unsigned long long>(seq.ops),
+        trace::kMmapWindowBytes >> 20,
+        static_cast<unsigned long long>(seq.ops),
         static_cast<unsigned long long>(seq.hits),
         static_cast<unsigned long long>(seq.evictions), rss_kb);
     return 0;

@@ -1,8 +1,8 @@
-// Streaming trace-source contract tests (trace_source.hpp): the three
-// implementations must yield bit-identical record streams under any batch
-// size, reject every damaged file with a typed error instead of crashing,
-// keep per-chunk allocations capped whatever the header claims, seek like
-// a file, and surface injected I/O faults through the obs counters.
+// Streaming trace-source contract tests (trace_source.hpp): MmapSource
+// must yield the same record stream as the in-memory VectorSource under any
+// batch size and across its mapping-window slides, reject every damaged
+// file with a typed error instead of crashing, seek like a file, and count
+// the bytes it decodes.
 #include "p4lru/trace/trace_source.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "p4lru/fault/fault_plan.hpp"
+#include "p4lru/core/p4lru.hpp"
 #include "p4lru/obs/metrics.hpp"
+#include "p4lru/replay/op_source.hpp"
+#include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
+#include "../checkpoint_util.hpp"
 #include "../test_util.hpp"
 
 namespace p4lru::trace {
@@ -81,8 +84,7 @@ TEST_F(TraceSourceTest, AllSourcesYieldIdenticalRecords) {
     const auto trace = small_trace(10'000);
     write_trace(path_, trace);
 
-    // Odd batch sizes exercise the chunked source's stitch path (chunk 257
-    // never divides them) as well as the subspan fast path.
+    // Odd batch sizes never divide the trace: the last batch is short.
     for (const std::size_t batch : {1ul, 7ul, 97ul, 257ul, 1000ul, 4096ul}) {
         VectorSource vec(trace);
         auto from_vec = drain(vec, batch);
@@ -92,20 +94,11 @@ TEST_F(TraceSourceTest, AllSourcesYieldIdenticalRecords) {
         ASSERT_TRUE(mm.is_ok()) << mm.status().to_string();
         auto from_mmap = drain(*mm.value(), batch);
 
-        ChunkedSourceOptions copts;
-        copts.chunk_records = 257;
-        auto ch = ChunkedFileSource::open(path_, copts);
-        ASSERT_TRUE(ch.is_ok()) << ch.status().to_string();
-        auto from_chunked = drain(*ch.value(), batch);
-
         ASSERT_EQ(from_mmap.size(), trace.size()) << "batch " << batch;
-        ASSERT_EQ(from_chunked.size(), trace.size()) << "batch " << batch;
         for (std::size_t i = 0; i < trace.size(); ++i) {
             ASSERT_EQ(from_vec[i], trace[i]) << "vector record " << i;
             ASSERT_EQ(from_mmap[i], trace[i])
                 << "mmap record " << i << " batch " << batch;
-            ASSERT_EQ(from_chunked[i], trace[i])
-                << "chunked record " << i << " batch " << batch;
         }
     }
 }
@@ -118,20 +111,15 @@ TEST_F(TraceSourceTest, EmptyTraceIsImmediateEof) {
     auto b = mm.value()->next_batch(64);
     ASSERT_TRUE(b.is_ok());
     EXPECT_TRUE(b.value().empty());
-
-    auto ch = ChunkedFileSource::open(path_);
-    ASSERT_TRUE(ch.is_ok()) << ch.status().to_string();
-    EXPECT_EQ(ch.value()->size(), 0u);
-    b = ch.value()->next_batch(64);
-    ASSERT_TRUE(b.is_ok());
-    EXPECT_TRUE(b.value().empty());
 }
 
+/// Both file entry points — the streaming open and the whole-file reader
+/// that drains it — report a missing file as an I/O error.
 TEST_F(TraceSourceTest, MissingFileIsIoErrorForBothSources) {
     const std::string missing = dir_.file("nope.bin");
     EXPECT_EQ(MmapSource::open(missing).status().code(),
               ErrorCode::kIoError);
-    EXPECT_EQ(ChunkedFileSource::open(missing).status().code(),
+    EXPECT_EQ(read_trace_checked(missing).status().code(),
               ErrorCode::kIoError);
 }
 
@@ -151,12 +139,6 @@ TEST_F(TraceSourceTest, OpenRejectsEveryTruncationPrefix) {
         auto mc = mm.status().code();
         EXPECT_TRUE(mc == ErrorCode::kCorrupt || mc == ErrorCode::kTruncated)
             << "mmap prefix " << cut << ": " << mm.status().to_string();
-
-        auto ch = ChunkedFileSource::open(path_);
-        ASSERT_FALSE(ch.is_ok()) << "chunked parsed a prefix of " << cut;
-        auto cc = ch.status().code();
-        EXPECT_TRUE(cc == ErrorCode::kCorrupt || cc == ErrorCode::kTruncated)
-            << "chunked prefix " << cut << ": " << ch.status().to_string();
     }
 }
 
@@ -191,61 +173,16 @@ TEST_F(TraceSourceTest, MmapShrinkUnderReaderIsStickyTruncatedUntilSeek) {
     }
 }
 
-TEST_F(TraceSourceTest, ChunkedShrinkUnderReaderIsStickyTruncated) {
-    const auto trace = small_trace(1'000);
-    write_trace(path_, trace);
-    // Truncate to half before open-and-stream would be rejected at open, so
-    // shrink *after* open: use a tiny chunk so the reader is still far from
-    // the cut when it happens.
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 16;
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok()) << ch.status().to_string();
-    ChunkedFileSource& src = *ch.value();
-    std::filesystem::resize_file(
-        path_, kTraceHeaderBytes + 500 * kTraceRecordBytes);
-
-    std::size_t got = 0;
-    Status failure = Status::ok();
-    for (;;) {
-        auto b = src.next_batch(64);
-        if (!b.is_ok()) {
-            failure = b.status();
-            break;
-        }
-        if (b.value().empty()) break;
-        // Every record delivered before the cut must still be correct.
-        for (const auto& r : b.value()) {
-            ASSERT_EQ(r, trace[got]) << "record " << got;
-            ++got;
-        }
-    }
-    EXPECT_EQ(failure.code(), ErrorCode::kTruncated)
-        << "stream of " << got << " records ended with: "
-        << failure.to_string();
-    EXPECT_LE(got, 512u);  // nothing past the cut (+ reader lookahead) leaks
-    // Sticky until seek.
-    EXPECT_EQ(src.next_batch(1).status().code(), ErrorCode::kTruncated);
-    ASSERT_TRUE(src.seek(0).is_ok());
-    auto b = src.next_batch(16);
-    ASSERT_TRUE(b.is_ok()) << b.status().to_string();
-    ASSERT_EQ(b.value().size(), 16u);
-    EXPECT_EQ(b.value()[0], trace[0]);
-}
-
 TEST_F(TraceSourceTest, SeekRepositionsBothFileSources) {
     const auto trace = small_trace(2'000);
     write_trace(path_, trace);
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 64;
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
+    VectorSource vec(trace);
     auto mm = MmapSource::open(path_);
     ASSERT_TRUE(mm.is_ok());
 
-    for (TraceSource* src : {static_cast<TraceSource*>(ch.value().get()),
+    for (TraceSource* src : {static_cast<TraceSource*>(&vec),
                              static_cast<TraceSource*>(mm.value().get())}) {
-        // Forward past in-flight chunks, then backward behind them.
+        // Forward past the read position, then backward behind it.
         for (const std::uint64_t at : {1'500ull, 3ull, 1'999ull, 0ull}) {
             ASSERT_TRUE(src->seek(at).is_ok()) << src->name();
             EXPECT_EQ(src->tell(), at);
@@ -268,95 +205,114 @@ TEST_F(TraceSourceTest, SeekRepositionsBothFileSources) {
     }
 }
 
-TEST_F(TraceSourceTest, ChunkSizeIsClampedToCapAndCount) {
-    write_trace(path_, small_trace(100));
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 0;  // below the floor
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
-    EXPECT_EQ(ch.value()->chunk_records(), 1u);
-
-    copts.chunk_records = ~std::size_t{0};  // far above the reserve cap
-    ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
-    // Capped at kMaxBatchRecords, then at the file's record count: the
-    // per-chunk allocation can never exceed either, whatever the header or
-    // the caller asks for.
-    EXPECT_EQ(ch.value()->chunk_records(), 100u);
-    EXPECT_LE(ch.value()->chunk_records(), kMaxBatchRecords);
-}
-
 TEST_F(TraceSourceTest, ObsCountersTrackReaderHealth) {
     const auto trace = small_trace(1'000);
     write_trace(path_, trace);
     obs::Registry reg;
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 100;
-    copts.metrics = &reg;
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
-    auto got = drain(*ch.value(), 333);
-    ASSERT_EQ(got.size(), trace.size());
-    EXPECT_EQ(reg.counter("trace_bytes_read")->value(),
-              1'000u * kTraceRecordBytes);
-    EXPECT_EQ(reg.counter("trace_chunks_queued")->value(), 10u);
-
-    obs::Registry mreg;
     MmapSourceOptions mopts;
-    mopts.metrics = &mreg;
+    mopts.metrics = &reg;
     auto mm = MmapSource::open(path_, mopts);
     ASSERT_TRUE(mm.is_ok());
     (void)drain(*mm.value(), 256);
-    EXPECT_EQ(mreg.counter("trace_bytes_read")->value(),
+    EXPECT_EQ(reg.counter("trace_bytes_read")->value(),
               1'000u * kTraceRecordBytes);
+    // A re-read after a seek is counted again: the counter prices decode
+    // work, not distinct file bytes.
+    ASSERT_TRUE(mm.value()->seek(900).is_ok());
+    (void)drain(*mm.value(), 256);
+    EXPECT_EQ(reg.counter("trace_bytes_read")->value(),
+              1'100u * kTraceRecordBytes);
 }
 
-TEST_F(TraceSourceTest, InjectedIoFaultsAreSurvivedAndCounted) {
-    const auto trace = small_trace(1'000);
-    write_trace(path_, trace);
-    fault::FaultPlan plan;
-    plan.short_read(0)         // chunk 0 arrives in two partial reads
-        .eintr_read(1, 3)      // chunk 1 interrupted three times
-        .slow_reader(2, 200);  // chunk 2 delayed 200us
-    obs::Registry reg;
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 100;
-    copts.metrics = &reg;
-    copts.faults = &plan;
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
-    auto got = drain(*ch.value(), 97);
-    // Faults injected into the reader never corrupt the stream — the chunk
-    // still assembles bit-identically.
-    ASSERT_EQ(got.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(got[i], trace[i]) << "record " << i;
+/// A trace just over one mapping window: batches cross the window's end and
+/// make MmapSource remap, a seek back lands in the first window again, and
+/// a shrink that cuts the second window is still a typed, sticky error.
+TEST_F(TraceSourceTest, MmapWindowSlideMatchesVectorSource) {
+    const std::size_t window_records = kMmapWindowBytes / kTraceRecordBytes;
+    const std::size_t records = window_records + 60'000;
+    // Synthetic records over 4,096 flows, so the cache replay below hits as
+    // well as misses.
+    std::vector<PacketRecord> trace(records);
+    for (std::size_t i = 0; i < records; ++i) {
+        trace[i].ts = i * 1'000;
+        trace[i].flow.src_ip = static_cast<std::uint32_t>(
+            ((i * 0x9E37'79B9'7F4A'7C15ull) >> 40) % 4'096);
+        trace[i].flow.dst_ip = 7;
+        trace[i].flow.proto = 6;
+        trace[i].len = static_cast<std::uint32_t>(64 + i % 1'400);
     }
-    EXPECT_EQ(reg.counter("trace_reader_short_reads")->value(), 1u);
-    EXPECT_EQ(reg.counter("trace_reader_eintr_retries")->value(), 3u);
-}
-
-TEST_F(TraceSourceTest, FaultChunkOrdinalsResetOnSeek) {
-    const auto trace = small_trace(400);
     write_trace(path_, trace);
-    fault::FaultPlan plan;
-    plan.short_read(0);  // "chunk 0" = first chunk since the reader started
-    obs::Registry reg;
-    ChunkedSourceOptions copts;
-    copts.chunk_records = 100;
-    copts.metrics = &reg;
-    copts.faults = &plan;
-    auto ch = ChunkedFileSource::open(path_, copts);
-    ASSERT_TRUE(ch.is_ok());
-    (void)drain(*ch.value(), 100);
-    const std::uint64_t after_first =
-        reg.counter("trace_reader_short_reads")->value();
-    EXPECT_EQ(after_first, 1u);
-    // A seek restarts the reader; its chunk ordinals restart at 0, so the
-    // same fault fires again — `at` is relative to the last (re)start.
-    ASSERT_TRUE(ch.value()->seek(0).is_ok());
-    (void)drain(*ch.value(), 100);
-    EXPECT_EQ(reg.counter("trace_reader_short_reads")->value(), 2u);
+    ASSERT_GT(std::filesystem::file_size(path_), kMmapWindowBytes);
+
+    auto mm = MmapSource::open(path_);
+    ASSERT_TRUE(mm.is_ok()) << mm.status().to_string();
+    MmapSource& src = *mm.value();
+
+    // Every record, read in batches that straddle the window boundary,
+    // equals the in-memory oracle's.
+    VectorSource vec(trace);
+    const auto want = drain(vec, 4'099);
+    const auto got = drain(src, 4'099);
+    ASSERT_EQ(got.size(), records);
+    for (std::size_t i = 0; i < records; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "record " << i;
+    }
+
+    // Back into the first window after reading the second, then across the
+    // boundary again from just before it.
+    for (const std::uint64_t at : {std::uint64_t{0}, std::uint64_t{17},
+                                   std::uint64_t{window_records - 3}}) {
+        ASSERT_TRUE(src.seek(at).is_ok());
+        auto b = src.next_batch(10);
+        ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+        ASSERT_EQ(b.value().size(), 10u);
+        for (std::size_t i = 0; i < 10; ++i) {
+            ASSERT_EQ(b.value()[i], trace[at + i]) << "record " << at + i;
+        }
+    }
+
+    // A threaded replay whose batches cross the window boundary lands on
+    // the sequential replay's statistics and plane bytes.
+    using Cache = core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>,
+                                      FlowKey, std::uint32_t>;
+    ASSERT_TRUE(vec.seek(0).is_ok());
+    auto seq_stream = replay::packet_op_source(vec);
+    Cache seq_cache(1'024, 0x7A);
+    replay::CacheReplayTarget seq_target(seq_cache);
+    const auto seq =
+        replay::replay_target_sequential_stream(seq_target, seq_stream);
+    ASSERT_TRUE(seq.is_ok()) << seq.status().to_string();
+
+    ASSERT_TRUE(src.seek(0).is_ok());
+    auto thr_stream = replay::packet_op_source(src);
+    Cache thr_cache(1'024, 0x7A);
+    replay::CacheReplayTarget thr_target(thr_cache);
+    replay::ShardedConfig cfg;
+    cfg.shards = 3;
+    cfg.batch_ops = 1'000;
+    cfg.mode = replay::Mode::kThreaded;
+    const auto thr =
+        replay::replay_target_sharded_stream(thr_target, thr_stream, cfg);
+    ASSERT_TRUE(thr.is_ok()) << thr.status().to_string();
+    EXPECT_EQ(thr.value().stats, seq.value());
+    EXPECT_GT(seq.value().hits, 0u);
+    EXPECT_EQ(testutil::plane_bytes(thr_cache.storage()),
+              testutil::plane_bytes(seq_cache.storage()));
+
+    // The file shrinks to a cut inside the second window: a batch that
+    // reaches past it is kTruncated, and stays so until a seek.
+    const std::uint64_t cut = window_records + 30'000;
+    std::filesystem::resize_file(path_,
+                                 kTraceHeaderBytes + cut * kTraceRecordBytes);
+    ASSERT_TRUE(src.seek(cut - 100).is_ok());
+    auto b = src.next_batch(1'000);
+    ASSERT_FALSE(b.is_ok());
+    EXPECT_EQ(b.status().code(), ErrorCode::kTruncated);
+    EXPECT_EQ(src.next_batch(1).status().code(), ErrorCode::kTruncated);
+    ASSERT_TRUE(src.seek(cut - 100).is_ok());
+    b = src.next_batch(100);
+    ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+    EXPECT_EQ(b.value()[99], trace[cut - 1]);
 }
 
 }  // namespace

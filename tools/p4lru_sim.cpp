@@ -12,10 +12,14 @@
 //   p4lru_sim p4gen      --program lru2|lru3|tower [--units N]
 //
 // Policies: p4lru1 p4lru2 p4lru3 p4lru4 timeout elastic coco ideal lfu clock
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "p4lru/cache/policy.hpp"
@@ -36,14 +40,19 @@ namespace {
 
 using namespace p4lru;
 
-/// Tiny --key value flag parser.
+/// Tiny --key value flag parser.  A flag without a value and a number that
+/// does not parse are errors (std::invalid_argument), never a default.
 class Flags {
   public:
     Flags(int argc, char** argv, int start) {
-        for (int i = start; i + 1 < argc; i += 2) {
+        for (int i = start; i < argc; i += 2) {
             if (std::strncmp(argv[i], "--", 2) != 0) {
                 throw std::invalid_argument(std::string("expected flag, got ") +
                                             argv[i]);
+            }
+            if (i + 1 == argc) {
+                throw std::invalid_argument(std::string("flag ") + argv[i] +
+                                            " needs a value");
             }
             values_[argv[i] + 2] = argv[i + 1];
         }
@@ -57,15 +66,31 @@ class Flags {
     [[nodiscard]] std::uint64_t num(const std::string& key,
                                     std::uint64_t fallback) const {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::strtoull(it->second.c_str(),
-                                                   nullptr, 10);
+        if (it == values_.end()) return fallback;
+        const std::string& v = it->second;
+        char* end = nullptr;
+        errno = 0;
+        const std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
+        if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+            *end != '\0' || errno == ERANGE) {
+            throw std::invalid_argument("--" + key +
+                                        " expects a non-negative integer, "
+                                        "got '" + v + "'");
+        }
+        return n;
     }
     [[nodiscard]] double real(const std::string& key,
                               double fallback) const {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::atof(it->second.c_str());
+        if (it == values_.end()) return fallback;
+        const std::string& v = it->second;
+        char* end = nullptr;
+        const double x = std::strtod(v.c_str(), &end);
+        if (v.empty() || *end != '\0') {
+            throw std::invalid_argument("--" + key +
+                                        " expects a number, got '" + v + "'");
+        }
+        return x;
     }
 
   private:
